@@ -465,23 +465,26 @@ def oracle_response(spec: BenchmarkSpec) -> str:
 
 def _run_one(spec: BenchmarkSpec, train: Dataset, config: EngineConfig,
              seed: int, backend, log_path) -> RunCell:
-    cell = RunCell(family=spec.family, equation=spec.name, seed=seed, status="ok")
+    cell = RunCell(family=spec.family, equation=spec.name, seed=seed, status="failed")
     try:
         record = engine_mod.run(train, replace(config, seed=seed), backend, log_path)
+        candidate = record.best
+        test = sample(spec, "test")
+        pred = evaluate_batch(candidate.skeleton.expr, candidate.fit.coefficients, test.X)
+        r2, excess = trimmed_r2_with_undefined(pred, test.y, config.score.trim_fraction)
+        summary = record.summary()
     except (NoValidSeedsError, BackendError) as exc:
-        cell.status = "failed"
         cell.error = str(exc)
         return cell
-    candidate = record.best
-    test = sample(spec, "test")
-    pred = evaluate_batch(candidate.skeleton.expr, candidate.fit.coefficients, test.X)
-    r2, excess = trimmed_r2_with_undefined(pred, test.y, config.score.trim_fraction)
+    except Exception as exc:  # one broken cell must not abort the grid
+        cell.error = f"{type(exc).__name__}: {exc}"
+        return cell
+    cell.status = "ok"
     cell.r2 = r2
     cell.complexity = candidate.scores.complexity
     cell.train_r2 = candidate.scores.r2_train
     cell.trim_excess = excess
     cell.candidate = candidate
-    summary = record.summary()
     summary["evaluation"] = {
         "test_r2_trimmed": r2,
         "trim_excess": excess,

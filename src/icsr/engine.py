@@ -318,7 +318,7 @@ class _Run:
                 continue
             accepted += 1
             comp = complexity(tree)
-            skeleton = canonicalize(tree)
+            skeleton = canonicalize(tree, self.dataset.dim)
             outcome["key"] = skeleton.key
             outcome["complexity"] = comp
             if skeleton.key in self.cache:
@@ -329,6 +329,7 @@ class _Run:
                 continue
             result = fit(skeleton, self.dataset, self.config.fit, self.rng)
             outcome["restarts"] = len(result.restart_sses)
+            outcome["lm_iterations"] = list(result.iterations)
             if not result.valid:
                 self.cache[skeleton.key] = None
                 outcome["status"] = "invalid_fit"
@@ -447,11 +448,12 @@ def run_random_guessing(dataset: Dataset, config: EngineConfig, backend,
 
 def budget_report(record: RunRecord) -> BudgetCounters:
     """Tally calls, parsed candidates, unique fits, and optimizer
-    restarts, and assert the call budget was respected."""
+    restarts; raise RuntimeError if the call budget was overrun."""
     cfg = record.config
     max_calls = cfg.n_seed_calls + cfg.max_iterations
     calls = len(record.calls)
-    assert calls <= max_calls, f"{calls} calls exceeds budget {max_calls}"
+    if calls > max_calls:
+        raise RuntimeError(f"{calls} calls exceeds budget {max_calls}")
     parsed = 0
     fitted = 0
     restarts = 0

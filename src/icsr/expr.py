@@ -139,6 +139,12 @@ def _variable_table(dimensionality: int) -> dict[str, int]:
     return table
 
 
+# Every nesting level (parentheses, a function call, a sign, an exponent)
+# recurses through _Parser.unary; capping it keeps hostile model output a
+# ParseError instead of a RecursionError.
+MAX_DEPTH = 100
+
+
 class _Parser:
     """Recursive descent over the usual precedence ladder.
 
@@ -154,6 +160,7 @@ class _Parser:
         self.variables = variables
         self.i = 0
         self.placeholders = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
@@ -191,14 +198,19 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        kind, value, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        if kind == "op" and value in ("-", "+"):
             self.advance()
-            return un_("neg", self.unary())
-        if kind == "op" and value == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+            node = self.unary()
+            if value == "-":
+                node = un_("neg", node)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -287,9 +299,11 @@ _BINARY_FUNCS = {
 
 
 def evaluate_batch(expr: Expr, coefficients, X) -> np.ndarray:
-    """Evaluate expr at every row of X with the given coefficient vector.
+    """Evaluate expr at every row of X for one or many coefficient vectors.
 
-    X has shape (n, d); the result has shape (n,).  Points where the
+    X has shape (n, d).  A coefficient vector of shape (m,) gives a result
+    of shape (n,); a matrix of shape (k, m) gives (k, n), row i being
+    exactly what row i of the matrix gives on its own.  Points where the
     expression is undefined (or any intermediate is non-finite) come back
     as NaN.  NaN never launders back into a finite value: nan^0 is NaN
     here, not 1.
@@ -298,25 +312,28 @@ def evaluate_batch(expr: Expr, coefficients, X) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError("X must have shape (n, d)")
     coefficients = np.asarray(coefficients, dtype=float)
-    n = X.shape[0]
+    rows = np.atleast_2d(coefficients)
+    k, n = rows.shape[0], X.shape[0]
 
+    # Every intermediate is a fresh C-contiguous (k, n) array, so each
+    # row goes through the same ufunc loops as a lone (n,) vector would.
     def rec(e: Expr) -> np.ndarray:
         if e.kind == "lit":
-            return np.full(n, e.value, dtype=float)
+            return np.full((k, n), e.value, dtype=float)
         if e.kind == "coef":
-            if e.index >= coefficients.size:
+            if e.index >= rows.shape[1]:
                 raise ValueError(
                     f"expression uses coefficient {e.index} but only "
-                    f"{coefficients.size} were supplied"
+                    f"{rows.shape[1]} were supplied"
                 )
-            return np.full(n, coefficients[e.index], dtype=float)
+            return np.repeat(rows[:, e.index:e.index + 1], n, axis=1)
         if e.kind == "var":
             if e.index >= X.shape[1]:
                 raise ValueError(
                     f"expression uses variable {e.index} but points are "
                     f"{X.shape[1]}-dimensional"
                 )
-            return X[:, e.index].astype(float, copy=True)
+            return np.tile(X[:, e.index], (k, 1))
         if e.kind == "un":
             a = rec(e.args[0])
             out = _UNARY_FUNCS[e.op](a)
@@ -327,8 +344,8 @@ def evaluate_batch(expr: Expr, coefficients, X) -> np.ndarray:
         return _sanitize(np.asarray(out, dtype=float), a, b)
 
     with np.errstate(all="ignore"):
-        result = rec(expr)
-    return _sanitize(result)
+        result = _sanitize(rec(expr))
+    return result if coefficients.ndim == 2 else result[0]
 
 
 def evaluate(expr: Expr, coefficients, point) -> float:
@@ -549,13 +566,15 @@ def _renumber(e: Expr, mapping: dict) -> Expr:
     return e
 
 
-def canonicalize(expr: Expr) -> Skeleton:
+def canonicalize(expr: Expr, dimensionality: Optional[int] = None) -> Skeleton:
     """Collapse an expression to its canonical skeleton.
 
     Two candidate strings that differ only in literal values, redundant
     constant arithmetic, or the order of +/* operands share a canonical
-    key.  Complexity is *not* measured here; it belongs to the tree as
-    parsed.
+    key.  The key names variables as parse does at the given
+    dimensionality (inferred from the variables used when omitted), so it
+    parses back.  Complexity is *not* measured here; it belongs to the
+    tree as parsed.
     """
     c = _Canonicalizer()
     tree = c.rewrite(expr)
@@ -571,11 +590,9 @@ def canonicalize(expr: Expr) -> Skeleton:
         else:
             value = float(evaluate_batch(origin, np.empty(0), empty)[0])
             hints.append(value if math.isfinite(value) else None)
-    used = variables_used(tree)
-    dim = max(used) + 1 if used else 1
     return Skeleton(
         expr=tree,
-        key=render(tree, dimensionality=dim),
+        key=render(tree, dimensionality=dimensionality),
         num_slots=len(origins),
         hints=tuple(hints),
         origins=origins,

@@ -1,9 +1,17 @@
 """Multi-start nonlinear least squares for skeleton coefficients.
 
-The optimizer is a plain Levenberg-Marquardt loop over finite-difference
-Jacobians.  Undefined predictions contribute a large constant penalty
-residual instead of poisoning the solve, which lets restarts wander
-through invalid coefficient regions and still rank restarts by SSE.
+The optimizer is a plain Levenberg-Marquardt loop over central-difference
+Jacobians.  All restarts run in lockstep: each step solves every live
+restart's damped normal equations on its own, then evaluates the trial
+points of all of them, each with its 2m probes c +/- h*e_j, as the rows
+of one batched tree evaluation.  A restart that stops (converged,
+out of iterations, or with its damping overflowed) simply drops out of
+later batches.  Every restart does exactly the arithmetic it would do
+alone, so results do not depend on which restarts run beside it.
+
+Undefined predictions contribute a large constant penalty residual
+instead of poisoning the solve, which lets restarts wander through
+invalid coefficient regions and still rank restarts by SSE.
 
 Coefficients that sit on a definedness cliff get special treatment: if
 nudging a coefficient by the finite-difference step turns predictions
@@ -54,7 +62,8 @@ class FitResult:
     coefficients/sse describe the best restart (minimum final SSE).
     valid means the fitted expression is defined and finite on every
     training point, which is the gate scoring relies on.  restart_sses
-    keeps the per-restart final SSEs for budget accounting and tests.
+    keeps the per-restart final SSEs for budget accounting and tests;
+    iterations holds each restart's LM iteration count in the same order.
     """
 
     coefficients: np.ndarray
@@ -63,95 +72,99 @@ class FitResult:
     valid: bool
     best_restart: int
     restart_sses: tuple
+    iterations: tuple
 
 
-def _residuals_defined(skeleton: Skeleton, coeffs: np.ndarray, X: np.ndarray,
-                       y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pred = evaluate_batch(skeleton.expr, coeffs, X)
+def _probe(skeleton: Skeleton, points: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """Residuals, definedness mask and central-difference Jacobian at each
+    row of points, all from one evaluate_batch call over the rows and
+    their 2m probes c +/- h*e_j.  Shapes: (k, n), (k, n) and (k, n, m)."""
+    k, m = points.shape
+    h = np.fmax(1e-6, 1e-6 * np.abs(points))
+    probes = np.repeat(points[:, None, :], 2 * m + 1, axis=1)
+    j = np.arange(m)
+    probes[:, 1 + j, j] += h
+    probes[:, 1 + m + j, j] -= h
+    pred = evaluate_batch(skeleton.expr, probes.reshape(-1, m), X).reshape(k, 2 * m + 1, -1)
     defined = np.isfinite(pred)
     res = y - pred
     res[~defined] = PENALTY
     res[~np.isfinite(res)] = PENALTY
-    return np.clip(res, -_RESIDUAL_CAP, _RESIDUAL_CAP), defined
+    res = np.clip(res, -_RESIDUAL_CAP, _RESIDUAL_CAP)
+    up, down = slice(1, m + 1), slice(m + 1, None)
+    jac = (res[:, up] - res[:, down]) / (2 * h)[:, :, None]
+    jac[np.any(defined[:, :1] & ~(defined[:, up] & defined[:, down]), axis=2)] = 0.0
+    return res[:, 0], defined[:, 0], np.ascontiguousarray(jac.transpose(0, 2, 1))
 
 
-def _residuals(skeleton: Skeleton, coeffs: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _residuals_defined(skeleton, coeffs, X, y)[0]
+def _levenberg_marquardt(skeleton, starts, X, y, config):
+    """Minimize 0.5 * ||res||^2 from every row of starts, in lockstep.
 
-
-def _jacobian(skeleton: Skeleton, coeffs: np.ndarray, X: np.ndarray, y: np.ndarray,
-              base_defined: np.ndarray) -> np.ndarray:
-    m = coeffs.size
-    J = np.empty((X.shape[0], m))
-    for j in range(m):
-        h = max(1e-6, 1e-6 * abs(coeffs[j]))
-        up = coeffs.copy()
-        up[j] += h
-        down = coeffs.copy()
-        down[j] -= h
-        res_up, def_up = _residuals_defined(skeleton, up, X, y)
-        res_down, def_down = _residuals_defined(skeleton, down, X, y)
-        if np.any(base_defined & ~(def_up & def_down)):
-            J[:, j] = 0.0
-        else:
-            J[:, j] = (res_up - res_down) / (2 * h)
-    return J
-
-
-def _levenberg_marquardt(skeleton, x0, X, y, config):
-    """Minimize 0.5 * ||res||^2 from x0.  Returns (coeffs, sse, converged)."""
-    c = x0.astype(float).copy()
-    res, defined = _residuals_defined(skeleton, c, X, y)
-    sse = float(res @ res)
-    J = _jacobian(skeleton, c, X, y, defined)
-    JTJ = J.T @ J
-    g = J.T @ res
-    converged = bool(np.max(np.abs(g)) <= config.gtol)
-    mu = 1e-3 * max(float(np.max(np.diag(JTJ))), 1e-12)
-    nu = 2.0
-
-    iterations = 0
-    while not converged and iterations < config.max_iterations:
-        iterations += 1
-        try:
-            delta = np.linalg.solve(JTJ + mu * np.eye(c.size), -g)
-        except np.linalg.LinAlgError:
-            delta = None
-        if delta is None or not np.all(np.isfinite(delta)):
-            mu *= nu
-            nu *= 2.0
+    Each step solves every live restart's damped normal equations, then
+    probes all their trial points with one _probe call.  Returns the final
+    coefficients and definedness masks as (k, m) and (k, n) arrays, plus
+    per-restart sse, converged flag and iteration count lists."""
+    k, m = starts.shape
+    c = starts.astype(float)
+    res, defined, jac = _probe(skeleton, c, X, y)
+    defined = defined.copy()
+    sse = [float(r @ r) for r in res]
+    JTJ = [J.T @ J for J in jac]
+    g = [J.T @ r for J, r in zip(jac, res)]
+    converged = [bool(np.max(np.abs(gi)) <= config.gtol) for gi in g]
+    mu = [1e-3 * max(float(np.max(np.diag(A))), 1e-12) for A in JTJ]
+    nu = [2.0] * k
+    iterations = [0] * k
+    live = [not conv for conv in converged]
+    while any(live):
+        stepping, deltas = [], []
+        for i in np.flatnonzero(live):
+            if iterations[i] >= config.max_iterations:
+                live[i] = False
+                continue
+            iterations[i] += 1
+            try:
+                delta = np.linalg.solve(JTJ[i] + mu[i] * np.eye(m), -g[i])
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is None or not np.all(np.isfinite(delta)):
+                mu[i] *= nu[i]
+                nu[i] *= 2.0
+            elif np.linalg.norm(delta) <= config.xtol * (np.linalg.norm(c[i]) + config.xtol):
+                converged[i] = True
+                live[i] = False
+            else:
+                stepping.append(i)
+                deltas.append(delta)
+        if not stepping:
             continue
-        if np.linalg.norm(delta) <= config.xtol * (np.linalg.norm(c) + config.xtol):
-            converged = True
-            break
-        trial = c + delta
-        trial_res, trial_defined = _residuals_defined(skeleton, trial, X, y)
-        trial_sse = float(trial_res @ trial_res)
-        predicted = float(delta @ (mu * delta - g))
-        actual = sse - trial_sse
-        if predicted > 0 and actual > 0:
+        trials = c[stepping] + np.array(deltas)
+        trial_res, trial_defined, trial_jac = _probe(skeleton, trials, X, y)
+        for t, (i, delta) in enumerate(zip(stepping, deltas)):
+            trial_sse = float(trial_res[t] @ trial_res[t])
+            predicted = float(delta @ (mu[i] * delta - g[i]))
+            actual = sse[i] - trial_sse
+            if not (predicted > 0 and actual > 0):
+                mu[i] *= nu[i]
+                nu[i] *= 2.0
+                live[i] = bool(np.isfinite(mu[i]))
+                continue
             rho = actual / predicted
-            c = trial
-            res = trial_res
-            if abs(actual) <= config.ftol * max(sse, 1e-300):
-                sse = trial_sse
-                converged = True
-                break
-            sse = trial_sse
-            J = _jacobian(skeleton, c, X, y, trial_defined)
-            JTJ = J.T @ J
-            g = J.T @ res
-            if np.max(np.abs(g)) <= config.gtol:
-                converged = True
-                break
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu = 2.0
-        else:
-            mu *= nu
-            nu *= 2.0
-            if not np.isfinite(mu):
-                break
-    return c, sse, converged
+            c[i], defined[i] = trials[t], trial_defined[t]
+            done = abs(actual) <= config.ftol * max(sse[i], 1e-300)
+            sse[i] = trial_sse
+            if not done:
+                J = trial_jac[t]
+                JTJ[i] = J.T @ J
+                g[i] = J.T @ trial_res[t]
+                done = np.max(np.abs(g[i])) <= config.gtol
+            if done:
+                converged[i] = True
+                live[i] = False
+                continue
+            mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu[i] = 2.0
+    return c, defined, sse, converged, iterations
 
 
 def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
@@ -181,30 +194,21 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             valid=valid,
             best_restart=0,
             restart_sses=(),
+            iterations=(),
         )
 
-    best_c = None
-    best_sse = float("inf")
-    best_restart = -1
-    any_converged = False
-    sses = []
+    starts = np.empty((config.restarts, m))
     for restart in range(config.restarts):
         if restart == 0 and config.warm_start:
-            x0 = np.array([
+            starts[restart] = [
                 hint if hint is not None else float(rng.standard_normal())
                 for hint in skeleton.hints
-            ])
+            ]
         else:
-            x0 = rng.standard_normal(m)
-        c, sse, converged = _levenberg_marquardt(skeleton, x0, X, y, config)
-        sses.append(sse)
-        any_converged = any_converged or converged
-        if np.all(np.isfinite(c)) and sse < best_sse:
-            best_c = c
-            best_sse = sse
-            best_restart = restart
-
-    if best_c is None:
+            starts[restart] = rng.standard_normal(m)
+    c, defined, sses, converged, iterations = _levenberg_marquardt(skeleton, starts, X, y, config)
+    finite = [r for r, sse in enumerate(sses) if np.all(np.isfinite(c[r])) and sse < np.inf]
+    if not finite:
         return FitResult(
             coefficients=np.full(m, np.nan),
             sse=float("inf"),
@@ -212,15 +216,15 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             valid=False,
             best_restart=-1,
             restart_sses=tuple(sses),
+            iterations=tuple(iterations),
         )
-
-    final_pred = evaluate_batch(skeleton.expr, best_c, X)
-    valid = bool(np.all(np.isfinite(final_pred)))
+    best = min(finite, key=sses.__getitem__)
     return FitResult(
-        coefficients=best_c,
-        sse=best_sse,
-        converged=any_converged,
-        valid=valid,
-        best_restart=best_restart,
+        coefficients=c[best],
+        sse=sses[best],
+        converged=any(converged),
+        valid=bool(np.all(defined[best])),
+        best_restart=best,
         restart_sses=tuple(sses),
+        iterations=tuple(iterations),
     )

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -438,6 +439,42 @@ def test_run_suite_records_failures(tmp_path):
     assert by_name["R2"].error
     text = (tmp_path / "results.csv").read_text(encoding="utf-8")
     assert "r,R2,1,,,failed" in text
+
+
+def test_run_suite_deeply_nested_reply_is_a_parse_error(tmp_path):
+    nested = "f1(x) = " + "(" * 200 + "x" + ")" * 200
+
+    def factory(spec, seed):
+        if spec.name == "R2":
+            return ReplayBackend([nested + "\nf2(x) = " + spec.expression])
+        return ReplayBackend([oracle_response(spec)])
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(["R1", "R2"], cfg, [1], factory, out_dir=str(tmp_path))
+    assert [c.status for c in report.cells] == ["ok", "ok"]
+    log = (tmp_path / "runs" / "R2" / "seed1" / "runlog.jsonl").read_text(encoding="utf-8")
+    outcomes = json.loads(log)["outcomes"]
+    assert [o["status"] for o in outcomes] == ["parse_error", "scored"]
+
+
+def test_run_suite_records_unexpected_exception_as_failed_cell(tmp_path):
+    class Broken:
+        def complete(self, request):
+            raise ZeroDivisionError("backend bug")
+
+    def factory(spec, seed):
+        if spec.name == "R1":
+            return Broken()
+        return ReplayBackend([oracle_response(spec)])
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(["R1", "R2"], cfg, [1], factory, out_dir=str(tmp_path))
+    by_name = {c.equation: c for c in report.cells}
+    assert by_name["R1"].status == "failed"
+    assert by_name["R1"].error == "ZeroDivisionError: backend bug"
+    assert by_name["R2"].status == "ok"
+    text = (tmp_path / "results.csv").read_text(encoding="utf-8")
+    assert "r,R1,1,,,failed" in text
 
 
 def test_run_suite_parallel_matches_serial():

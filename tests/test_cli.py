@@ -275,6 +275,19 @@ def test_ood_custom_extensions(tmp_path, capsys):
     assert text.strip().split("\n")[1].startswith("r,0.5,")
 
 
+def test_ood_reloads_two_dimensional_skeleton_using_only_x1(tmp_path, capsys):
+    replay = write_json(tmp_path / "replay.json",
+                        {"nguyen9": ["f1(x1, x2) = c*sin(x1) + c"]})
+    out = tmp_path / "bench_out"
+    assert main(["bench", "--suite", "nguyen9", "--seeds", "1",
+                 "--replay-file", replay, "--ns", "1", "--iterations", "0",
+                 "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "runs" / "nguyen9" / "seed1" / "summary.json")
+                         .read_text(encoding="utf-8"))
+    assert summary["best"]["skeleton"] == "c + c*sin(x1)"
+    assert main(["ood", "--runs", str(out)]) == EXIT_OK
+
+
 def test_ood_missing_runs_dir(tmp_path, capsys):
     assert main(["ood", "--runs", str(tmp_path / "nope")]) == EXIT_CONFIG
 

@@ -12,13 +12,17 @@ from icsr.engine import (
     MODE_RANDOM,
     MODE_SEED_ONLY,
     BudgetCounters,
+    CallRecord,
     EngineConfig,
     NoValidSeedsError,
+    RunRecord,
     Trajectory,
     budget_report,
     run,
     run_random_guessing,
 )
+from icsr.expr import canonicalize, parse
+from icsr.fit import fit
 from icsr.llm import BackendError, ReplayBackend, TemperatureSchedule
 
 
@@ -346,6 +350,32 @@ def test_budget_never_exceeds_call_allowance():
     counters = budget_report(record)
     assert counters.calls_issued <= counters.max_calls_allowed == 5
     assert backend.remaining == 5
+
+
+def test_budget_report_raises_on_over_budget_record():
+    # an explicit check, not an assert, so python -O keeps enforcing it
+    cfg = config(n_seed_calls=1, max_iterations=1)
+    record = RunRecord(mode=MODE_FULL, config=cfg, dataset_name="parabola",
+                       dataset_split="train", dataset_n=20, dataset_dim=1,
+                       calls=[CallRecord("seed", i, 1.0, "p") for i in range(3)])
+    with pytest.raises(RuntimeError, match="3 calls exceeds budget 2"):
+        budget_report(record)
+
+
+def test_fitted_outcomes_log_lm_iterations(tmp_path):
+    log_path = tmp_path / "runlog.jsonl"
+    backend = ReplayBackend(["f1(x) = c*x^c\nf2(x) = x*x\nf3(x) = c*x^c"])
+    record = run(parabola(), config(n_seed_calls=1, max_iterations=0), backend,
+                 log_path=log_path)
+    fitted, no_slots, duplicate = json.loads(log_path.read_text(encoding="utf-8"))["outcomes"]
+    # the first fit of a run draws its starts from a fresh seed-0 generator
+    alone = fit(canonicalize(parse("c*x^c", 1), 1), parabola(), record.config.fit,
+                np.random.default_rng(record.config.seed))
+    assert fitted["lm_iterations"] == list(alone.iterations)
+    assert len(alone.iterations) == fitted["restarts"] == 5
+    assert no_slots["lm_iterations"] == []
+    assert "lm_iterations" not in duplicate
+    assert "lm_iterations" not in json.dumps(record.summary())
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,19 @@ def test_parse_rejects_malformed():
             parse(bad, 1)
 
 
+def test_parse_caps_nesting_depth():
+    # 200 nested parentheses fit in one model reply; they must come back
+    # as a ParseError, not a RecursionError
+    for deep in ["(" * 200 + "x" + ")" * 200,
+                 "sin(" * 200 + "x" + ")" * 200,
+                 "-" * 2000 + "x",
+                 "x^" * 1000 + "x"]:
+        with pytest.raises(ParseError, match="nested"):
+            parse(deep, 1)
+    assert complexity(parse("(" * 40 + "x" + ")" * 40, 1)) == 1
+    assert complexity(parse("sin(" * 40 + "x" + ")" * 40, 1)) == 41
+
+
 def test_parse_scientific_literals():
     tree = parse("1e-3*x + 2.5E2", 1)
     vals = evaluate_batch(tree, [], np.array([[1.0]]))
@@ -179,6 +192,18 @@ def test_render_substitutes_coefficients():
     assert render(tree, [0.3, 0.25]) == "0.3*x + 0.25"
 
 
+def test_evaluate_batch_coefficient_matrix_shapes():
+    tree = parse("c*x + c", 1)
+    X = np.array([[1.0], [2.0], [3.0]])
+    assert evaluate_batch(tree, [2.0, 1.0], X).shape == (3,)
+    out = evaluate_batch(tree, [[2.0, 1.0], [0.0, 5.0]], X)
+    assert out.shape == (2, 3)
+    np.testing.assert_array_equal(out, [[3.0, 5.0, 7.0], [5.0, 5.0, 5.0]])
+    assert evaluate_batch(tree, [[2.0, 1.0]], X).shape == (1, 3)
+    with pytest.raises(ValueError):
+        evaluate_batch(tree, [[1.0], [2.0]], X)
+
+
 def test_render_negative_coefficient_reparses_to_same_value():
     tree = parse("c*x", 1)
     assert render(tree, [-2.0]) == "-2*x"
@@ -239,6 +264,16 @@ def test_canonicalize_slot_count():
     sk = canonicalize(parse("c*sin(c*x) + c", 1))
     assert sk.num_slots == 3
     assert sk.key == "c + c*sin(c*x)"
+
+
+def test_canonicalize_key_uses_the_dataset_variable_names():
+    # a 2-D skeleton that only uses x1 must still say x1, or the key no
+    # longer parses at the dataset's dimensionality
+    sk = canonicalize(parse("c*sin(x1) + c", 2), 2)
+    assert sk.key == "c + c*sin(x1)"
+    assert canonicalize(parse(sk.key, 2), 2).key == sk.key
+    assert canonicalize(parse("c*sin(x) + c", 1), 1).key == "c + c*sin(x)"
+    assert canonicalize(parse("c*sin(x1) + c", 2)).key == "c + c*sin(x)"
 
 
 def test_map_coefficients_tracks_reordering():
@@ -335,3 +370,53 @@ def test_property_complexity_counts_every_node(tree):
     def count(e):
         return 1 + sum(count(a) for a in e.args)
     assert complexity(tree) == count(tree)
+
+
+def _multi_coef_exprs():
+    leaves = st.one_of(
+        st.sampled_from([var(0), var(1), coef(0), coef(1), coef(2)]),
+        st.floats(min_value=-4.0, max_value=4.0,
+                  allow_nan=False, allow_infinity=False).map(lit),
+    )
+
+    def extend(children):
+        unary = st.builds(un_, st.sampled_from(UNARY_OPS), children)
+        binary = st.builds(bin_, st.sampled_from(BINARY_OPS), children, children)
+        return st.one_of(unary, binary)
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+_SPECIAL_ROWS = np.array([
+    [np.nan, 1.0, 2.0],
+    [0.0, np.nan, np.nan],
+    [np.inf, -np.inf, 0.0],
+    [1000.0, -1000.0, 0.0],
+])
+
+
+def _assert_rows_match_single_calls(tree, C, X):
+    batch = evaluate_batch(tree, C, X)
+    single = np.stack([evaluate_batch(tree, row, X) for row in C])
+    assert batch.shape == single.shape == (C.shape[0], X.shape[0])
+    assert batch.tobytes() == single.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multi_coef_exprs(), st.integers(1, 40), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+def test_property_batch_rows_equal_single_vectors_bit_for_bit(tree, n, k, seed):
+    rng = np.random.default_rng(seed)
+    C = np.vstack([rng.uniform(-5, 5, (k, 3)), _SPECIAL_ROWS])
+    X = rng.uniform(-5, 5, (n, 2))
+    _assert_rows_match_single_calls(tree, C, X)
+
+
+@pytest.mark.parametrize("text", ["c^x", "x^c", "1/exp(c*x)", "c/x", "(x - c)^0"])
+def test_batch_rows_keep_nan_from_laundering(text):
+    # nan^0 and 1/inf stay NaN in every row, exactly as in a lone call
+    tree = parse(text, 1)
+    X = np.array([[0.0], [1.0], [-2.0], [1000.0], [np.nan]])
+    C = np.array([[0.0], [np.nan], [np.inf], [800.0], [-3.5]])
+    _assert_rows_match_single_calls(tree, C, X)
+    assert np.isnan(evaluate_batch(tree, C, X)[1]).all()

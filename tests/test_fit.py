@@ -163,3 +163,93 @@ def test_fit_result_is_immutable():
     assert isinstance(res, FitResult)
     with pytest.raises(Exception):
         res.sse = 0.0
+
+
+# ---------------------------------------------------------------------------
+# Golden values: the lockstep LM must do exactly the arithmetic of fitting
+# each restart on its own, so these float.hex values were captured from
+# the one-restart-at-a-time implementation and must never drift.
+# ---------------------------------------------------------------------------
+
+def _golden_cases():
+    x = np.linspace(-1.0, 2.0, 40)
+    y = 1.7 * np.exp(-0.8 * x) + 0.2 + 0.01 * np.sin(7 * x)
+    yield "warm_hints", parse("1.5*exp(-0.7*x) + 0.3", 1), Dataset(x.reshape(-1, 1), y), 3
+    x = np.linspace(0.0, 4.0, 30)
+    yield "penalty_region", parse("sqrt(x - c)", 1), Dataset(x.reshape(-1, 1), np.sqrt(x)), 1
+    x = np.linspace(-2.0, 2.0, 25)
+    y = 1.3 * x**2 + 0.05 * np.cos(3 * x)
+    yield "pow_cliff", parse("c*x^2", 1), Dataset(x.reshape(-1, 1), y), 5
+    g = np.linspace(0.1, 1.0, 6)
+    X = np.array([(a, b) for a in g for b in g])
+    y = 0.9 * X[:, 0] * np.sin(1.4 * X[:, 1]) + 0.3
+    yield "two_d", parse("c*x1*sin(c*x2) + c", 2), Dataset(X, y), 7
+
+
+_GOLDEN = {
+    "warm_hints": (
+        ["0x1.9c6ff4b44317fp-3", "0x1.b2d93acee7617p+0", "-0x1.9a1991d93a477p-1"],
+        "0x1.00113c49ceb72p-9",
+        ["0x1.00113c49ceb72p-9", "0x1.b5f8461c1fd9bp+1", "0x1.00113c49cebc1p-9",
+         "0x1.00113c49ceb7dp-9", "0x1.00113c49ceba8p-9"],
+    ),
+    "penalty_region": (
+        ["-0x1.341d1de33e7a0p-22"],
+        "0x1.341d477e64e1fp-22",
+        ["0x1.d1a94a2000004p+39", "0x1.d1a94a2000000p+39", "0x1.d1a94a2000001p+39",
+         "0x1.341d477e64e1fp-22", "0x1.d1a94a2000006p+39"],
+    ),
+    "pow_cliff": (
+        ["0x1.4d799b830da55p+0", "0x1.0000000000000p+1"],
+        "0x1.f27e88a026033p-6",
+        ["0x1.f27e88a026033p-6", "0x1.5d3ef798000b9p+43", "0x1.5d3ef79800008p+43",
+         "0x1.5d3ef79802f6ep+43", "0x1.5d3ef7980005ap+43"],
+    ),
+    "two_d": (
+        ["0x1.333333343d83ap-2", "-0x1.ccccccd0f786cp-1", "-0x1.6666665f156eep+0"],
+        "0x1.f64e504277d80p-62",
+        ["0x1.2cf65c6a2b0d0p-60", "0x1.f64e504277d80p-62", "0x1.652d8000f4ca6p-52",
+         "0x1.4b2230d5351b4p-58", "0x1.4391b34de6909p-56"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name,tree,dataset,seed", list(_golden_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_golden_fit_values_are_bit_exact(name, tree, dataset, seed):
+    res = fit(canonicalize(tree, dataset.dim), dataset, rng=np.random.default_rng(seed))
+    coefficients, sse, restart_sses = _GOLDEN[name]
+    assert [float(v).hex() for v in res.coefficients] == coefficients
+    assert float(res.sse).hex() == sse
+    assert [float(v).hex() for v in res.restart_sses] == restart_sses
+
+
+def test_exponent_on_definedness_cliff_stays_pinned():
+    # x^2 over negative x: nudging the exponent makes those points
+    # undefined, so the warm-started exponent must not move at all
+    x = np.linspace(-2.0, 2.0, 25)
+    ds = Dataset(x.reshape(-1, 1), 1.3 * x**2)
+    res = fit(canonicalize(parse("c*x^2", 1)), ds, rng=np.random.default_rng(5))
+    assert res.best_restart == 0 and res.valid
+    assert res.coefficients[1] == 2.0
+    np.testing.assert_allclose(res.coefficients[0], 1.3, rtol=1e-9)
+
+
+def test_iterations_reported_per_restart():
+    x = np.linspace(-3, 3, 40)
+    ds = _dataset("c*sin(x) + c", [0.4, 2.7], x)
+    sk = canonicalize(parse("c*sin(x) + c", 1))
+    res = fit(sk, ds, FitConfig(restarts=4), rng=np.random.default_rng(11))
+    assert len(res.iterations) == len(res.restart_sses) == 4
+    assert all(isinstance(i, int) and 1 <= i <= 200 for i in res.iterations)
+    capped = fit(sk, ds, FitConfig(restarts=3, max_iterations=2),
+                 rng=np.random.default_rng(11))
+    assert all(i <= 2 for i in capped.iterations)
+
+
+def test_exact_warm_start_takes_no_iterations():
+    x = np.linspace(0.1, 4, 30)
+    ds = _dataset("sqrt(1.23*x)", [], x)
+    res = fit(canonicalize(parse("sqrt(1.23*x)", 1)), ds, rng=np.random.default_rng(0))
+    assert res.iterations[0] == 0
+    assert fit(canonicalize(parse("x*x", 1)), ds).iterations == ()
