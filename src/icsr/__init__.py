@@ -10,7 +10,7 @@ enough or the call budget runs out.
 from .dataset import Dataset
 from .engine import EngineConfig, NoValidSeedsError, budget_report, run, run_random_guessing
 from .expr import ParseError, canonicalize, complexity, evaluate_batch, parse, render
-from .fit import FitConfig, FitResult, fit
+from .fit import FitConfig, FitResult
 from .llm import (
     BackendError,
     LiveBackend,
@@ -38,7 +38,6 @@ __all__ = [
     "render",
     "FitConfig",
     "FitResult",
-    "fit",
     "BackendError",
     "LiveBackend",
     "ReplayBackend",

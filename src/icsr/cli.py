@@ -210,7 +210,10 @@ def _load_csv_dataset(path) -> Dataset:
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise ConfigError("data file must have columns x[,x2],y")
     name = os.path.splitext(os.path.basename(path))[0]
-    return Dataset(X=arr[:, :-1], y=arr[:, -1], name=name, split="train")
+    try:
+        return Dataset(X=arr[:, :-1], y=arr[:, -1], name=name, split="train")
+    except ValueError as exc:
+        raise ConfigError(f"bad data file: {exc}") from exc
 
 
 def _predictions_csv(X, y_true, y_pred) -> str:
@@ -325,6 +328,9 @@ def cmd_bench(args) -> int:
     out_dir = args.out or doc.get("output", {}).get("dir") or "bench_out"
     report = bench.run_suite(names, config, seeds, factory,
                              jobs=args.jobs, out_dir=out_dir)
+    for cell in report.cells:
+        if cell.status != "ok":
+            print(f"{cell.equation} seed {cell.seed}: {cell.error}", file=sys.stderr)
     ok = len(report.ok_cells())
     print(f"{ok}/{len(report.cells)} runs ok; results in {out_dir}")
     for row in report.family_rows():

@@ -4,7 +4,10 @@ random-guessing baseline.
 A run is a sequential state machine around one backend.  Every backend
 call is logged as one JSON-lines document; candidates are deduplicated
 by canonical skeleton so each functional form is fitted exactly once per
-run, no matter how often the model re-proposes it.
+run, no matter how often the model re-proposes it.  The front-end work is
+memoised per run as well: each distinct candidate line is parsed and
+canonicalized once, warm-start hints are computed only for skeletons that
+get fitted, and the prompt's block of training points is formatted once.
 """
 
 from __future__ import annotations
@@ -262,6 +265,9 @@ class _Run:
         self.log = log
         self.rng = np.random.default_rng(config.seed)
         self.cache: dict[str, Candidate | None] = {}
+        # raw line -> (complexity, Skeleton), or its ParseError message
+        self.lines: dict[str, tuple | str] = {}
+        self.prompt_context = PromptContext.from_dataset(dataset)
         self.trajectory = Trajectory(config.top_k)
         self.best: Candidate | None = None
         self.early_stopped = False
@@ -302,6 +308,20 @@ class _Run:
 
     # -- candidate pipeline ------------------------------------------------
 
+    def parse_line(self, raw: str) -> tuple | str:
+        """(complexity, Skeleton) for a candidate line, or the message of
+        its ParseError; each distinct line is parsed once per run."""
+        entry = self.lines.get(raw)
+        if entry is None:
+            try:
+                tree = parse(raw, self.dataset.dim)
+            except ParseError as exc:
+                entry = str(exc)
+            else:
+                entry = (complexity(tree), canonicalize(tree, self.dataset.dim))
+            self.lines[raw] = entry
+        return entry
+
     def process_response(self, rec: CallRecord, use_trajectory: bool):
         accepted = 0
         for raw in extract_candidates(rec.response):
@@ -309,16 +329,14 @@ class _Run:
                 rec.outcomes.append({"raw": raw, "status": "discarded_over_cap"})
                 continue
             outcome = {"raw": raw}
-            try:
-                tree = parse(raw, self.dataset.dim)
-            except ParseError as exc:
+            entry = self.parse_line(raw)
+            if isinstance(entry, str):
                 outcome["status"] = "parse_error"
-                outcome["detail"] = str(exc)
+                outcome["detail"] = entry
                 rec.outcomes.append(outcome)
                 continue
             accepted += 1
-            comp = complexity(tree)
-            skeleton = canonicalize(tree, self.dataset.dim)
+            comp, skeleton = entry
             outcome["key"] = skeleton.key
             outcome["complexity"] = comp
             if skeleton.key in self.cache:
@@ -367,8 +385,7 @@ class _Run:
     # -- phases --------------------------------------------------------------
 
     def seed_phase(self):
-        ctx = PromptContext.from_dataset(self.dataset)
-        prompt = build_seed_prompt(ctx)
+        prompt = build_seed_prompt(self.prompt_context)
         for i in range(self.config.n_seed_calls):
             if self.early_stopped:
                 break
@@ -380,11 +397,9 @@ class _Run:
         for j in range(self.config.max_iterations):
             if self.early_stopped:
                 break
-            ctx = PromptContext.from_dataset(
-                self.dataset,
-                trajectory=self.trajectory.view_worst_first(),
-                iteration=j,
-            )
+            ctx = replace(self.prompt_context,
+                          trajectory=tuple(self.trajectory.view_worst_first()),
+                          iteration=j)
             prompt = build_loop_prompt(ctx)
             self.call("loop", j, prompt, schedule.temperature_at(j),
                       use_trajectory=True)

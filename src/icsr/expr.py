@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -144,6 +145,13 @@ def _variable_table(dimensionality: int) -> dict[str, int]:
 # ParseError instead of a RecursionError.
 MAX_DEPTH = 100
 
+# The parser loops over +-*/ chains, but each operator adds a level to the
+# tree, and the walks after it (canonicalize, render, evaluation, warm-start
+# hints) recurse once or twice per level.  A line of at most MAX_TOKENS
+# tokens keeps every walk well under the default recursion limit of 1000
+# frames; longer lines are a ParseError too.
+MAX_TOKENS = 500
+
 
 class _Parser:
     """Recursive descent over the usual precedence ladder.
@@ -250,14 +258,21 @@ def parse(text: str, dimensionality: int = 1) -> Expr:
     Accepts variables x (or x1) for 1-D and x1, x2 for 2-D, the literal
     'c' as a coefficient placeholder (indexed left to right), numeric
     literals, and the supported operators and functions.  '**' is an
-    alias for '^'.  Raises ParseError on anything else.
+    alias for '^'.  Raises ParseError on anything else, including lines
+    nested deeper than MAX_DEPTH or longer than MAX_TOKENS tokens.
     """
     if dimensionality < 1:
         raise ValueError("dimensionality must be >= 1")
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _Parser(tokens, _variable_table(dimensionality)).parse()
+    tree = _Parser(tokens, _variable_table(dimensionality)).parse()
+    # checked after parsing, so a line that is also malformed or nested
+    # too deep reports that first
+    if len(tokens) > MAX_TOKENS:
+        raise ParseError(f"expression has more than {MAX_TOKENS} tokens",
+                         tokens[MAX_TOKENS][2])
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +471,30 @@ class Skeleton:
 
     expr holds the canonical tree whose placeholders are numbered left to
     right.  key is the rendered canonical form and doubles as the dedup
-    identity.  hints carries one warm-start value (or None) per slot,
-    recovered from literals the candidate text supplied.  origins keeps,
-    per slot, an expression over the original parse's placeholders and
-    literals describing how that slot was assembled, which makes the
-    whole transformation auditable.
+    identity.  origins keeps, per slot, an expression over the original
+    parse's placeholders and literals describing how that slot was
+    assembled, which makes the whole transformation auditable.
     """
 
     expr: Expr
     key: str
     num_slots: int
-    hints: tuple
     origins: tuple
+
+    @cached_property
+    def hints(self) -> tuple:
+        """One warm-start value (or None) per slot, recovered from the
+        literals the candidate text supplied.  Computed on first read, so
+        only skeletons that get fitted pay for it."""
+        empty = np.zeros((1, 1))
+        hints = []
+        for origin in self.origins:
+            if _has_placeholder(origin):
+                hints.append(None)
+            else:
+                value = float(evaluate_batch(origin, np.empty(0), empty)[0])
+                hints.append(value if math.isfinite(value) else None)
+        return tuple(hints)
 
     def map_coefficients(self, original_values) -> np.ndarray:
         """Translate coefficients for the pre-canonical tree into this
@@ -582,18 +609,9 @@ def canonicalize(expr: Expr, dimensionality: Optional[int] = None) -> Skeleton:
     tree = _renumber(tree, mapping)
     order = sorted(mapping, key=mapping.get)
     origins = tuple(c.origins[old] for old in order)
-    hints = []
-    empty = np.zeros((1, 1))
-    for origin in origins:
-        if _has_placeholder(origin):
-            hints.append(None)
-        else:
-            value = float(evaluate_batch(origin, np.empty(0), empty)[0])
-            hints.append(value if math.isfinite(value) else None)
     return Skeleton(
         expr=tree,
         key=render(tree, dimensionality=dimensionality),
         num_slots=len(origins),
-        hints=tuple(hints),
         origins=origins,
     )

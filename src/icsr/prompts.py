@@ -60,12 +60,13 @@ def format_points(X: np.ndarray, y: np.ndarray, per_line: int = 5) -> str:
 
 @dataclass(frozen=True)
 class PromptContext:
-    """Everything a prompt needs: the display slice of the dataset, the
-    dimensionality, and the current trajectory view (rendered function
-    and error pairs, worst error first)."""
+    """Everything a prompt needs: the formatted display slice of the
+    dataset, the dimensionality, and the current trajectory view
+    (rendered function and error pairs, worst error first).  A run
+    formats the points once and swaps in each call's trajectory with
+    dataclasses.replace."""
 
-    X: np.ndarray
-    y: np.ndarray
+    points: str
     dimensionality: int
     trajectory: tuple = ()
     iteration: int = 0
@@ -73,11 +74,8 @@ class PromptContext:
     @classmethod
     def from_dataset(cls, dataset, trajectory=(), iteration: int = 0) -> "PromptContext":
         Xs, ys = select_display_points(dataset.X, dataset.y)
-        return cls(X=Xs, y=ys, dimensionality=dataset.dim,
+        return cls(points=format_points(Xs, ys), dimensionality=dataset.dim,
                    trajectory=tuple(trajectory), iteration=iteration)
-
-    def points_block(self) -> str:
-        return format_points(self.X, self.y)
 
 
 def _adapt_seed(text: str, dim: int) -> str:
@@ -110,7 +108,7 @@ def _adapt_loop(text: str, dim: int) -> str:
 
 def build_seed_prompt(ctx: PromptContext) -> str:
     text = _adapt_seed(_template("seed"), ctx.dimensionality)
-    return text.replace("{points}", ctx.points_block())
+    return text.replace("{points}", ctx.points)
 
 
 def format_trajectory(entries) -> str:
@@ -128,7 +126,7 @@ def build_loop_prompt(ctx: PromptContext) -> str:
     if any(errs[i] < errs[i + 1] for i in range(len(errs) - 1)):
         raise ValueError("trajectory must be ordered worst (highest error) first")
     text = _adapt_loop(_template("loop"), ctx.dimensionality)
-    text = text.replace("{points}", ctx.points_block())
+    text = text.replace("{points}", ctx.points)
     text = text.replace("{num_variables}", str(ctx.dimensionality))
     text = text.replace("{variables_list}", variables_list(ctx.dimensionality))
     text = text.replace("{previous_trajectory}", format_trajectory(ctx.trajectory))

@@ -457,6 +457,22 @@ def test_run_suite_deeply_nested_reply_is_a_parse_error(tmp_path):
     assert [o["status"] for o in outcomes] == ["parse_error", "scored"]
 
 
+def test_run_suite_oversized_reply_is_a_parse_error(tmp_path):
+    oversized = "f1(x) = " + "+".join(["x*c"] * 600)
+
+    def factory(spec, seed):
+        if spec.name == "R2":
+            return ReplayBackend([oversized + "\nf2(x) = " + spec.expression])
+        return ReplayBackend([oracle_response(spec)])
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(["R1", "R2"], cfg, [1], factory, out_dir=str(tmp_path))
+    assert [c.status for c in report.cells] == ["ok", "ok"]
+    log = (tmp_path / "runs" / "R2" / "seed1" / "runlog.jsonl").read_text(encoding="utf-8")
+    outcomes = json.loads(log)["outcomes"]
+    assert [o["status"] for o in outcomes] == ["parse_error", "scored"]
+
+
 def test_run_suite_records_unexpected_exception_as_failed_cell(tmp_path):
     class Broken:
         def complete(self, request):

@@ -148,6 +148,11 @@ def test_run_data_csv_validation(tmp_path, capsys):
     replay = write_json(tmp_path / "replay.json", ["f1(x) = c"])
     code = main(["run", "--data", str(bad), "--replay-file", replay])
     assert code == EXIT_CONFIG
+    for cell in ("nan", "inf"):
+        bad.write_text(f"x,y\n1,2\n{cell},3\n", encoding="utf-8")
+        code = main(["run", "--data", str(bad), "--replay-file", replay])
+        assert code == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
 
 
 def test_run_live_backend_needs_api_key(tmp_path, monkeypatch, capsys):
@@ -227,6 +232,8 @@ def test_bench_failure_sets_exit_code(tmp_path, capsys):
     assert code == EXIT_FAILURE
     results = (out / "results.csv").read_text(encoding="utf-8")
     assert "r,R2,1,,,failed" in results
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines == ["R2 seed 1: no valid seed candidates after 1 seed calls"]
 
 
 def test_bench_replay_missing_equation_entry(tmp_path, capsys):

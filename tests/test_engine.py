@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import icsr.engine
 from icsr.dataset import Dataset
 from icsr.engine import (
     MODE_FULL,
@@ -246,6 +247,69 @@ def test_parse_errors_do_not_consume_the_acceptance_cap():
                                     functions_per_call=2), backend)
     statuses = [o["status"] for o in record.calls[0].outcomes]
     assert statuses == ["parse_error", "scored", "parse_error", "scored"]
+
+
+# Eight lines: a valid line twice in a row, a parse error twice, a second
+# skeleton, the first line again, a third skeleton, and one line past the
+# five-per-call acceptance cap.
+REPEATING_REPLY = "\n".join([
+    "f1(x) = c*x + c", "f2(x) = c*x + c", "f3(x) = c*(", "f4(x) = c*(",
+    "f5(x) = 2.5*x", "f6(x) = c*x + c", "f7(x) = exp(x)", "f8(x) = sin(x)",
+])
+OVERSIZED_LINE = "+".join(["x*c"] * 600)
+
+
+def test_each_distinct_line_is_parsed_and_canonicalized_once_per_run(monkeypatch):
+    parsed, canonicalized = [], []
+    real_parse, real_canonicalize = icsr.engine.parse, icsr.engine.canonicalize
+
+    def counting_parse(text, dim):
+        parsed.append(text)
+        return real_parse(text, dim)
+
+    def counting_canonicalize(tree, dim):
+        canonicalized.append(tree)
+        return real_canonicalize(tree, dim)
+
+    monkeypatch.setattr(icsr.engine, "parse", counting_parse)
+    monkeypatch.setattr(icsr.engine, "canonicalize", counting_canonicalize)
+    reply = REPEATING_REPLY.replace("f7(x) = exp(x)", f"f7(x) = {OVERSIZED_LINE}")
+    script = [reply, "f1(x) = x\nf2(x) = c*(", reply, "f1(x) = x\nf2(x) = c*x + c"]
+    record = run(parabola(), config(n_seed_calls=2, max_iterations=2), ReplayBackend(script))
+    assert [c.phase for c in record.calls] == ["seed", "seed", "loop", "loop"]
+    assert sorted(parsed) == sorted(["c*x + c", "c*(", "2.5*x", OVERSIZED_LINE, "sin(x)", "x"])
+    assert len(canonicalized) == 4
+    outcomes = [o for c in record.calls for o in c.outcomes]
+    oversized = [o for o in outcomes if o["raw"] == OVERSIZED_LINE]
+    assert len(oversized) == 2
+    assert oversized[0] == oversized[1]
+    assert oversized[0]["status"] == "parse_error"
+    assert "tokens" in oversized[0]["detail"]
+
+
+def test_repeated_lines_log_the_outcomes_of_first_sight():
+    record = run(parabola(), config(n_seed_calls=1, max_iterations=1),
+                 ReplayBackend([REPEATING_REPLY] * 2))
+    logged = [
+        (o["status"], o.get("detail", o.get("key")), o.get("complexity"), o.get("err"))
+        for c in record.calls for o in c.outcomes
+    ]
+    # the outcomes an engine logs when it parses and canonicalizes every
+    # line afresh
+    scored_1 = ("scored", "c + c*x", 5, 0.966427569548764)
+    scored_2 = ("scored", "c*x", 3, 1.0077167295903737)
+    scored_3 = ("scored", "exp(x)", 2, 1.8758842105306197)
+    broken = ("parse_error", "unexpected token None", None, None)
+    over_cap = ("discarded_over_cap", None, None, None)
+
+    def dup(outcome):
+        return ("duplicate",) + outcome[1:]
+
+    assert logged == [
+        scored_1, dup(scored_1), broken, broken, scored_2, dup(scored_1), scored_3, over_cap,
+        dup(scored_1), dup(scored_1), broken, broken, dup(scored_2), dup(scored_1),
+        dup(scored_3), over_cap,
+    ]
 
 
 # ---------------------------------------------------------------------------

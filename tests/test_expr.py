@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import icsr.expr
 from icsr.expr import (
     BINARY_OPS,
+    MAX_TOKENS,
     UNARY_OPS,
     ParseError,
     bin_,
@@ -87,6 +89,27 @@ def test_parse_caps_nesting_depth():
             parse(deep, 1)
     assert complexity(parse("(" * 40 + "x" + ")" * 40, 1)) == 1
     assert complexity(parse("sin(" * 40 + "x" + ")" * 40, 1)) == 41
+
+
+def test_parse_caps_token_count():
+    # 600 summed terms fit in one reply, and their tree is deep enough to
+    # overflow the interpreter stack in canonicalize
+    for long in ["+".join(["x*c"] * 600), "+".join(["c"] * (MAX_TOKENS // 2 + 1))]:
+        with pytest.raises(ParseError, match=f"more than {MAX_TOKENS} tokens"):
+            parse(long, 1)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+@pytest.mark.parametrize("term", ["c", "x"])
+def test_lines_at_the_token_cap_canonicalize(op, term):
+    # the deepest trees the cap admits: one level per binary operator
+    terms = (MAX_TOKENS + 1) // 2
+    assert MAX_TOKENS - 1 <= 2 * terms - 1 <= MAX_TOKENS
+    line = op.join([term] * terms)
+    sk = canonicalize(parse(line, 1), 1)
+    assert len(sk.hints) == sk.num_slots
+    render(sk.expr, [1.0] * sk.num_slots)
+    evaluate_batch(sk.expr, np.ones(sk.num_slots), np.ones((2, 1)))
 
 
 def test_parse_scientific_literals():
@@ -246,6 +269,24 @@ def test_canonicalize_literal_hints_preserved():
     sk = canonicalize(parse("2.5*x + 1.25", 1))
     assert sk.key == "c + c*x"
     assert sk.hints == (1.25, 2.5)
+
+
+def test_canonicalize_computes_hints_on_first_read(monkeypatch):
+    calls = []
+    real = icsr.expr.evaluate_batch
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(icsr.expr, "evaluate_batch", counting)
+    sk = canonicalize(parse("2.5*x + 1.25 + (c + 3)*sin(x)", 1))
+    assert sk.key == "c + c*sin(x) + c*x"
+    assert calls == []
+    assert sk.hints == (1.25, None, 2.5)
+    assert len(calls) == 2  # one per literal-only slot
+    assert sk.hints == (1.25, None, 2.5)
+    assert len(calls) == 2
 
 
 def test_canonicalize_folds_constant_arithmetic_into_hint():

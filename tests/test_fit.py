@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,13 @@ def test_exact_warm_start_takes_no_iterations():
     res = fit(canonicalize(parse("sqrt(1.23*x)", 1)), ds, rng=np.random.default_rng(0))
     assert res.iterations[0] == 0
     assert fit(canonicalize(parse("x*x", 1)), ds).iterations == ()
+
+
+def test_icsr_fit_is_the_submodule():
+    import icsr
+    import icsr.fit as fit_module
+
+    assert isinstance(fit_module, types.ModuleType)
+    assert icsr.fit is fit_module
+    assert fit_module.fit is fit
+    assert (icsr.FitConfig, icsr.FitResult) == (FitConfig, FitResult)
