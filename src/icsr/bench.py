@@ -14,7 +14,6 @@ import json
 import math
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
@@ -231,22 +230,6 @@ def trimmed_r2_with_undefined(predictions, targets, trim_fraction: float = 0.05)
     return r_squared(defined_p[keep], defined_t[keep]), 0
 
 
-def evaluate_in_domain(candidate, spec: BenchmarkSpec,
-                       trim_fraction: float = 0.05) -> tuple[float, int]:
-    """Trimmed R-squared on the test split plus the candidate's
-    complexity (as-parsed node count for engine candidates; node count of
-    the given tree for bare (expr, coefficients) tuples)."""
-    expr, coeffs = _expr_and_coeffs(candidate)
-    test = sample(spec, "test")
-    pred = evaluate_batch(expr, coeffs, test.X)
-    r2, _excess = trimmed_r2_with_undefined(pred, test.y, trim_fraction)
-    if isinstance(candidate, tuple):
-        comp = complexity(expr)
-    else:
-        comp = candidate.scores.complexity
-    return r2, comp
-
-
 @dataclass(frozen=True)
 class OODPoint:
     extension: float
@@ -381,12 +364,7 @@ class EvalReport:
         complexity) over the family's equations; then mean and standard
         error of the mean over seeds."""
         rows = []
-        families = []
-        for c in self.cells:
-            if c.family not in families:
-                families.append(c.family)
-        for family in families:
-            cells = [c for c in self.cells if c.family == family]
+        for family, cells in _by_family(self.cells, lambda c: c.family).items():
             seeds = sorted({c.seed for c in cells})
             equations = {c.equation for c in cells}
             per_seed_r2 = []
@@ -414,36 +392,31 @@ class EvalReport:
             })
         return rows
 
-    def ood_rows(self, extensions=(0.25, 0.5, 0.75, 1.0)) -> list[dict]:
-        """Clamped-mean OOD curve per family over all ok cells."""
-        rows = []
-        families = []
-        for c in self.cells:
-            if c.family not in families:
-                families.append(c.family)
-        for family in families:
-            cells = [c for c in self.ok_cells()
-                     if c.family == family and c.candidate is not None]
-            curves = [evaluate_ood(c.candidate, get_benchmark(c.equation), extensions)
-                      for c in cells]
-            for i, e in enumerate(extensions):
-                points = [curve[i] for curve in curves if not curve[i].skipped]
-                skipped = sum(1 for curve in curves if curve[i].skipped)
-                if points:
-                    mean_clamped = float(np.mean([p.clamped_r2 for p in points]))
-                    neg_fraction = float(np.mean([1.0 if p.negative else 0.0 for p in points]))
-                else:
-                    mean_clamped = float("nan")
-                    neg_fraction = float("nan")
-                rows.append({
-                    "benchmark": family,
-                    "extension": e,
-                    "mean_r2_clamped": mean_clamped,
-                    "neg_fraction": neg_fraction,
-                    "n_cells": len(points),
-                    "n_skipped": skipped,
-                })
-        return rows
+
+def _by_family(items, family_of) -> dict:
+    """Family -> its items, families in first-seen order."""
+    groups = {}
+    for item in items:
+        groups.setdefault(family_of(item), []).append(item)
+    return groups
+
+
+def ood_rows(cells, extensions) -> list[dict]:
+    """Clamped-mean OOD curve per family over (spec, candidate) pairs."""
+    rows = []
+    for family, group in _by_family(cells, lambda c: c[0].family).items():
+        curves = [evaluate_ood(candidate, spec, extensions) for spec, candidate in group]
+        for i, e in enumerate(extensions):
+            points = [curve[i] for curve in curves if not curve[i].skipped]
+            rows.append({
+                "benchmark": family,
+                "extension": e,
+                "mean_r2_clamped": _mean([p.clamped_r2 for p in points]),
+                "neg_fraction": _mean([1.0 if p.negative else 0.0 for p in points]),
+                "n_cells": len(points),
+                "n_skipped": len(curves) - len(points),
+            })
+    return rows
 
 
 def _mean(values) -> float:
@@ -493,6 +466,20 @@ def _run_one(spec: BenchmarkSpec, train: Dataset, config: EngineConfig,
     return cell
 
 
+# Set in each forked worker by _init_worker: (execute, tasks).
+_worker_job = None
+
+
+def _init_worker(execute, tasks):
+    global _worker_job
+    _worker_job = (execute, tasks)
+
+
+def _execute_task(index: int) -> RunCell:
+    execute, tasks = _worker_job
+    return execute(tasks[index])
+
+
 def run_suite(names, config: EngineConfig, seeds, backend_factory,
               jobs: int = 1, out_dir=None) -> EvalReport:
     """Run the (equation x seed) grid and aggregate.
@@ -500,7 +487,15 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     backend_factory(spec, seed) must return a fresh backend per run.
     Train data is sampled once per equation and shared across seeds.
     Failed runs become 'failed' cells; aggregation skips them and
-    reports the count."""
+    reports the count.
+
+    jobs > 1 runs the cells in at most min(jobs, cells) worker processes
+    forked from the caller (the fork start method, so Linux or macOS):
+    the factory and anything it closes over are inherited, not pickled,
+    and the factory runs in a worker, so state it mutates never reaches
+    the caller.  Each cell comes back pickled, in task order, so every
+    report is byte-identical to a serial run.  A cell whose worker
+    raises or dies becomes a 'failed' cell."""
     specs = [get_benchmark(n) for n in names]
     trains = {s.name: sample(s, "train") for s in specs}
     tasks = [(spec, seed) for spec in specs for seed in seeds]
@@ -518,9 +513,23 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
         return _run_one(spec, trains[spec.name], config, seed, backend,
                         log_path_for(spec, seed))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(execute, tasks))
+    if jobs > 1 and tasks:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(execute, tasks)) as pool:
+            futures = [pool.submit(_execute_task, i) for i in range(len(tasks))]
+            cells = []
+            for (spec, seed), future in zip(tasks, futures):
+                try:
+                    cells.append(future.result())
+                except Exception as exc:  # includes BrokenProcessPool
+                    cells.append(RunCell(family=spec.family, equation=spec.name,
+                                         seed=seed, status="failed",
+                                         error=f"{type(exc).__name__}: {exc}"))
     else:
         cells = [execute(t) for t in tasks]
 

@@ -135,8 +135,10 @@ def _load_replay_data(path):
     raise ConfigError("replay file must be a JSON array or an object of arrays")
 
 
-def make_backend_factory(doc: dict, args):
-    """Returns factory(spec_or_name, seed) -> backend."""
+def make_backend_factory(doc: dict, args, names=()):
+    """Returns factory(spec_or_name, seed) -> backend.  A replay file
+    keyed by equation must have an entry for each of names, checked
+    here so a bench grid fails before any cell runs."""
     backend_cfg = dict(doc.get("backend", {}))
     kind = getattr(args, "backend", None) or backend_cfg.get("kind") or "replay"
     if kind not in ("live", "replay"):
@@ -147,6 +149,9 @@ def make_backend_factory(doc: dict, args):
         if not path:
             raise ConfigError("replay backend needs --replay-file")
         data = _load_replay_data(path)
+        missing = [n for n in names if isinstance(data, dict) and n not in data]
+        if missing:
+            raise ConfigError(f"replay file has no entry for {missing[0]!r}")
 
         def factory(spec_or_name, seed):
             if isinstance(data, list):
@@ -323,8 +328,10 @@ def cmd_bench(args) -> int:
         seeds = doc.get("seeds") or [1, 2, 3, 4, 5]
     if not seeds:
         raise ConfigError("empty seeds list")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
-    factory = make_backend_factory(doc, args)
+    factory = make_backend_factory(doc, args, names)
     out_dir = args.out or doc.get("output", {}).get("dir") or "bench_out"
     report = bench.run_suite(names, config, seeds, factory,
                              jobs=args.jobs, out_dir=out_dir)
@@ -340,8 +347,8 @@ def cmd_bench(args) -> int:
 
 
 def _cells_from_run_dir(runs_dir) -> list:
-    """Rebuild evaluation cells from the summary.json files under a bench
-    output directory."""
+    """(spec, (tree, coefficients)) for each winning candidate stored in
+    the summary.json files under a bench output directory."""
     cells = []
     root = os.path.join(runs_dir, "runs")
     if not os.path.isdir(root):
@@ -365,8 +372,7 @@ def _cells_from_run_dir(runs_dir) -> list:
                 continue
             tree = parse(best["skeleton"], spec.dim)
             coeffs = np.asarray(best["coefficients"], dtype=float)
-            seed = int(seed_name.replace("seed", "") or 0)
-            cells.append((spec, seed, (tree, coeffs), best))
+            cells.append((spec, (tree, coeffs)))
     return cells
 
 
@@ -377,27 +383,7 @@ def cmd_ood(args) -> int:
     cells = _cells_from_run_dir(args.runs)
     if not cells:
         raise ConfigError(f"no stored candidates under {args.runs}")
-    families = []
-    for spec, _, _, _ in cells:
-        if spec.family not in families:
-            families.append(spec.family)
-    rows = []
-    for family in families:
-        fam_cells = [(s, c) for s, _, c, _ in cells if s.family == family]
-        curves = [bench.evaluate_ood(cand, spec, extensions) for spec, cand in fam_cells]
-        for i, e in enumerate(extensions):
-            points = [c[i] for c in curves if not c[i].skipped]
-            skipped = sum(1 for c in curves if c[i].skipped)
-            rows.append({
-                "benchmark": family,
-                "extension": e,
-                "mean_r2_clamped": float(np.mean([p.clamped_r2 for p in points]))
-                if points else float("nan"),
-                "neg_fraction": float(np.mean([1.0 if p.negative else 0.0 for p in points]))
-                if points else float("nan"),
-                "n_cells": len(points),
-                "n_skipped": skipped,
-            })
+    rows = bench.ood_rows(cells, extensions)
     out_dir = args.out or args.runs
     atomic_write_text(os.path.join(out_dir, "ood.csv"), bench.ood_csv(rows))
     for row in rows:
@@ -485,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="family (nguyen/constant/keijzer/r), 'all', "
                               "equation name, or comma list")
     p_bench.add_argument("--seeds", help="comma-separated seed list, default 1-5")
-    p_bench.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    p_bench.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for the grid (forked, at most one per cell)")
     p_bench.add_argument("--out", help="output directory")
     p_bench.set_defaults(func=cmd_bench)
 

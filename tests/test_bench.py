@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from icsr.bench import (
     SamplingError,
     dataset_seed,
     equispaced_grid,
-    evaluate_in_domain,
     evaluate_ood,
     get_benchmark,
     ground_truth_complexity,
@@ -30,7 +30,7 @@ from icsr.bench import (
     summary_csv,
 )
 from icsr.engine import EngineConfig
-from icsr.expr import complexity, evaluate_batch, parse
+from icsr.expr import evaluate_batch, parse
 from icsr.llm import ReplayBackend
 
 
@@ -219,14 +219,6 @@ def test_trimmed_r2_all_nan():
     r2, excess = trimmed_r2_with_undefined(np.full(10, np.nan), y)
     assert r2 == -np.inf
     assert excess == 10
-
-
-def test_evaluate_in_domain_oracle_is_perfect():
-    spec = get_benchmark("nguyen1")
-    candidate = (spec.ground_truth(), [])
-    r2, comp = evaluate_in_domain(candidate, spec)
-    assert r2 == 1.0
-    assert comp == complexity(spec.ground_truth())
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +485,72 @@ def test_run_suite_records_unexpected_exception_as_failed_cell(tmp_path):
     assert "r,R1,1,,,failed" in text
 
 
-def test_run_suite_parallel_matches_serial():
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_run_suite_parallel_matches_serial(tmp_path):
+    pids = tmp_path / "pids"
+    pids.mkdir()
+
+    def factory(spec, seed):
+        (pids / f"{spec.name}-{seed}").write_text(str(os.getpid()), encoding="utf-8")
+        return ReplayBackend([oracle_response(spec)])
+
     cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
-    serial = run_suite(["R1", "R2", "R3"], cfg, [1, 2], _oracle_factory, jobs=1)
-    parallel = run_suite(["R1", "R2", "R3"], cfg, [1, 2], _oracle_factory, jobs=4)
-    key = lambda c: (c.equation, c.seed)
-    assert sorted([(c.equation, c.seed, c.r2) for c in serial.cells]) == \
-           sorted([(c.equation, c.seed, c.r2) for c in parallel.cells])
+    names = ["R1", "R2", "R3"]
+    serial = run_suite(names, cfg, [1, 2], _oracle_factory, jobs=1,
+                       out_dir=str(tmp_path / "serial"))
+    parallel = run_suite(names, cfg, [1, 2], factory, jobs=4,
+                         out_dir=str(tmp_path / "parallel"))
+    assert [(c.equation, c.seed, c.r2) for c in serial.cells] == \
+           [(c.equation, c.seed, c.r2) for c in parallel.cells]
     assert results_csv(serial) == results_csv(parallel)
+    serial_files = _tree_bytes(tmp_path / "serial")
+    assert len(serial_files) == 2 + 2 * 6  # reports + summary.json, runlog.jsonl per cell
+    assert _tree_bytes(tmp_path / "parallel") == serial_files
+
+    worker_pids = {p.read_text(encoding="utf-8") for p in pids.iterdir()}
+    assert len(list(pids.iterdir())) == 6
+    assert str(os.getpid()) not in worker_pids
+    assert len(worker_pids) <= 4
+
+    for p in pids.iterdir():
+        p.unlink()
+    run_suite(["R1"], cfg, [1, 2], factory, jobs=8)
+    worker_pids = {p.read_text(encoding="utf-8") for p in pids.iterdir()}
+    assert len(list(pids.iterdir())) == 2
+    assert str(os.getpid()) not in worker_pids
+    assert 1 <= len(worker_pids) <= 2
+
+
+def test_run_suite_worker_failures_become_failed_cells(tmp_path):
+    def raising(spec, seed):
+        if spec.name == "R2":
+            raise KeyError("no script for R2")
+        return ReplayBackend([oracle_response(spec)])
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(["R1", "R2", "R3"], cfg, [1], raising, jobs=2,
+                       out_dir=str(tmp_path / "raising"))
+    assert [c.status for c in report.cells] == ["ok", "failed", "ok"]
+    assert report.cells[1].error == "KeyError: 'no script for R2'"
+
+    def dying(spec, seed):
+        if spec.name == "R2":
+            os._exit(1)
+        return ReplayBackend([oracle_response(spec)])
+
+    out = tmp_path / "dying"
+    report = run_suite(["R1", "R2", "R3"], cfg, [1], dying, jobs=2, out_dir=str(out))
+    assert [c.equation for c in report.cells] == ["R1", "R2", "R3"]
+    r2 = report.cells[1]
+    assert r2.status == "failed"
+    assert r2.error.startswith("BrokenProcessPool: ")
+    # cells in flight or pending when the worker died fail the same way
+    for c in report.cells:
+        assert c.status == "ok" or c.error.startswith("BrokenProcessPool: ")
+    text = (out / "results.csv").read_text(encoding="utf-8")
+    assert "r,R2,1,,,failed" in text
+    assert (out / "summary.csv").exists()

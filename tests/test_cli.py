@@ -216,6 +216,14 @@ def test_bench_oracle_suite_and_report_round_trip(tmp_path, capsys):
     summary_text = (out / "summary.csv").read_text(encoding="utf-8")
     assert report_text == summary_text
 
+    for jobs in ("0", "-2"):
+        rejected = tmp_path / f"jobs{jobs}"
+        code = main(["bench", "--suite", "r", "--seeds", "1,2",
+                     "--replay-file", replay, "--jobs", jobs, "--out", str(rejected)])
+        assert code == EXIT_CONFIG
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not rejected.exists()
+
 
 def test_bench_failure_sets_exit_code(tmp_path, capsys):
     spec = get_benchmark("R1")
@@ -238,9 +246,12 @@ def test_bench_failure_sets_exit_code(tmp_path, capsys):
 
 def test_bench_replay_missing_equation_entry(tmp_path, capsys):
     replay = write_json(tmp_path / "replay.json", {"R1": ["f1(x) = c"]})
-    code = main(["bench", "--suite", "r", "--seeds", "1",
-                 "--replay-file", replay, "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
+    for jobs in ("1", "2"):
+        code = main(["bench", "--suite", "r", "--seeds", "1", "--jobs", jobs,
+                     "--replay-file", replay, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "no entry for 'R2'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_bad_seeds(tmp_path, capsys):
