@@ -23,7 +23,7 @@ import numpy as np
 from . import engine as engine_mod
 from .dataset import Dataset
 from .engine import Candidate, EngineConfig, NoValidSeedsError
-from .expr import Expr, complexity, evaluate_batch, parse
+from .expr import Expr, complexity, evaluate_batch, parse, variable_names
 from .llm import BackendError
 from .score import r_squared, r_squared_trimmed
 
@@ -85,24 +85,19 @@ def load_benchmarks() -> dict:
     raw = (resources.files("icsr") / "data" / "benchmarks.json").read_text(encoding="utf-8")
     doc = json.loads(raw)
     out = {}
+
+    def _sampler(row):
+        return SamplerSpec(kind=row["kind"], low=tuple(row["low"]),
+                           high=tuple(row["high"]), num=row["num"])
+
     for row in doc["benchmarks"]:
         spec = BenchmarkSpec(
             name=row["name"],
             family=row["family"],
             expression=row["expression"],
             dim=row["dim"],
-            train=SamplerSpec(
-                kind=row["train"]["kind"],
-                low=tuple(row["train"]["low"]),
-                high=tuple(row["train"]["high"]),
-                num=row["train"]["num"],
-            ),
-            test=SamplerSpec(
-                kind=row["test"]["kind"],
-                low=tuple(row["test"]["low"]),
-                high=tuple(row["test"]["high"]),
-                num=row["test"]["num"],
-            ),
+            train=_sampler(row["train"]),
+            test=_sampler(row["test"]),
             validity_low=tuple(row["validity_low"]),
             validity_high=tuple(row["validity_high"]),
         )
@@ -173,19 +168,18 @@ def sample(spec: BenchmarkSpec, split: str, seed: int | None = None) -> Dataset:
             raise SamplingError(
                 f"{spec.name}/{split}: ground truth undefined on equispaced grid"
             )
-        return Dataset(X=X, y=y, name=spec.name, split=split, seed=seed)
-
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(low, high, size=(sampler.num, spec.dim))
-    y = evaluate_batch(gt, np.empty(0), X)
-    rounds = 0
-    while np.isnan(y).any():
-        rounds += 1
-        if rounds > _MAX_RESAMPLE_ROUNDS:
-            raise SamplingError(f"{spec.name}/{split}: resampling did not converge")
-        bad = np.isnan(y)
-        X[bad] = rng.uniform(low, high, size=(int(bad.sum()), spec.dim))
+    else:
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(low, high, size=(sampler.num, spec.dim))
         y = evaluate_batch(gt, np.empty(0), X)
+        rounds = 0
+        while np.isnan(y).any():
+            rounds += 1
+            if rounds > _MAX_RESAMPLE_ROUNDS:
+                raise SamplingError(f"{spec.name}/{split}: resampling did not converge")
+            bad = np.isnan(y)
+            X[bad] = rng.uniform(low, high, size=(int(bad.sum()), spec.dim))
+            y = evaluate_batch(gt, np.empty(0), X)
     return Dataset(X=X, y=y, name=spec.name, split=split, seed=seed)
 
 
@@ -210,24 +204,15 @@ def trimmed_r2_with_undefined(predictions, targets, trim_fraction: float = 0.05)
     failures."""
     predictions = np.asarray(predictions, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    n = targets.shape[0]
-    k = math.floor(trim_fraction * n)
+    k = math.floor(trim_fraction * targets.shape[0])
     nan_mask = np.isnan(predictions)
     n_nan = int(nan_mask.sum())
-    if n_nan == 0:
+    if n_nan == 0 or n_nan < k:
+        # NaN errors sort last, so the trim drops the undefined points first
         return r_squared_trimmed(predictions, targets, trim_fraction), 0
-    defined_p = predictions[~nan_mask]
-    defined_t = targets[~nan_mask]
-    if defined_t.size == 0:
+    if n_nan == nan_mask.size:
         return float("-inf"), n_nan
-    if n_nan >= k:
-        return r_squared(defined_p, defined_t), n_nan - k
-    # Trim the undefined points first, then the worst defined ones.
-    budget = k - n_nan
-    sq_err = (defined_t - defined_p) ** 2
-    order = np.argsort(sq_err, kind="stable")
-    keep = order[: defined_t.size - budget]
-    return r_squared(defined_p[keep], defined_t[keep]), 0
+    return r_squared(predictions[~nan_mask], targets[~nan_mask]), n_nan - k
 
 
 @dataclass(frozen=True)
@@ -432,8 +417,7 @@ def _sem(values) -> float:
 def oracle_response(spec: BenchmarkSpec) -> str:
     """A scripted model response carrying the ground-truth expression
     verbatim (literals intact, so canonicalization warm-starts the fit)."""
-    args = "x" if spec.dim == 1 else ", ".join(f"x{i+1}" for i in range(spec.dim))
-    return f"f1({args}) = {spec.expression}"
+    return f"f1({', '.join(variable_names(spec.dim))}) = {spec.expression}"
 
 
 def _run_one(spec: BenchmarkSpec, train: Dataset, config: EngineConfig,
@@ -537,12 +521,8 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     if out_dir is not None:
         for cell in cells:
             if cell.summary is not None:
-                d = os.path.join(out_dir, "runs", cell.equation, f"seed{cell.seed}")
-                os.makedirs(d, exist_ok=True)
-                atomic_write_text(
-                    os.path.join(d, "summary.json"),
-                    json.dumps(cell.summary, indent=2, sort_keys=True) + "\n",
-                )
+                write_summary(os.path.join(out_dir, "runs", cell.equation,
+                                           f"seed{cell.seed}"), cell.summary)
         atomic_write_text(os.path.join(out_dir, "results.csv"), results_csv(report))
         atomic_write_text(os.path.join(out_dir, "summary.csv"), summary_csv(report))
     return report
@@ -562,35 +542,31 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def results_csv(report: EvalReport) -> str:
+def csv_text(header, rows) -> str:
+    """A header and rows of _fmt-formatted values, one line each."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["benchmark", "equation", "seed", "r2", "complexity", "status"])
-    for c in report.cells:
-        w.writerow([c.family, c.equation, c.seed, _fmt(c.r2), _fmt(c.complexity), c.status])
+    w.writerow(header)
+    w.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def results_csv(report: EvalReport) -> str:
+    return csv_text(["benchmark", "equation", "seed", "r2", "complexity", "status"],
+                    ([c.family, c.equation, c.seed, c.r2, c.complexity, c.status]
+                     for c in report.cells))
 
 
 def summary_csv(report: EvalReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     header = ["benchmark", "n_equations", "n_seeds", "n_missing",
               "r2_mean", "r2_sem", "complexity_mean", "complexity_sem",
               "gt_complexity_nodes", "gt_complexity_operators", "gt_complexity_ref"]
-    w.writerow(header)
-    for row in report.family_rows():
-        w.writerow([_fmt(row[k]) for k in header])
-    return buf.getvalue()
+    return csv_text(header, ([row[k] for k in header] for row in report.family_rows()))
 
 
 def ood_csv(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["benchmark", "extension", "mean_r2_clamped", "neg_fraction"])
-    for row in rows:
-        w.writerow([row["benchmark"], _fmt(row["extension"]),
-                    _fmt(row["mean_r2_clamped"]), _fmt(row["neg_fraction"])])
-    return buf.getvalue()
+    header = ["benchmark", "extension", "mean_r2_clamped", "neg_fraction"]
+    return csv_text(header, ([row[k] for k in header] for row in rows))
 
 
 def atomic_write_text(path, text: str):
@@ -601,3 +577,9 @@ def atomic_write_text(path, text: str):
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def write_summary(directory, summary: dict):
+    """summary.json for one run, keys sorted so reruns match byte for byte."""
+    atomic_write_text(os.path.join(directory, "summary.json"),
+                      json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -10,24 +10,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import bench
-from .bench import atomic_write_text
+from .bench import atomic_write_text, csv_text, write_summary
 from .dataset import Dataset
 from .engine import EngineConfig, NoValidSeedsError, budget_report, run
-from .expr import evaluate_batch, parse
+from .expr import evaluate_batch, num_placeholders, parse, variable_names
 from .fit import FitConfig
 from .llm import (
+    API_KEY_ENV,
     BackendError,
     LiveBackend,
-    MissingAPIKeyError,
     ReplayBackend,
     SamplingParams,
     TemperatureSchedule,
@@ -58,14 +57,32 @@ _CONFIG_SECTIONS = {
 }
 
 
-def load_config(path) -> dict:
+# flag -> (config section, key) it overrides
+_FLAG_KEYS = {
+    "ns": ("engine", "n_seed_calls"),
+    "iterations": ("engine", "max_iterations"),
+    "topk": ("engine", "top_k"),
+    "mode": ("engine", "mode"),
+    "model": ("engine", "model"),
+    "seed": ("engine", "seed"),
+    "lam": ("score", "lam"),
+}
+
+_LIVE_OPTIONS = ("timeout", "max_attempts", "backoff", "include_sampling_extras")
+
+
+def _read_json(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> dict:
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     for section, value in doc.items():
@@ -87,52 +104,36 @@ def load_config(path) -> dict:
 
 def build_engine_config(doc: dict, args) -> EngineConfig:
     """Fold config-file values and flag overrides into an EngineConfig."""
-    engine = dict(doc.get("engine", {}))
-    sampling = dict(doc.get("sampling", {}))
-    fit_cfg = dict(doc.get("fit", {}))
-    score = dict(doc.get("score", {}))
+    sections = {name: dict(doc.get(name, {}))
+                for name in ("engine", "sampling", "fit", "score")}
+    for flag, (section, key) in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            sections[section][key] = getattr(args, flag)
     schedule = doc.get("schedule")
-
-    if getattr(args, "ns", None) is not None:
-        engine["n_seed_calls"] = args.ns
-    if getattr(args, "iterations", None) is not None:
-        engine["max_iterations"] = args.iterations
-    if getattr(args, "topk", None) is not None:
-        engine["top_k"] = args.topk
-    if getattr(args, "mode", None) is not None:
-        engine["mode"] = args.mode
-    if getattr(args, "model", None) is not None:
-        engine["model"] = args.model
-    if getattr(args, "seed", None) is not None:
-        engine["seed"] = args.seed
-    if getattr(args, "lam", None) is not None:
-        score["lam"] = args.lam
 
     try:
         return EngineConfig(
-            score=ScoreConfig(**score),
-            fit=FitConfig(**fit_cfg),
-            sampling=SamplingParams(**sampling),
+            score=ScoreConfig(**sections["score"]),
+            fit=FitConfig(**sections["fit"]),
+            sampling=SamplingParams(**sections["sampling"]),
             schedule=TemperatureSchedule(**schedule) if schedule else None,
-            **engine,
+            **sections["engine"],
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad engine configuration: {exc}") from exc
 
 
 def _load_replay_data(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read replay file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"replay file is not valid JSON: {exc}") from exc
-    if isinstance(data, list):
-        return data
-    if isinstance(data, dict):
-        return {k: list(v) for k, v in data.items()}
-    raise ConfigError("replay file must be a JSON array or an object of arrays")
+    """One script (an array of response strings), or an object of
+    scripts keyed by equation name; every script is checked here."""
+    data = _read_json(path, "replay file")
+    if not isinstance(data, (list, dict)):
+        raise ConfigError("replay file must be a JSON array or an object of arrays")
+    for name, script in data.items() if isinstance(data, dict) else [(None, data)]:
+        if not isinstance(script, list) or not all(isinstance(r, str) for r in script):
+            where = "replay file" if name is None else f"replay entry {name!r}"
+            raise ConfigError(f"{where} must be an array of strings")
+    return data
 
 
 def make_backend_factory(doc: dict, args, names=()):
@@ -166,28 +167,11 @@ def make_backend_factory(doc: dict, args, names=()):
     endpoint = getattr(args, "endpoint", None) or backend_cfg.get("endpoint")
     if not endpoint:
         raise ConfigError("live backend needs --endpoint")
-    try:
-        probe = LiveBackend(
-            endpoint=endpoint,
-            timeout=backend_cfg.get("timeout", 120.0),
-            max_attempts=backend_cfg.get("max_attempts", 3),
-            backoff=backend_cfg.get("backoff", 1.0),
-            include_sampling_extras=backend_cfg.get("include_sampling_extras", False),
-        )
-    except MissingAPIKeyError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    def factory(spec_or_name, seed):
-        return LiveBackend(
-            endpoint=probe.endpoint,
-            api_key=probe.api_key,
-            timeout=probe.timeout,
-            max_attempts=probe.max_attempts,
-            backoff=probe.backoff,
-            include_sampling_extras=probe.include_sampling_extras,
-        )
-
-    return factory
+    options = {k: backend_cfg[k] for k in _LIVE_OPTIONS if k in backend_cfg}
+    options.update(endpoint=endpoint, api_key=os.environ.get(API_KEY_ENV))
+    if not options["api_key"]:
+        raise ConfigError(f"live backend needs an API key; set {API_KEY_ENV}")
+    return lambda spec_or_name, seed: LiveBackend(**options)
 
 
 def _load_csv_dataset(path) -> Dataset:
@@ -211,7 +195,10 @@ def _load_csv_dataset(path) -> Dataset:
             values.append([float(v) for v in row])
         except ValueError as exc:
             raise ConfigError(f"bad numeric row in data file: {row}") from exc
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except ValueError as exc:
+        raise ConfigError("data file rows differ in length") from exc
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise ConfigError("data file must have columns x[,x2],y")
     name = os.path.splitext(os.path.basename(path))[0]
@@ -222,17 +209,8 @@ def _load_csv_dataset(path) -> Dataset:
 
 
 def _predictions_csv(X, y_true, y_pred) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    dim = X.shape[1]
-    header = [f"x{i+1}" for i in range(dim)] if dim > 1 else ["x"]
-    w.writerow(header + ["y_true", "y_pred"])
-    for i in range(X.shape[0]):
-        row = [format(v, ".12g") for v in X[i]]
-        row.append(format(y_true[i], ".12g"))
-        row.append(format(y_pred[i], ".12g") if np.isfinite(y_pred[i]) else "nan")
-        w.writerow(row)
-    return buf.getvalue()
+    return csv_text(variable_names(X.shape[1]) + ["y_true", "y_pred"],
+                    ([*X[i], y_true[i], y_pred[i]] for i in range(X.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +250,7 @@ def cmd_run(args) -> int:
     except NoValidSeedsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.record is not None:
-            atomic_write_text(
-                os.path.join(out_dir, "summary.json"),
-                json.dumps(exc.record.summary(), indent=2, sort_keys=True) + "\n",
-            )
+            write_summary(out_dir, exc.record.summary())
         return EXIT_NO_SEEDS
 
     summary = record.summary()
@@ -285,10 +260,7 @@ def cmd_run(args) -> int:
         r2, excess = bench.trimmed_r2_with_undefined(
             pred, grid.y, config.score.trim_fraction)
         summary["evaluation"] = {"test_r2_trimmed": r2, "trim_excess": excess}
-    atomic_write_text(
-        os.path.join(out_dir, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    write_summary(out_dir, summary)
     atomic_write_text(
         os.path.join(out_dir, "predictions.csv"),
         _predictions_csv(grid.X, grid.y, pred),
@@ -365,19 +337,37 @@ def _cells_from_run_dir(runs_dir) -> list:
             path = os.path.join(eq_dir, seed_name, "summary.json")
             if not os.path.isfile(path):
                 continue
-            with open(path, "r", encoding="utf-8") as fh:
-                summary = json.load(fh)
-            best = summary.get("best")
-            if not best:
-                continue
-            tree = parse(best["skeleton"], spec.dim)
-            coeffs = np.asarray(best["coefficients"], dtype=float)
+            summary = _read_json(path, path)
+            try:
+                best = summary.get("best")
+                if not best:
+                    continue
+                tree = parse(best["skeleton"], spec.dim)
+                coeffs = np.asarray(best["coefficients"], dtype=float)
+                if coeffs.shape != (num_placeholders(tree),):
+                    raise ValueError(f"{coeffs.size} coefficients for "
+                                     f"{num_placeholders(tree)} placeholders")
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad stored candidate in {path}: {exc}") from exc
             cells.append((spec, (tree, coeffs)))
     return cells
 
 
+def _parse_extensions(text: str) -> list[float]:
+    extensions = []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"bad extension {token!r}: need a finite number >= 0")
+        extensions.append(value)
+    return extensions
+
+
 def cmd_ood(args) -> int:
-    extensions = [float(t) for t in args.extensions.split(",") if t.strip() != ""]
+    extensions = _parse_extensions(args.extensions)
     if not extensions:
         raise ConfigError("empty extensions list")
     cells = _cells_from_run_dir(args.runs)
@@ -403,17 +393,20 @@ def _report_from_results(paths) -> bench.EvalReport:
             with open(results, "r", encoding="utf-8", newline="") as fh:
                 reader = csv.DictReader(fh)
                 rows = list(reader)
-        except OSError as exc:
+        except (OSError, ValueError, csv.Error) as exc:
             raise ConfigError(f"cannot read {results}: {exc}") from exc
         for row in rows:
-            cells.append(bench.RunCell(
-                family=row["benchmark"],
-                equation=row["equation"],
-                seed=int(row["seed"]),
-                status=row["status"],
-                r2=float(row["r2"]) if row["r2"] else None,
-                complexity=float(row["complexity"]) if row["complexity"] else None,
-            ))
+            try:
+                cells.append(bench.RunCell(
+                    family=row["benchmark"],
+                    equation=row["equation"],
+                    seed=int(row["seed"]),
+                    status=row["status"],
+                    r2=float(row["r2"]) if row["r2"] else None,
+                    complexity=float(row["complexity"]) if row["complexity"] else None,
+                ))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad row in {results}: {exc!r}") from exc
     return bench.EvalReport(cells=cells)
 
 

@@ -115,17 +115,7 @@ class CallRecord:
     outcomes: list = field(default_factory=list)
 
     def to_doc(self) -> dict:
-        return {
-            "phase": self.phase,
-            "index": self.index,
-            "temperature": self.temperature,
-            "prompt": self.prompt,
-            "response": self.response,
-            "error": self.error,
-            "usage": self.usage,
-            "latency": round(self.latency, 6),
-            "outcomes": self.outcomes,
-        }
+        return {**vars(self), "latency": round(self.latency, 6)}
 
 
 class Trajectory:
@@ -183,7 +173,7 @@ class RunRecord:
             best = {
                 "raw": c.raw,
                 "skeleton": c.skeleton.key,
-                "expression": _render_with_coefficients(c),
+                "expression": render(c.skeleton.expr, c.fit.coefficients),
                 "coefficients": [float(v) for v in c.fit.coefficients],
                 "origin": c.origin,
                 "nmse": c.scores.nmse,
@@ -226,10 +216,6 @@ class RunRecord:
             "nls_restarts": counters.nls_restarts,
             "best": best,
         }
-
-
-def _render_with_coefficients(candidate: Candidate) -> str:
-    return render(candidate.skeleton.expr, candidate.fit.coefficients)
 
 
 class RunLog:
@@ -295,13 +281,11 @@ class _Run:
             response = self.backend.complete(request)
         except BackendError as exc:
             rec.error = str(exc)
-            self.record.calls.append(rec)
-            self.log.append(rec.to_doc())
-            return rec
-        rec.response = response.text
-        rec.usage = response.usage
-        rec.latency = response.latency
-        self.process_response(rec, use_trajectory)
+        else:
+            rec.response = response.text
+            rec.usage = response.usage
+            rec.latency = response.latency
+            self.process_response(rec, use_trajectory)
         self.record.calls.append(rec)
         self.log.append(rec.to_doc())
         return rec
@@ -398,8 +382,7 @@ class _Run:
             if self.early_stopped:
                 break
             ctx = replace(self.prompt_context,
-                          trajectory=tuple(self.trajectory.view_worst_first()),
-                          iteration=j)
+                          trajectory=tuple(self.trajectory.view_worst_first()))
             prompt = build_loop_prompt(ctx)
             self.call("loop", j, prompt, schedule.temperature_at(j),
                       use_trajectory=True)
@@ -418,25 +401,30 @@ class _Run:
 
 
 def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRecord:
-    """Execute one full (or seed-only) run.
+    """Execute one run in the config's mode.
 
     Phase 1 issues n_seed_calls completions of the seed prompt; phase 2
-    refines for up to max_iterations completions of the loop prompt built
-    from the current trajectory.  The run stops issuing calls as soon as
-    any candidate's training R-squared exceeds early_stop_r2.  Raises
-    NoValidSeedsError (with the partial record attached) when phase 1
-    yields nothing fittable.
+    (full mode only) refines for up to max_iterations completions of the
+    loop prompt built from the current trajectory.  The run stops issuing
+    calls as soon as any candidate's training R-squared exceeds
+    early_stop_r2.  Random mode is the baseline instead: the same call
+    budget, every call with the context-free random prompt and no
+    trajectory feedback.  Raises NoValidSeedsError (with the partial
+    record attached) when phase 1, or a whole random run, yields nothing
+    fittable.
     """
-    if config.mode == MODE_RANDOM:
-        return run_random_guessing(dataset, config, backend, log_path)
     with RunLog(log_path) as log:
         state = _Run(dataset, config, backend, log)
-        state.seed_phase()
+        if config.mode == MODE_RANDOM:
+            state.random_phase()
+        else:
+            state.seed_phase()
         if state.best is None:
-            record = state.finish()
             raise NoValidSeedsError(
+                "random guessing produced zero valid candidates"
+                if config.mode == MODE_RANDOM else
                 f"no valid seed candidates after {config.n_seed_calls} seed calls",
-                record=record,
+                record=state.finish(),
             )
         if config.mode == MODE_FULL:
             state.loop_phase()
@@ -445,20 +433,8 @@ def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRe
 
 def run_random_guessing(dataset: Dataset, config: EngineConfig, backend,
                         log_path=None) -> RunRecord:
-    """Baseline: the same call budget as a full run, but every call uses
-    the context-free random prompt and no trajectory feedback; every
-    candidate is still fitted, scored, and deduplicated."""
-    with RunLog(log_path) as log:
-        state = _Run(dataset, config, backend, log)
-        state.record.mode = MODE_RANDOM
-        state.random_phase()
-        record = state.finish()
-        if record.best is None:
-            raise NoValidSeedsError(
-                "random guessing produced zero valid candidates",
-                record=record,
-            )
-        return record
+    """run() in random mode, whatever mode config names."""
+    return run(dataset, replace(config, mode=MODE_RANDOM), backend, log_path)
 
 
 def budget_report(record: RunRecord) -> BudgetCounters:

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -62,12 +62,9 @@ class Expr:
         elif self.kind == "un":
             if self.op not in UNARY_OPS or len(self.args) != 1:
                 raise ValueError(f"bad unary node: {self.op!r}")
-        elif self.kind == "var":
+        elif self.kind in ("var", "coef"):
             if self.index is None or self.index < 0:
-                raise ValueError("variable node needs a non-negative index")
-        elif self.kind == "coef":
-            if self.index is None or self.index < 0:
-                raise ValueError("coefficient node needs a non-negative index")
+                raise ValueError(f"{self.kind} node needs a non-negative index")
         elif self.kind == "lit":
             if self.value is None:
                 raise ValueError("literal node needs a value")
@@ -363,12 +360,6 @@ def evaluate_batch(expr: Expr, coefficients, X) -> np.ndarray:
     return result if coefficients.ndim == 2 else result[0]
 
 
-def evaluate(expr: Expr, coefficients, point) -> float:
-    """Scalar evaluation; NaN marks an undefined result."""
-    point = np.asarray(point, dtype=float).reshape(1, -1)
-    return float(evaluate_batch(expr, coefficients, point)[0])
-
-
 def complexity(expr: Expr) -> int:
     """Number of nodes in the tree as parsed; every node counts one."""
     total = 1
@@ -405,6 +396,35 @@ def _format_number(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _join_unary(op: str, child: tuple[str, int]) -> tuple[str, int]:
+    """Text and precedence of op applied to a rendered child."""
+    s, p = child
+    if op == "neg":
+        if p < _NEG_PREC:
+            s = f"({s})"
+        return f"-{s}", _NEG_PREC
+    return f"{op}({s})", _ATOM_PREC
+
+
+def _join(op: str, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
+    """Text and precedence of a binary op over two rendered operands."""
+    (ls, lprec), (rs, rprec) = left, right
+    lp = _PREC[op]
+    if op == "^":
+        if lprec <= lp:
+            ls = f"({ls})"
+        if rprec < lp:
+            rs = f"({rs})"
+    else:
+        if lprec < lp:
+            ls = f"({ls})"
+        if rprec <= lp:
+            rs = f"({rs})"
+    if op in ("+", "-"):
+        return f"{ls} {op} {rs}", lp
+    return f"{ls}{op}{rs}", lp
+
+
 def _render(e: Expr, coefficients, var_names) -> tuple[str, int]:
     if e.kind == "lit":
         return _format_number(e.value), _ATOM_PREC
@@ -418,28 +438,24 @@ def _render(e: Expr, coefficients, var_names) -> tuple[str, int]:
             return f"-{_format_number(-v)}", _NEG_PREC
         return _format_number(v), _ATOM_PREC
     if e.kind == "un":
-        s, p = _render(e.args[0], coefficients, var_names)
-        if e.op == "neg":
-            if p < _NEG_PREC:
-                s = f"({s})"
-            return f"-{s}", _NEG_PREC
-        return f"{e.op}({s})", _ATOM_PREC
-    lp = _PREC[e.op]
-    ls, lprec = _render(e.args[0], coefficients, var_names)
-    rs, rprec = _render(e.args[1], coefficients, var_names)
-    if e.op == "^":
-        if lprec <= lp:
-            ls = f"({ls})"
-        if rprec < lp:
-            rs = f"({rs})"
-    else:
-        if lprec < lp:
-            ls = f"({ls})"
-        if rprec <= lp:
-            rs = f"({rs})"
-    if e.op in ("+", "-"):
-        return f"{ls} {e.op} {rs}", lp
-    return f"{ls}{e.op}{rs}", lp
+        return _join_unary(e.op, _render(e.args[0], coefficients, var_names))
+    return _join(e.op, _render(e.args[0], coefficients, var_names),
+                 _render(e.args[1], coefficients, var_names))
+
+
+def variable_names(dimensionality: int) -> list[str]:
+    """The names render writes: x in 1-D, x1..xd otherwise."""
+    if dimensionality == 1:
+        return ["x"]
+    return [f"x{i + 1}" for i in range(dimensionality)]
+
+
+def _var_names(expr: Expr, dimensionality: Optional[int]) -> list[str]:
+    """variable_names, with d inferred from the variables used when omitted."""
+    if dimensionality is None:
+        used = variables_used(expr)
+        dimensionality = max(used) + 1 if used else 1
+    return variable_names(dimensionality)
 
 
 def render(expr: Expr, coefficients=None, dimensionality: Optional[int] = None) -> str:
@@ -450,14 +466,7 @@ def render(expr: Expr, coefficients=None, dimensionality: Optional[int] = None) 
     re-parses to a structurally identical tree (modulo literal rounding
     when values are substituted).
     """
-    if dimensionality is None:
-        used = variables_used(expr)
-        dimensionality = max(used) + 1 if used else 1
-    if dimensionality == 1:
-        var_names = ["x"]
-    else:
-        var_names = [f"x{i + 1}" for i in range(dimensionality)]
-    text, _ = _render(expr, coefficients, var_names)
+    text, _ = _render(expr, coefficients, _var_names(expr, dimensionality))
     return text
 
 
@@ -489,7 +498,7 @@ class Skeleton:
         empty = np.zeros((1, 1))
         hints = []
         for origin in self.origins:
-            if _has_placeholder(origin):
+            if num_placeholders(origin):
                 hints.append(None)
             else:
                 value = float(evaluate_batch(origin, np.empty(0), empty)[0])
@@ -507,10 +516,12 @@ class Skeleton:
         return out
 
 
-def _has_placeholder(e: Expr) -> bool:
-    if e.kind == "coef":
-        return True
-    return any(_has_placeholder(a) for a in e.args)
+class _Node(NamedTuple):
+    """One rewritten subtree; see _Canonicalizer."""
+
+    tree: Expr
+    text: tuple
+    operands: Optional[list]
 
 
 class _Canonicalizer:
@@ -522,64 +533,59 @@ class _Canonicalizer:
     form, and rebuilt left-associatively with at most one placeholder
     operand.  Placeholder provenance is threaded through as origin trees
     so nothing about the rewrite is opaque.
+
+    Each rewrite returns a _Node: the tree, its (text, precedence) under
+    the key's variable names, built once from its children's, and for a
+    +/* chain its sorted operands, which an enclosing chain of the same op
+    takes over without rendering anything again.
     """
 
-    def __init__(self):
+    def __init__(self, var_names):
+        self.var_names = var_names
         self.origins: list[Expr] = []
 
-    def fresh(self, origin: Expr) -> Expr:
+    def fresh(self, origin: Expr) -> _Node:
         self.origins.append(origin)
-        return coef(len(self.origins) - 1)
+        return _Node(coef(len(self.origins) - 1), ("c", _ATOM_PREC), None)
 
-    def rewrite(self, e: Expr) -> Expr:
-        if e.kind == "lit":
-            return self.fresh(e)
-        if e.kind == "coef":
+    def rewrite(self, e: Expr) -> _Node:
+        if e.kind in ("lit", "coef"):
             return self.fresh(e)
         if e.kind == "var":
-            return e
+            return _Node(e, (self.var_names[e.index], _ATOM_PREC), None)
         if e.kind == "un":
             child = self.rewrite(e.args[0])
-            if child.kind == "coef":
-                return self.fresh(un_(e.op, self.origins[child.index]))
-            return un_(e.op, child)
+            if child.tree.kind == "coef":
+                return self.fresh(un_(e.op, self.origins[child.tree.index]))
+            return _Node(un_(e.op, child.tree), _join_unary(e.op, child.text), None)
         left = self.rewrite(e.args[0])
         right = self.rewrite(e.args[1])
         if e.op in ("+", "*"):
             return self._rebuild_chain(e.op, left, right)
-        if left.kind == "coef" and right.kind == "coef":
-            return self.fresh(
-                bin_(e.op, self.origins[left.index], self.origins[right.index])
-            )
-        return bin_(e.op, left, right)
+        if left.tree.kind == "coef" and right.tree.kind == "coef":
+            return self.fresh(bin_(e.op, self.origins[left.tree.index],
+                                   self.origins[right.tree.index]))
+        return _Node(bin_(e.op, left.tree, right.tree),
+                     _join(e.op, left.text, right.text), None)
 
-    def _operands(self, op: str, e: Expr) -> list[Expr]:
-        if e.kind == "bin" and e.op == op:
-            return self._operands(op, e.args[0]) + self._operands(op, e.args[1])
-        return [e]
-
-    def _rebuild_chain(self, op: str, left: Expr, right: Expr) -> Expr:
-        operands = self._operands(op, left) + self._operands(op, right)
-        slots = [o for o in operands if o.kind == "coef"]
-        rest = [o for o in operands if o.kind != "coef"]
+    def _rebuild_chain(self, op: str, left: _Node, right: _Node) -> _Node:
+        operands = [o for node in (left, right)
+                    for o in (node.operands if node.tree.op == op else [node])]
+        slots = [o for o in operands if o.tree.kind == "coef"]
+        rest = [o for o in operands if o.tree.kind != "coef"]
         if len(slots) > 1:
-            origin = self.origins[slots[0].index]
+            origin = self.origins[slots[0].tree.index]
             for s in slots[1:]:
-                origin = bin_(op, origin, self.origins[s.index])
+                origin = bin_(op, origin, self.origins[s.tree.index])
             slots = [self.fresh(origin)]
         operands = rest + slots
         if len(operands) == 1:
             return operands[0]
-        operands.sort(key=lambda o: render(o, dimensionality=_RENDER_DIM))
-        node = operands[0]
+        operands.sort(key=lambda o: o.text[0])
+        tree, text = operands[0].tree, operands[0].text
         for o in operands[1:]:
-            node = bin_(op, node, o)
-        return node
-
-
-# Sorting keys render operand subtrees; use a dimensionality wide enough
-# for any supported benchmark so x2 never trips the renderer.
-_RENDER_DIM = 2
+            tree, text = bin_(op, tree, o.tree), _join(op, text, o.text)
+        return _Node(tree, text, operands)
 
 
 def _renumber(e: Expr, mapping: dict) -> Expr:
@@ -603,15 +609,15 @@ def canonicalize(expr: Expr, dimensionality: Optional[int] = None) -> Skeleton:
     parses back.  Complexity is *not* measured here; it belongs to the
     tree as parsed.
     """
-    c = _Canonicalizer()
-    tree = c.rewrite(expr)
+    c = _Canonicalizer(_var_names(expr, dimensionality))
+    tree, (key, _), _ = c.rewrite(expr)
     mapping: dict[int, int] = {}
     tree = _renumber(tree, mapping)
     order = sorted(mapping, key=mapping.get)
     origins = tuple(c.origins[old] for old in order)
     return Skeleton(
         expr=tree,
-        key=render(tree, dimensionality=dimensionality),
+        key=key,
         num_slots=len(origins),
         origins=origins,
     )

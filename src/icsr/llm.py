@@ -3,7 +3,6 @@ deterministic replay client for tests and offline runs."""
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -65,11 +64,9 @@ class TemperatureSchedule:
             raise ValueError("total_iterations must be >= 1")
 
     def temperature_at(self, iteration: int) -> float:
-        if self.mode == "constant":
+        if self.mode == "constant" or self.total_iterations == 1:
             return self.start
         it = min(max(iteration, 0), self.total_iterations - 1)
-        if self.total_iterations == 1:
-            return self.start
         frac = it / (self.total_iterations - 1)
         return self.start + (self.end - self.start) * frac
 
@@ -99,14 +96,6 @@ class ReplayBackend:
                 raise ValueError(f"replay script entry {i} is not a string")
         self.cursor = 0
         self.calls: list[CompletionRequest] = []
-
-    @classmethod
-    def from_file(cls, path) -> "ReplayBackend":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
-            raise ValueError("replay file must hold a JSON array of strings")
-        return cls(data)
 
     @property
     def remaining(self) -> int:

@@ -16,6 +16,8 @@ from importlib import resources
 
 import numpy as np
 
+from .expr import variable_names
+
 MAX_PROMPT_POINTS = 40
 MAX_CANDIDATES_PER_RESPONSE = 8
 
@@ -25,36 +27,31 @@ def _template(name: str) -> str:
     return (resources.files("icsr") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
 
 
-def variable_names(dimensionality: int) -> list[str]:
-    if dimensionality == 1:
-        return ["x"]
-    return [f"x{i + 1}" for i in range(dimensionality)]
-
-
 def variables_list(dimensionality: int) -> str:
     return "[" + ", ".join(variable_names(dimensionality)) + "]"
 
 
-def select_display_points(X: np.ndarray, y: np.ndarray, cap: int = MAX_PROMPT_POINTS):
+def select_display_points(X: np.ndarray, y: np.ndarray):
     """Pick the points shown to the model: sort by the first coordinate,
-    then thin with a uniform stride when there are more than cap."""
+    then thin with a uniform stride when there are more than
+    MAX_PROMPT_POINTS."""
     order = np.argsort(X[:, 0], kind="stable")
     Xs, ys = X[order], y[order]
     n = Xs.shape[0]
-    if n > cap:
-        idx = (np.arange(cap) * n) // cap
+    if n > MAX_PROMPT_POINTS:
+        idx = (np.arange(MAX_PROMPT_POINTS) * n) // MAX_PROMPT_POINTS
         Xs, ys = Xs[idx], ys[idx]
     return Xs, ys
 
 
-def format_points(X: np.ndarray, y: np.ndarray, per_line: int = 5) -> str:
+def format_points(X: np.ndarray, y: np.ndarray) -> str:
     """Render points as '(x, y)' or '(x1, x2, y)' tuples, 4 decimal
     places, comma-separated, five tuples per line."""
     rows = []
     for i in range(X.shape[0]):
         parts = [f"{v:.4f}" for v in X[i]] + [f"{y[i]:.4f}"]
         rows.append("(" + ", ".join(parts) + ")")
-    lines = [", ".join(rows[i:i + per_line]) for i in range(0, len(rows), per_line)]
+    lines = [", ".join(rows[i:i + 5]) for i in range(0, len(rows), 5)]
     return "\n".join(lines)
 
 
@@ -69,23 +66,21 @@ class PromptContext:
     points: str
     dimensionality: int
     trajectory: tuple = ()
-    iteration: int = 0
 
     @classmethod
-    def from_dataset(cls, dataset, trajectory=(), iteration: int = 0) -> "PromptContext":
+    def from_dataset(cls, dataset, trajectory=()) -> "PromptContext":
         Xs, ys = select_display_points(dataset.X, dataset.y)
         return cls(points=format_points(Xs, ys), dimensionality=dataset.dim,
-                   trajectory=tuple(trajectory), iteration=iteration)
+                   trajectory=tuple(trajectory))
 
 
 def _adapt_seed(text: str, dim: int) -> str:
     if dim == 1:
         return text
-    names = ", ".join(variable_names(dim))
     args = ", ".join(variable_names(dim))
     text = text.replace(
         "- An independent variable symbol: x.",
-        f"- Independent variable symbols: {names}.",
+        f"- Independent variable symbols: {args}.",
     )
     text = text.replace(
         '"f1(x) = ", "f2(x) = "...',
@@ -133,10 +128,10 @@ def build_loop_prompt(ctx: PromptContext) -> str:
     return text
 
 
-def build_random_prompt(num_variables: int, variables: str | None = None) -> str:
+def build_random_prompt(num_variables: int) -> str:
     text = _template("random")
     text = text.replace("{num_variables}", str(num_variables))
-    text = text.replace("{variables_list}", variables or variables_list(num_variables))
+    text = text.replace("{variables_list}", variables_list(num_variables))
     return text
 
 

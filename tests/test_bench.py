@@ -203,6 +203,18 @@ def test_trimmed_r2_nans_consume_trim_budget_first():
     assert r2 == 1.0
 
 
+def test_trimmed_r2_nans_filling_the_budget_exactly():
+    from icsr.bench import trimmed_r2_with_undefined
+    from icsr.score import r_squared
+    y = np.linspace(0, 1, 40)          # k = 2
+    pred = y + 0.01 * np.sin(7 * y)
+    pred[[3, 17]] = np.nan              # n_nan == k: nothing left to trim
+    r2, excess = trimmed_r2_with_undefined(pred, y)
+    defined = ~np.isnan(pred)
+    assert excess == 0
+    assert r2 == r_squared(pred[defined], y[defined])
+
+
 def test_trimmed_r2_excess_nans_are_reported():
     from icsr.bench import trimmed_r2_with_undefined
     y = np.linspace(0, 1, 40)

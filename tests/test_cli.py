@@ -153,6 +153,31 @@ def test_run_data_csv_validation(tmp_path, capsys):
         code = main(["run", "--data", str(bad), "--replay-file", replay])
         assert code == EXIT_CONFIG
         assert "non-finite" in capsys.readouterr().err
+    bad.write_text("x,y\n1,2\n3,4,5\n", encoding="utf-8")
+    code = main(["run", "--data", str(bad), "--replay-file", replay])
+    assert code == EXIT_CONFIG
+    assert "differ in length" in capsys.readouterr().err
+
+
+def test_malformed_replay_scripts_exit_2_before_any_run(tmp_path, capsys):
+    cases = [
+        ({"nguyen1": "f1(x) = c*x"}, "replay entry 'nguyen1' must be an array of strings"),
+        ({"nguyen1": [1]}, "replay entry 'nguyen1' must be an array of strings"),
+        ([1, 2], "replay file must be an array of strings"),
+        ("f1(x) = c*x", "replay file must be a JSON array or an object of arrays"),
+    ]
+    for doc, message in cases:
+        replay = write_json(tmp_path / "replay.json", doc)
+        out = tmp_path / "out"
+        code = main(["run", "--benchmark", "nguyen1", "--replay-file", replay,
+                     "--ns", "1", "--iterations", "0", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        code = main(["bench", "--suite", "nguyen1", "--seeds", "1", "--replay-file", replay,
+                     "--ns", "1", "--iterations", "0", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_run_live_backend_needs_api_key(tmp_path, monkeypatch, capsys):
@@ -304,6 +329,64 @@ def test_ood_reloads_two_dimensional_skeleton_using_only_x1(tmp_path, capsys):
                          .read_text(encoding="utf-8"))
     assert summary["best"]["skeleton"] == "c + c*sin(x1)"
     assert main(["ood", "--runs", str(out)]) == EXIT_OK
+
+
+def _r1_bench_out(tmp_path):
+    replay = _oracle_replay_file(tmp_path, ["R1"])
+    out = tmp_path / "bench_out"
+    assert main(["bench", "--suite", "R1", "--seeds", "1", "--replay-file", replay,
+                 "--ns", "1", "--iterations", "0", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def test_ood_rejects_bad_extensions(tmp_path, capsys):
+    out = _r1_bench_out(tmp_path)
+    capsys.readouterr()
+    for token in ("abc", "-1", "inf"):
+        code = main(["ood", "--runs", str(out), "--extensions", f"0.5,{token}"])
+        assert code == EXIT_CONFIG
+        assert f"bad extension {token!r}" in capsys.readouterr().err
+    assert not (out / "ood.csv").exists()
+
+
+def test_ood_rejects_corrupt_stored_candidates(tmp_path, capsys):
+    out = _r1_bench_out(tmp_path)
+    path = out / "runs" / "R1" / "seed1" / "summary.json"
+    good = json.loads(path.read_text(encoding="utf-8"))
+
+    def with_best(**fields):
+        return json.dumps({**good, "best": {**good["best"], **fields}})
+
+    cases = [
+        ("{not json", "is not valid JSON"),
+        (with_best(skeleton="c*y"), "unknown identifier 'y'"),
+        (with_best(coefficients=["a", "b"]), "bad stored candidate"),
+        (with_best(skeleton="c*x+c", coefficients=[1.0]),
+         "1 coefficients for 2 placeholders"),
+    ]
+    capsys.readouterr()
+    for text, message in cases:
+        path.write_text(text, encoding="utf-8")
+        assert main(["ood", "--runs", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert message in err
+    assert not (out / "ood.csv").exists()
+
+
+def test_report_rejects_malformed_results(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    cases = [
+        ("benchmark,equation,r2,complexity,status\nr,R1,1,5,ok\n", "'seed'"),
+        ("benchmark,equation,seed,r2,complexity,status\nr,R1,one,1,5,ok\n", "'one'"),
+    ]
+    for text, token in cases:
+        results.write_text(text, encoding="utf-8")
+        assert main(["report", "--runs", str(results), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(results) in err
+        assert token in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_ood_missing_runs_dir(tmp_path, capsys):

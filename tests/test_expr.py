@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from icsr.expr import (
     canonicalize,
     coef,
     complexity,
-    evaluate,
     evaluate_batch,
     lit,
     num_placeholders,
@@ -165,7 +165,7 @@ def test_evaluate_coefficients_and_variables():
 
 
 def test_evaluate_scalar_helper():
-    assert evaluate(parse("x + c", 1), [1.5], [2.0]) == pytest.approx(3.5)
+    assert evaluate_batch(parse("x + c", 1), [1.5], [[2.0]])[0] == pytest.approx(3.5)
 
 
 def test_evaluate_checks_coefficient_arity():
@@ -403,6 +403,15 @@ def test_property_canonicalization_preserves_semantics(tree, seed):
     both = np.isfinite(a) & np.isfinite(b) & (np.abs(a) < 1e12)
     if both.sum() >= 2:
         np.testing.assert_allclose(a[both], b[both], rtol=1e-6, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs())
+def test_property_canonical_order_ignores_variable_names(tree):
+    # operands sort by their text under the key's own names; x and x1 must
+    # give the same order
+    one_d = canonicalize(tree, 1).key
+    assert canonicalize(tree, 2).key == re.sub(r"\bx\b", "x1", one_d)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 import requests
 
@@ -113,20 +111,6 @@ def test_replay_exhaustion_raises():
 def test_replay_rejects_non_string_entries():
     with pytest.raises(ValueError):
         ReplayBackend(["ok", 42])
-
-
-def test_replay_from_file(tmp_path):
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps(["a", "b"]), encoding="utf-8")
-    backend = ReplayBackend.from_file(path)
-    assert backend.complete(_request()).text == "a"
-
-
-def test_replay_from_file_rejects_non_array(tmp_path):
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps({"responses": ["a"]}), encoding="utf-8")
-    with pytest.raises(ValueError):
-        ReplayBackend.from_file(path)
 
 
 # ---------------------------------------------------------------------------
