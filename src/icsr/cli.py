@@ -68,7 +68,17 @@ _FLAG_KEYS = {
     "lam": ("score", "lam"),
 }
 
-_LIVE_OPTIONS = ("timeout", "max_attempts", "backoff", "include_sampling_extras")
+def _is_real(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# live backend option -> (test, what a value must be)
+_LIVE_OPTIONS = {
+    "timeout": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
+    "max_attempts": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "backoff": (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
+    "include_sampling_extras": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 def _read_json(path, what: str):
@@ -141,6 +151,11 @@ def make_backend_factory(doc: dict, args, names=()):
     keyed by equation must have an entry for each of names, checked
     here so a bench grid fails before any cell runs."""
     backend_cfg = dict(doc.get("backend", {}))
+    options = {k: backend_cfg[k] for k in _LIVE_OPTIONS if k in backend_cfg}
+    for key, value in options.items():
+        valid, what = _LIVE_OPTIONS[key]
+        if not valid(value):
+            raise ConfigError(f"backend {key} must be {what}, got {value!r}")
     kind = getattr(args, "backend", None) or backend_cfg.get("kind") or "replay"
     if kind not in ("live", "replay"):
         raise ConfigError(f"unknown backend kind {kind!r}")
@@ -167,7 +182,6 @@ def make_backend_factory(doc: dict, args, names=()):
     endpoint = getattr(args, "endpoint", None) or backend_cfg.get("endpoint")
     if not endpoint:
         raise ConfigError("live backend needs --endpoint")
-    options = {k: backend_cfg[k] for k in _LIVE_OPTIONS if k in backend_cfg}
     options.update(endpoint=endpoint, api_key=os.environ.get(API_KEY_ENV))
     if not options["api_key"]:
         raise ConfigError(f"live backend needs an API key; set {API_KEY_ENV}")
@@ -397,6 +411,8 @@ def _report_from_results(paths) -> bench.EvalReport:
             raise ConfigError(f"cannot read {results}: {exc}") from exc
         for row in rows:
             try:
+                if row["benchmark"] not in bench.REFERENCE_COMPLEXITY:
+                    raise ValueError(f"unknown family {row['benchmark']!r}")
                 cells.append(bench.RunCell(
                     family=row["benchmark"],
                     equation=row["equation"],

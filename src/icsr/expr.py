@@ -6,8 +6,10 @@ operations everything else builds on: parsing model output into trees,
 evaluating trees on batches of points, measuring structural complexity,
 and canonicalizing trees into fit-ready skeletons.
 
-Undefined values (log of a negative, division by zero, overflow) are
-represented as NaN.  Evaluation never raises on numeric grounds.
+Evaluation runs a tree lowered to a flat post-order plan (lower); a
+caller that evaluates one tree many times, like the fitter, lowers it
+once.  Undefined values (log of a negative, division by zero, overflow)
+are represented as NaN.  Evaluation never raises on numeric grounds.
 """
 
 from __future__ import annotations
@@ -276,16 +278,6 @@ def parse(text: str, dimensionality: int = 1) -> Expr:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _sanitize(values: np.ndarray, *children: np.ndarray) -> np.ndarray:
-    """Force NaN wherever the result or any child is non-finite."""
-    bad = ~np.isfinite(values)
-    for child in children:
-        bad |= np.isnan(child)
-    if bad.any():
-        values = np.where(bad, np.nan, values)
-    return values
-
-
 _UNARY_FUNCS = {
     "sqrt": np.sqrt,
     "exp": np.exp,
@@ -301,17 +293,90 @@ _UNARY_FUNCS = {
     "neg": np.negative,
 }
 
-_BINARY_FUNCS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-    "^": np.power,
-}
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def evaluate_batch(expr: Expr, coefficients, X) -> np.ndarray:
-    """Evaluate expr at every row of X for one or many coefficient vectors.
+class Plan(NamedTuple):
+    """A tree lowered to post-order steps; see lower."""
+
+    steps: tuple
+    num_coefficients: int
+    dimensionality: int
+
+
+def lower(expr: Expr) -> Plan:
+    """Flatten expr, once, into the post-order steps evaluate_batch runs.
+
+    Leaves that feed + - * / broadcast: a (k, 1) coefficient column, an
+    (n,) variable column or a scalar literal, since IEEE basic arithmetic
+    is correctly rounded in any loop.  A "dense" step copies the inputs
+    of unary functions and ^, and the result, out to a fresh C-contiguous
+    (k, n) array: numpy's SIMD transcendental loops run only on
+    contiguous data and can differ from the strided loop in the last bit.
+    """
+    steps = []
+    used = {"coef": 0, "var": 0}
+
+    def walk(e: Expr) -> int:
+        """Appends e's steps; returns 1 if its value varies over the
+        coefficient rows, plus 2 if over the points (3: dense)."""
+        if e.kind == "lit":
+            steps.append(("lit", e.value))
+            return 0
+        if e.kind in used:
+            used[e.kind] = max(used[e.kind], e.index + 1)
+            steps.append((e.kind, e.index))
+            return 1 if e.kind == "coef" else 2
+        if e.op in _ARITHMETIC:
+            shape = walk(e.args[0]) | walk(e.args[1])
+            steps.append(("arith", _ARITHMETIC[e.op]))
+            return shape
+        for a in e.args:
+            if walk(a) != 3:
+                steps.append(("dense", None))
+        steps.append(("^", None) if e.op == "^" else ("un", _UNARY_FUNCS[e.op]))
+        return 3
+
+    if walk(expr) != 3:
+        steps.append(("dense", None))
+    return Plan(tuple(steps), used["coef"], used["var"])
+
+
+def _finite(values):
+    finite = np.isfinite(values)
+    return values if finite.all() else np.where(finite, values, np.nan)
+
+
+def _run(steps, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    stack = []
+    push, pop = stack.append, stack.pop
+    for kind, arg in steps:
+        if kind == "arith":
+            b = pop()
+            push(_finite(arg(pop(), b)))
+        elif kind == "coef":
+            push(rows[:, arg:arg + 1])
+        elif kind == "var":
+            push(X[:, arg])
+        elif kind == "dense":
+            push(np.full((rows.shape[0], X.shape[0]), pop()))
+        elif kind == "un":
+            push(_finite(arg(pop())))
+        elif kind == "lit":
+            push(arg)
+        else:
+            # nan^0 and 1^nan are 1: ^ is the one op that launders NaN,
+            # so it alone checks its inputs
+            b, a = pop(), pop()
+            out = np.power(a, b)
+            bad = ~np.isfinite(out) | np.isnan(a) | np.isnan(b)
+            push(np.where(bad, np.nan, out) if bad.any() else out)
+    # a leaf root (an inf literal, say) is the one result not yet sanitized
+    return _finite(pop())
+
+
+def evaluate_batch(expr, coefficients, X) -> np.ndarray:
+    """Evaluate expr, an Expr or a Plan from lower, at every row of X.
 
     X has shape (n, d).  A coefficient vector of shape (m,) gives a result
     of shape (n,); a matrix of shape (k, m) gives (k, n), row i being
@@ -320,52 +385,26 @@ def evaluate_batch(expr: Expr, coefficients, X) -> np.ndarray:
     as NaN.  NaN never launders back into a finite value: nan^0 is NaN
     here, not 1.
     """
+    plan = expr if isinstance(expr, Plan) else lower(expr)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must have shape (n, d)")
     coefficients = np.asarray(coefficients, dtype=float)
     rows = np.atleast_2d(coefficients)
-    k, n = rows.shape[0], X.shape[0]
-
-    # Every intermediate is a fresh C-contiguous (k, n) array, so each
-    # row goes through the same ufunc loops as a lone (n,) vector would.
-    def rec(e: Expr) -> np.ndarray:
-        if e.kind == "lit":
-            return np.full((k, n), e.value, dtype=float)
-        if e.kind == "coef":
-            if e.index >= rows.shape[1]:
-                raise ValueError(
-                    f"expression uses coefficient {e.index} but only "
-                    f"{rows.shape[1]} were supplied"
-                )
-            return np.repeat(rows[:, e.index:e.index + 1], n, axis=1)
-        if e.kind == "var":
-            if e.index >= X.shape[1]:
-                raise ValueError(
-                    f"expression uses variable {e.index} but points are "
-                    f"{X.shape[1]}-dimensional"
-                )
-            return np.tile(X[:, e.index], (k, 1))
-        if e.kind == "un":
-            a = rec(e.args[0])
-            out = _UNARY_FUNCS[e.op](a)
-            return _sanitize(np.asarray(out, dtype=float), a)
-        a = rec(e.args[0])
-        b = rec(e.args[1])
-        out = _BINARY_FUNCS[e.op](a, b)
-        return _sanitize(np.asarray(out, dtype=float), a, b)
-
+    if plan.num_coefficients > rows.shape[1]:
+        raise ValueError(f"expression uses coefficient {plan.num_coefficients - 1} "
+                         f"but only {rows.shape[1]} were supplied")
+    if plan.dimensionality > X.shape[1]:
+        raise ValueError(f"expression uses variable {plan.dimensionality - 1} "
+                         f"but points are {X.shape[1]}-dimensional")
     with np.errstate(all="ignore"):
-        result = _sanitize(rec(expr))
+        result = _run(plan.steps, rows, X)
     return result if coefficients.ndim == 2 else result[0]
 
 
 def complexity(expr: Expr) -> int:
     """Number of nodes in the tree as parsed; every node counts one."""
-    total = 1
-    for child in expr.args:
-        total += complexity(child)
-    return total
+    return 1 + sum(complexity(a) for a in expr.args)
 
 
 def num_placeholders(expr: Expr) -> int:

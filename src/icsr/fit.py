@@ -4,10 +4,12 @@ The optimizer is a plain Levenberg-Marquardt loop over central-difference
 Jacobians.  All restarts run in lockstep: each step solves every live
 restart's damped normal equations on its own, then evaluates the trial
 points of all of them, each with its 2m probes c +/- h*e_j, as the rows
-of one batched tree evaluation.  A restart that stops (converged,
-out of iterations, or with its damping overflowed) simply drops out of
-later batches.  Every restart does exactly the arithmetic it would do
-alone, so results do not depend on which restarts run beside it.
+of one evaluate_batch call on the tree's plan, lowered once per fit.  A
+restart that stops (converged, out of iterations, or with its damping
+overflowed) drops out of later batches.  Every restart does exactly the
+arithmetic it would do alone, so results do not depend on which
+restarts run beside it.  At 20-200 points a step costs numpy calls, not
+arithmetic, so each does as few as it can.
 
 Undefined predictions contribute a large constant penalty residual
 instead of poisoning the solve, which lets restarts wander through
@@ -25,12 +27,14 @@ remaining coefficients keep optimizing.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .expr import Skeleton, evaluate_batch
+from .expr import Plan, Skeleton, evaluate_batch, lower
 
 PENALTY = 1.0e6
 # Residuals are clipped to a huge finite band so overflow in y - yhat can
@@ -49,10 +53,17 @@ class FitConfig:
     ftol: float = 1e-12
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for key in ("restarts", "max_iterations"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        for key in ("gtol", "xtol", "ftol"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
+        if not isinstance(self.warm_start, bool):
+            raise ValueError(f"warm_start must be true or false, got {self.warm_start!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +86,7 @@ class FitResult:
     iterations: tuple
 
 
-def _probe(skeleton: Skeleton, points: np.ndarray, X: np.ndarray, y: np.ndarray):
+def _probe(plan: Plan, points: np.ndarray, X: np.ndarray, y: np.ndarray):
     """Residuals, definedness mask and central-difference Jacobian at each
     row of points, all from one evaluate_batch call over the rows and
     their 2m probes c +/- h*e_j.  Shapes: (k, n), (k, n) and (k, n, m)."""
@@ -85,19 +96,23 @@ def _probe(skeleton: Skeleton, points: np.ndarray, X: np.ndarray, y: np.ndarray)
     j = np.arange(m)
     probes[:, 1 + j, j] += h
     probes[:, 1 + m + j, j] -= h
-    pred = evaluate_batch(skeleton.expr, probes.reshape(-1, m), X).reshape(k, 2 * m + 1, -1)
+    pred = evaluate_batch(plan, probes.reshape(-1, m), X).reshape(k, 2 * m + 1, -1)
     defined = np.isfinite(pred)
+    # y is finite, so a residual is non-finite exactly where the prediction
+    # is undefined or y - pred overflowed
     res = y - pred
-    res[~defined] = PENALTY
-    res[~np.isfinite(res)] = PENALTY
-    res = np.clip(res, -_RESIDUAL_CAP, _RESIDUAL_CAP)
+    np.copyto(res, PENALTY, where=~np.isfinite(res))
+    np.minimum(res, _RESIDUAL_CAP, out=res)
+    np.maximum(res, -_RESIDUAL_CAP, out=res)
     up, down = slice(1, m + 1), slice(m + 1, None)
     jac = (res[:, up] - res[:, down]) / (2 * h)[:, :, None]
-    jac[np.any(defined[:, :1] & ~(defined[:, up] & defined[:, down]), axis=2)] = 0.0
+    # on a cliff: defined at the point but not at both of its probes
+    cliff = defined[:, up] & defined[:, down]
+    jac[np.less(cliff, defined[:, :1], out=cliff).any(axis=2)] = 0.0
     return res[:, 0], defined[:, 0], np.ascontiguousarray(jac.transpose(0, 2, 1))
 
 
-def _levenberg_marquardt(skeleton, starts, X, y, config):
+def _levenberg_marquardt(plan, starts, X, y, config):
     """Minimize 0.5 * ||res||^2 from every row of starts, in lockstep.
 
     Each step solves every live restart's damped normal equations, then
@@ -105,32 +120,35 @@ def _levenberg_marquardt(skeleton, starts, X, y, config):
     coefficients and definedness masks as (k, m) and (k, n) arrays, plus
     per-restart sse, converged flag and iteration count lists."""
     k, m = starts.shape
+    eye = np.eye(m)
     c = starts.astype(float)
-    res, defined, jac = _probe(skeleton, c, X, y)
+    res, defined, jac = _probe(plan, c, X, y)
     defined = defined.copy()
     sse = [float(r @ r) for r in res]
     JTJ = [J.T @ J for J in jac]
     g = [J.T @ r for J, r in zip(jac, res)]
-    converged = [bool(np.max(np.abs(gi)) <= config.gtol) for gi in g]
-    mu = [1e-3 * max(float(np.max(np.diag(A))), 1e-12) for A in JTJ]
+    converged = [bool(np.abs(gi).max() <= config.gtol) for gi in g]
+    mu = [1e-3 * max(float(A.diagonal().max()), 1e-12) for A in JTJ]
     nu = [2.0] * k
     iterations = [0] * k
     live = [not conv for conv in converged]
     while any(live):
         stepping, deltas = [], []
-        for i in np.flatnonzero(live):
+        for i in [i for i, on in enumerate(live) if on]:
             if iterations[i] >= config.max_iterations:
                 live[i] = False
                 continue
             iterations[i] += 1
             try:
-                delta = np.linalg.solve(JTJ[i] + mu[i] * np.eye(m), -g[i])
+                delta = np.linalg.solve(JTJ[i] + mu[i] * eye, -g[i])
             except np.linalg.LinAlgError:
                 delta = None
-            if delta is None or not np.all(np.isfinite(delta)):
+            # np.linalg.norm of a vector is sqrt(v.dot(v)), bit for bit
+            if delta is None or not np.isfinite(delta).all():
                 mu[i] *= nu[i]
                 nu[i] *= 2.0
-            elif np.linalg.norm(delta) <= config.xtol * (np.linalg.norm(c[i]) + config.xtol):
+            elif (math.sqrt(delta.dot(delta))
+                  <= config.xtol * (math.sqrt(c[i].dot(c[i])) + config.xtol)):
                 converged[i] = True
                 live[i] = False
             else:
@@ -139,7 +157,7 @@ def _levenberg_marquardt(skeleton, starts, X, y, config):
         if not stepping:
             continue
         trials = c[stepping] + np.array(deltas)
-        trial_res, trial_defined, trial_jac = _probe(skeleton, trials, X, y)
+        trial_res, trial_defined, trial_jac = _probe(plan, trials, X, y)
         for t, (i, delta) in enumerate(zip(stepping, deltas)):
             trial_sse = float(trial_res[t] @ trial_res[t])
             predicted = float(delta @ (mu[i] * delta - g[i]))
@@ -147,7 +165,7 @@ def _levenberg_marquardt(skeleton, starts, X, y, config):
             if not (predicted > 0 and actual > 0):
                 mu[i] *= nu[i]
                 nu[i] *= 2.0
-                live[i] = bool(np.isfinite(mu[i]))
+                live[i] = math.isfinite(mu[i])
                 continue
             rho = actual / predicted
             c[i], defined[i] = trials[t], trial_defined[t]
@@ -157,7 +175,7 @@ def _levenberg_marquardt(skeleton, starts, X, y, config):
                 J = trial_jac[t]
                 JTJ[i] = J.T @ J
                 g[i] = J.T @ trial_res[t]
-                done = np.max(np.abs(g[i])) <= config.gtol
+                done = np.abs(g[i]).max() <= config.gtol
             if done:
                 converged[i] = True
                 live[i] = False
@@ -206,7 +224,8 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             ]
         else:
             starts[restart] = rng.standard_normal(m)
-    c, defined, sses, converged, iterations = _levenberg_marquardt(skeleton, starts, X, y, config)
+    c, defined, sses, converged, iterations = _levenberg_marquardt(
+        lower(skeleton.expr), starts, X, y, config)
     finite = [r for r, sse in enumerate(sses) if np.all(np.isfinite(c[r])) and sse < np.inf]
     if not finite:
         return FitResult(

@@ -14,7 +14,7 @@ from icsr.cli import (
     load_config,
     main,
 )
-from icsr.llm import API_KEY_ENV
+from icsr.llm import API_KEY_ENV, BackendError
 
 
 def write_json(path, doc):
@@ -186,6 +186,69 @@ def test_run_live_backend_needs_api_key(tmp_path, monkeypatch, capsys):
                  "--endpoint", "http://example.invalid/v1"])
     assert code == EXIT_CONFIG
     assert API_KEY_ENV in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"fit": {"restarts": 2.5}}', "restarts"),
+    ('{"fit": {"max_iterations": true}}', "max_iterations"),
+    ('{"fit": {"gtol": "abc"}}', "gtol"),
+    ('{"fit": {"gtol": NaN}}', "gtol"),
+    ('{"fit": {"ftol": -1}}', "ftol"),
+    ('{"fit": {"xtol": null}}', "xtol"),
+])
+def test_run_bad_fit_config_exits_2(tmp_path, capsys, text, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    replay = write_json(tmp_path / "replay.json", ["f1(x) = sqrt(x)"])
+    out = tmp_path / "out"
+    code = main(["run", "--benchmark", "nguyen8", "--config", str(cfg),
+                 "--replay-file", replay, "--ns", "1", "--iterations", "0", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value", [
+    ("timeout", "abc"), ("timeout", 0), ("timeout", float("inf")), ("timeout", True),
+    ("max_attempts", "3"), ("max_attempts", 0), ("max_attempts", 2.0),
+    ("backoff", -1), ("backoff", None),
+    ("include_sampling_extras", "yes"), ("include_sampling_extras", 1),
+])
+def test_run_bad_live_backend_option_exits_2_before_any_call(
+        tmp_path, monkeypatch, capsys, option, value):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a model call was made")
+
+    monkeypatch.setenv(API_KEY_ENV, "test-key")
+    monkeypatch.setattr("icsr.llm.LiveBackend.complete", no_call)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"backend": {option: value}}), encoding="utf-8")
+    for kind in ("live", "replay"):
+        code = main(["run", "--benchmark", "nguyen8", "--config", str(cfg),
+                     "--backend", kind, "--endpoint", "http://127.0.0.1:9/v1",
+                     "--replay-file", write_json(tmp_path / "r.json", ["f1(x) = c"]),
+                     "--ns", "1", "--iterations", "0", "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert option in capsys.readouterr().err
+
+
+def test_run_good_live_backend_options_reach_the_backend(tmp_path, monkeypatch):
+    seen = []
+
+    def complete(self, request):
+        seen.append((self.timeout, self.max_attempts, self.backoff,
+                     self.include_sampling_extras))
+        raise BackendError("stop here")
+
+    monkeypatch.setenv(API_KEY_ENV, "test-key")
+    monkeypatch.setattr("icsr.llm.LiveBackend.complete", complete)
+    cfg = write_json(tmp_path / "c.json", {"backend": {
+        "timeout": 2, "max_attempts": 1, "backoff": 0.0, "include_sampling_extras": True}})
+    code = main(["run", "--benchmark", "nguyen8", "--config", cfg, "--backend", "live",
+                 "--endpoint", "http://127.0.0.1:9/v1", "--ns", "1", "--iterations", "0",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NO_SEEDS  # every call failed
+    assert seen and seen[0] == (2, 1, 0.0, True)
 
 
 def test_run_flag_overrides_config_file(tmp_path, capsys):
@@ -379,6 +442,7 @@ def test_report_rejects_malformed_results(tmp_path, capsys):
     cases = [
         ("benchmark,equation,r2,complexity,status\nr,R1,1,5,ok\n", "'seed'"),
         ("benchmark,equation,seed,r2,complexity,status\nr,R1,one,1,5,ok\n", "'one'"),
+        ("benchmark,equation,seed,status,r2,complexity\nzzz,R1,1,ok,1,5\n", "'zzz'"),
     ]
     for text, token in cases:
         results.write_text(text, encoding="utf-8")

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import icsr.expr
@@ -17,6 +18,7 @@ from icsr.expr import (
     complexity,
     evaluate_batch,
     lit,
+    lower,
     num_placeholders,
     parse,
     render,
@@ -470,3 +472,150 @@ def test_batch_rows_keep_nan_from_laundering(text):
     C = np.array([[0.0], [np.nan], [np.inf], [800.0], [-3.5]])
     _assert_rows_match_single_calls(tree, C, X)
     assert np.isnan(evaluate_batch(tree, C, X)[1]).all()
+
+
+# ---------------------------------------------------------------------------
+# Lowered plans against the recursive tree walker they replaced
+# ---------------------------------------------------------------------------
+
+_REFERENCE_UNARY = {
+    "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "abs": np.abs,
+    "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+    "erf": scipy.special.erf, "neg": np.negative,
+}
+_REFERENCE_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                     "/": np.divide, "^": np.power}
+
+
+def _reference_sanitize(values, *children):
+    bad = ~np.isfinite(values)
+    for child in children:
+        bad |= np.isnan(child)
+    return np.where(bad, np.nan, values) if bad.any() else values
+
+
+def _reference_evaluate(expr, coefficients, X):
+    """The walker evaluate_batch used before plans: every intermediate is
+    a fresh C-contiguous (k, n) array, and every node's result is NaN
+    wherever it is not finite or any input is NaN."""
+    X = np.asarray(X, dtype=float)
+    coefficients = np.asarray(coefficients, dtype=float)
+    rows = np.atleast_2d(coefficients)
+    k, n = rows.shape[0], X.shape[0]
+
+    def rec(e):
+        if e.kind == "lit":
+            return np.full((k, n), e.value, dtype=float)
+        if e.kind == "coef":
+            return np.repeat(rows[:, e.index:e.index + 1], n, axis=1)
+        if e.kind == "var":
+            return np.tile(X[:, e.index], (k, 1))
+        args = [rec(a) for a in e.args]
+        table = _REFERENCE_UNARY if e.kind == "un" else _REFERENCE_BINARY
+        return _reference_sanitize(np.asarray(table[e.op](*args), dtype=float), *args)
+
+    with np.errstate(all="ignore"):
+        result = _reference_sanitize(rec(expr))
+    return result if coefficients.ndim == 2 else result[0]
+
+
+def _assert_plan_matches_reference(tree, C, X):
+    expected = _reference_evaluate(tree, C, X)
+    for form in (tree, lower(tree)):
+        got = evaluate_batch(form, C, X)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def _special_exprs():
+    leaves = st.one_of(
+        st.sampled_from([var(0), var(1), coef(0), coef(1), coef(2),
+                         lit(float("1e999")), lit(0.0), lit(2.0), lit(-1.0)]),
+        st.floats(min_value=-4.0, max_value=4.0,
+                  allow_nan=False, allow_infinity=False).map(lit),
+    )
+
+    def extend(children):
+        unary = st.builds(un_, st.sampled_from(UNARY_OPS), children)
+        binary = st.builds(bin_, st.sampled_from(BINARY_OPS), children, children)
+        power = st.builds(lambda a, b: bin_("^", a, b), children, children)
+        return st.one_of(unary, binary, power)
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+_SPECIAL_X = np.array([[np.nan, 1.0], [0.0, np.nan], [-2.0, 0.5], [1000.0, -1000.0]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_special_exprs(), st.integers(1, 30), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_property_plan_matches_reference_walker_bit_for_bit(tree, n, k, seed):
+    rng = np.random.default_rng(seed)
+    C = np.vstack([rng.uniform(-5, 5, (k, 3)), _SPECIAL_ROWS])
+    X = np.vstack([rng.uniform(-5, 5, (n, 2)), _SPECIAL_X])
+    _assert_plan_matches_reference(tree, C, X)
+    _assert_plan_matches_reference(tree, C[0], X)
+    _assert_plan_matches_reference(tree, C, X[:1])
+
+
+# every canonical key the benchmark's offline-grid workload fits (seeds 1
+# and 29), the trees the fitter evaluates most
+_OFFLINE_GRID_KEYS = [
+    "(c + (x^c - c*x^c))/(c + x^c)", "(c + x)*x", "(c + x)*x/c", "(c + x)^c",
+    "(c + x)^c/(c + (x^c - x))", "(x^c + x^c)/(c + x + x^c + x^c + x^c)", "c",
+    "c + (x^c - c*x^c)", "c + c*exp(c*x)", "c + c*log(x)", "c + c*sin(c*x)",
+    "c + c*sqrt(-x)", "c + c*x^c", "c*cos(c + c*x)", "c*cos(c*x)*x", "c*cos(c*x1 + c*x2)",
+    "c*cos(x1)*cos(x2)", "c*cos(x2)*sin(x1)", "c*exp(c*x)*x", "c*exp(c*x1) + c*x2*x2",
+    "c*exp(c*x2)*x1", "c*log(abs(x) + c)", "c*log(x1) + c*x2", "c*sin(c*x)*x",
+    "c*sin(c*x1) + cos(x2)", "c*sin(x1 + x2) + c*x1*x2", "c*sinh(c*x)",
+    "c*sqrt(-x1) + c*x2", "c*sqrt(abs(x) + c)", "c*tanh(c*x) + c*x", "c*tanh(c*x1 + c*x2)",
+    "c*x + c*x^c + c*x^c", "c*x1^x2", "c*x2^c + (x1^c - x1^c)",
+    "c*x2^c + (x1^c - x1^c) - x2", "c*x2^x1", "c*x^c + c*x^c", "c/(c + x*x)",
+    "c/(c + x1*x1 + x2*x2)", "c/(c + x1^c + x2^c)", "cos(c*x1)*cos(c*x2)",
+    "cos(c*x2)*sin(c*x1)", "cos(x)*(cos(x)*sin(x)^c - c)*cosh(-x)*sin(x)*x^c",
+    "cos(x)*(cos(x)*sin(x)^c - c)*exp(-x)*sin(x)*x^c", "cos(x)*sin(x^c)",
+    "cos(x)*sin(x^c) - c", "cos(x2)", "exp(x^c)", "log(c + x)",
+    "log(c + x) + log(c + x^c)", "log(c*x)", "log(sqrt(c + x^c) + x)", "log(x)",
+    "sin((x1 - c)*(x2 - c)) + x1*x2", "sin(x + x^c) + sin(x)", "sin(x)",
+    "sin(x1) + sin(x2^c)", "sin(x2^c)", "sqrt(c*x)", "sqrt(sqrt(c + x^c) + x)", "sqrt(x)",
+    "x + x^c + x^c", "x + x^c + x^c + x^c", "x + x^c + x^c + x^c + x^c",
+    "x + x^c + x^c + x^c + x^c + x^c", "x1*x2", "x1^c - x1^c + x2^c/c",
+    "x1^c - x1^c + x2^c/c - x2", "x1^c/c + x2^c/c - x2", "x1^c/c + x2^c/c - x2 - x1",
+    "x1^x2", "x2^x1", "x^c", "x^c + x^c", "x^c + x^c + x^c", "x^c + x^c + x^c + x^c",
+    "x^c + x^c + x^c + x^c + x^c",
+]
+
+
+@pytest.mark.parametrize("key", _OFFLINE_GRID_KEYS)
+def test_plan_matches_reference_walker_on_offline_grid_keys(key):
+    dim = 2 if re.search(r"x\d", key) else 1
+    sk = canonicalize(parse(key, dim), dim)
+    assert sk.key == key
+    rng = np.random.default_rng(len(key))
+    m = max(sk.num_slots, 1)
+    special = np.array([[np.nan] * m, [np.inf] * m, [-np.inf] * m, [0.0] * m, [800.0] * m,
+                        [-3.5] * m])
+    C = np.vstack([rng.uniform(-3, 3, (7, m)), special])[:, :sk.num_slots]
+    X = np.vstack([rng.uniform(-4, 4, (40, dim)), np.full((1, dim), np.nan),
+                   np.zeros((1, dim))])
+    _assert_plan_matches_reference(sk.expr, C, X)
+    _assert_plan_matches_reference(sk.expr, C[0], X)
+
+
+def test_lower_reports_what_the_tree_reads():
+    plan = lower(parse("c*x2 + sin(c)", 2))
+    assert (plan.num_coefficients, plan.dimensionality) == (2, 2)
+    with pytest.raises(ValueError, match="coefficient 1"):
+        evaluate_batch(plan, [1.0], np.ones((3, 2)))
+    with pytest.raises(ValueError, match="variable 1"):
+        evaluate_batch(plan, [1.0, 2.0], np.ones((3, 1)))
+
+
+def test_evaluate_batch_never_returns_a_view_of_its_inputs():
+    C = np.array([[1.5], [2.5]])
+    X = np.array([[3.0]])
+    for text in ("c", "x"):
+        out = evaluate_batch(parse(text, 1), C, X)
+        assert not np.shares_memory(out, C) and not np.shares_memory(out, X)

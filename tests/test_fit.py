@@ -156,6 +156,19 @@ def test_fit_config_validation():
         FitConfig(restarts=0)
     with pytest.raises(ValueError):
         FitConfig(max_iterations=0)
+    # counts are non-bool ints >= 1, tolerances finite reals >= 0
+    for key in ("restarts", "max_iterations"):
+        for bad in (2.5, -1, True, "3", None):
+            with pytest.raises(ValueError, match=key):
+                FitConfig(**{key: bad})
+    for key in ("gtol", "xtol", "ftol"):
+        for bad in ("abc", None, float("nan"), float("inf"), -1, -1e-12, False):
+            with pytest.raises(ValueError, match=key):
+                FitConfig(**{key: bad})
+    with pytest.raises(ValueError, match="warm_start"):
+        FitConfig(warm_start="no")
+    edge = FitConfig(restarts=1, max_iterations=np.int64(1), gtol=0, xtol=0.0, ftol=np.float64(1))
+    assert (edge.restarts, edge.max_iterations, edge.gtol) == (1, 1, 0)
 
 
 def test_fit_result_is_immutable():
@@ -170,7 +183,12 @@ def test_fit_result_is_immutable():
 # ---------------------------------------------------------------------------
 # Golden values: the lockstep LM must do exactly the arithmetic of fitting
 # each restart on its own, so these float.hex values were captured from
-# the one-restart-at-a-time implementation and must never drift.
+# the one-restart-at-a-time implementation and must never drift.  The last
+# three cases, captured from the lockstep fitter with its tree walker, pin
+# the rarer exits of a restart: every restart running out of iterations,
+# a singular damped system (LinAlgError), and a run of rejected steps
+# whose damping overflows.  With the default xtol the step-size test stops
+# such a run long before the damping overflows, so that case turns it off.
 # ---------------------------------------------------------------------------
 
 def _golden_cases():
@@ -186,32 +204,69 @@ def _golden_cases():
     X = np.array([(a, b) for a in g for b in g])
     y = 0.9 * X[:, 0] * np.sin(1.4 * X[:, 1]) + 0.3
     yield "two_d", parse("c*x1*sin(c*x2) + c", 2), Dataset(X, y), 7
+    x = np.linspace(1.0, 5.0, 30)
+    yield "iteration_cap", parse("c*sin(c*x)", 1), Dataset(x.reshape(-1, 1), 1e4 * np.sin(3 * x)), 1
+    x = np.linspace(-3.0, 3.0, 25)
+    yield ("singular_solve", parse("1/(2 + x)*1/(2 + x)", 1),
+           Dataset(x.reshape(-1, 1), 2 * np.exp(x / 6)), 0)
+    u = np.linspace(1.0, 5.0, 30)
+    yield ("mu_overflow", parse("c*x + c", 1),
+           Dataset(1e80 * u.reshape(-1, 1), 1e80 * (u + 0.3 * np.sin(3 * u))), 1)
 
 
+_GOLDEN_CONFIG = {"mu_overflow": FitConfig(xtol=0.0)}
+
+# name: (coefficients, sse, restart_sses, iterations, converged)
 _GOLDEN = {
     "warm_hints": (
         ["0x1.9c6ff4b44317fp-3", "0x1.b2d93acee7617p+0", "-0x1.9a1991d93a477p-1"],
         "0x1.00113c49ceb72p-9",
         ["0x1.00113c49ceb72p-9", "0x1.b5f8461c1fd9bp+1", "0x1.00113c49cebc1p-9",
          "0x1.00113c49ceb7dp-9", "0x1.00113c49ceba8p-9"],
+        (5, 200, 14, 6, 12), True,
     ),
     "penalty_region": (
         ["-0x1.341d1de33e7a0p-22"],
         "0x1.341d477e64e1fp-22",
         ["0x1.d1a94a2000004p+39", "0x1.d1a94a2000000p+39", "0x1.d1a94a2000001p+39",
          "0x1.341d477e64e1fp-22", "0x1.d1a94a2000006p+39"],
+        (2, 4, 2, 26, 3), True,
     ),
     "pow_cliff": (
         ["0x1.4d799b830da55p+0", "0x1.0000000000000p+1"],
         "0x1.f27e88a026033p-6",
         ["0x1.f27e88a026033p-6", "0x1.5d3ef798000b9p+43", "0x1.5d3ef79800008p+43",
          "0x1.5d3ef79802f6ep+43", "0x1.5d3ef7980005ap+43"],
+        (3, 9, 5, 10, 8), True,
     ),
     "two_d": (
         ["0x1.333333343d83ap-2", "-0x1.ccccccd0f786cp-1", "-0x1.6666665f156eep+0"],
         "0x1.f64e504277d80p-62",
         ["0x1.2cf65c6a2b0d0p-60", "0x1.f64e504277d80p-62", "0x1.652d8000f4ca6p-52",
          "0x1.4b2230d5351b4p-58", "0x1.4391b34de6909p-56"],
+        (11, 5, 6, 5, 7), True,
+    ),
+    "iteration_cap": (
+        ["0x1.d0246869c4612p+4", "0x1.80e3f7a700a19p+5"],
+        "0x1.66baa6dcfa1f4p+30",
+        ["0x1.687b9c71c8ed9p+30", "0x1.66baa6dcfa1f4p+30", "0x1.67648fbdfe22ap+30",
+         "0x1.686e8793b5119p+30", "0x1.6890d2f14ec14p+30"],
+        (200, 200, 200, 200, 200), False,
+    ),
+    "singular_solve": (
+        ["-0x1.281ff15380e12p+1", "-0x1.5b6efcf429615p-10", "-0x1.3f92f88d96f7bp+0",
+         "-0x1.00f7027e25ab8p-1"],
+        "0x1.b1094724e8798p+6",
+        ["0x1.c36314e0f3b00p+6", "0x1.c0c34141b40cap+6", "0x1.bc14ef8ce2006p+6",
+         "0x1.b8f418d00a0d6p+6", "0x1.b1094724e8798p+6"],
+        (38, 46, 18, 33, 32), True,
+    ),
+    "mu_overflow": (
+        ["0x1.cf8acddd349f3p-1", "0x1.022955d2627c8p+0"],
+        "0x1.e79c0020787aap+531",
+        ["0x1.e79c0020787adp+531", "0x1.e79c0020787abp+531", "0x1.e79c0020787aap+531",
+         "0x1.e79c0020787adp+531", "0x1.e79c0020787aep+531"],
+        (3, 35, 6, 7, 4), True,
     ),
 }
 
@@ -219,11 +274,14 @@ _GOLDEN = {
 @pytest.mark.parametrize("name,tree,dataset,seed", list(_golden_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_golden_fit_values_are_bit_exact(name, tree, dataset, seed):
-    res = fit(canonicalize(tree, dataset.dim), dataset, rng=np.random.default_rng(seed))
-    coefficients, sse, restart_sses = _GOLDEN[name]
+    config = _GOLDEN_CONFIG.get(name, FitConfig())
+    res = fit(canonicalize(tree, dataset.dim), dataset, config, rng=np.random.default_rng(seed))
+    coefficients, sse, restart_sses, iterations, converged = _GOLDEN[name]
     assert [float(v).hex() for v in res.coefficients] == coefficients
     assert float(res.sse).hex() == sse
     assert [float(v).hex() for v in res.restart_sses] == restart_sses
+    assert res.iterations == iterations
+    assert res.converged is converged
 
 
 def test_exponent_on_definedness_cliff_stays_pinned():
