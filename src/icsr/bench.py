@@ -420,13 +420,12 @@ def oracle_response(spec: BenchmarkSpec) -> str:
     return f"f1({', '.join(variable_names(spec.dim))}) = {spec.expression}"
 
 
-def _run_one(spec: BenchmarkSpec, train: Dataset, config: EngineConfig,
+def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineConfig,
              seed: int, backend, log_path) -> RunCell:
     cell = RunCell(family=spec.family, equation=spec.name, seed=seed, status="failed")
     try:
         record = engine_mod.run(train, replace(config, seed=seed), backend, log_path)
         candidate = record.best
-        test = sample(spec, "test")
         pred = evaluate_batch(candidate.skeleton.expr, candidate.fit.coefficients, test.X)
         r2, excess = trimmed_r2_with_undefined(pred, test.y, config.score.trim_fraction)
         summary = record.summary()
@@ -469,7 +468,8 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     """Run the (equation x seed) grid and aggregate.
 
     backend_factory(spec, seed) must return a fresh backend per run.
-    Train data is sampled once per equation and shared across seeds.
+    Train and test data are sampled once per equation and shared across
+    seeds.
     Failed runs become 'failed' cells; aggregation skips them and
     reports the count.
 
@@ -482,6 +482,7 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     raises or dies becomes a 'failed' cell."""
     specs = [get_benchmark(n) for n in names]
     trains = {s.name: sample(s, "train") for s in specs}
+    tests = {s.name: sample(s, "test") for s in specs}
     tasks = [(spec, seed) for spec in specs for seed in seeds]
 
     def log_path_for(spec, seed):
@@ -494,8 +495,8 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     def execute(task):
         spec, seed = task
         backend = backend_factory(spec, seed)
-        return _run_one(spec, trains[spec.name], config, seed, backend,
-                        log_path_for(spec, seed))
+        return _run_one(spec, trains[spec.name], tests[spec.name], config, seed,
+                        backend, log_path_for(spec, seed))
 
     if jobs > 1 and tasks:
         import multiprocessing

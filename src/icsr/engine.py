@@ -35,6 +35,7 @@ from .prompts import (
     extract_candidates,
 )
 from .score import ScoreConfig, Scores, fitness, nmse, r_squared
+from .validate import integer, of_type, real
 
 MODE_FULL = "full"
 MODE_SEED_ONLY = "seed-only"
@@ -67,14 +68,11 @@ class EngineConfig:
     model: str = "default"
 
     def __post_init__(self):
-        if self.n_seed_calls < 1:
-            raise ValueError("n_seed_calls must be >= 1")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.functions_per_call < 1:
-            raise ValueError("functions_per_call must be >= 1")
+        for key, low in (("n_seed_calls", 1), ("max_iterations", 0), ("top_k", 1),
+                         ("functions_per_call", 1), ("seed", 0)):
+            integer(self, key, low)
+        real(self, "early_stop_r2")
+        of_type(self, "model", str, "a string")
         mode = _MODE_ALIASES.get(self.mode, self.mode)
         if mode not in (MODE_FULL, MODE_SEED_ONLY, MODE_RANDOM):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -332,6 +330,7 @@ class _Run:
             result = fit(skeleton, self.dataset, self.config.fit, self.rng)
             outcome["restarts"] = len(result.restart_sses)
             outcome["lm_iterations"] = list(result.iterations)
+            outcome["lm_stops"] = list(result.stops)
             if not result.valid:
                 self.cache[skeleton.key] = None
                 outcome["status"] = "invalid_fit"

@@ -11,6 +11,18 @@ arithmetic it would do alone, so results do not depend on which
 restarts run beside it.  At 20-200 points a step costs numpy calls, not
 arithmetic, so each does as few as it can.
 
+A restart stops when its gradient is flat (gtol), its step is tiny
+(xtol) or an accepted step barely lowers the SSE (ftol); when it runs
+out of iterations (cap) or its damping overflows (mu_overflow); or when
+it has stalled: its last _STALL_WINDOW accepted steps together lowered
+the SSE by no more than _STALL_RTOL of where they started.  The stall
+test ends the restarts of wrong forms that drift along an asymptote
+whose infimum lies at infinity (c*sinh(c*x) walking off to +/-383 and
+-/+0.001, say), where every step still gains a sliver and the
+one-step ftol test never fires.  It only ends a restart early, so a
+stalled restart holds exactly the state the same number of iterations
+gives without it, and it does not count as converged.
+
 Undefined predictions contribute a large constant penalty residual
 instead of poisoning the solve, which lets restarts wander through
 invalid coefficient regions and still rank restarts by SSE.
@@ -28,15 +40,20 @@ remaining coefficients keep optimizing.
 from __future__ import annotations
 
 import math
-import numbers
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 from .expr import Plan, Skeleton, evaluate_batch, lower
+from .validate import integer, of_type, real
 
 PENALTY = 1.0e6
+# A restart whose last _STALL_WINDOW accepted steps lowered its SSE by at
+# most _STALL_RTOL of the SSE before them has stalled (see the docstring).
+_STALL_WINDOW = 10
+_STALL_RTOL = 1e-4
 # Residuals are clipped to a huge finite band so overflow in y - yhat can
 # never feed inf into the normal equations; anything near the band is
 # garbage by many orders of magnitude anyway.
@@ -54,16 +71,10 @@ class FitConfig:
 
     def __post_init__(self):
         for key in ("restarts", "max_iterations"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+            integer(self, key, 1)
         for key in ("gtol", "xtol", "ftol"):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value < 0):
-                raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
-        if not isinstance(self.warm_start, bool):
-            raise ValueError(f"warm_start must be true or false, got {self.warm_start!r}")
+            real(self, key, lambda v: v >= 0, "a finite number >= 0")
+        of_type(self, "warm_start", bool, "true or false")
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,9 @@ class FitResult:
     valid means the fitted expression is defined and finite on every
     training point, which is the gate scoring relies on.  restart_sses
     keeps the per-restart final SSEs for budget accounting and tests;
-    iterations holds each restart's LM iteration count in the same order.
+    iterations holds each restart's LM iteration count and stops why it
+    stopped (gtol, xtol, ftol, stall, cap or mu_overflow), in the same
+    order.  converged means some restart met gtol, xtol or ftol.
     """
 
     coefficients: np.ndarray
@@ -84,6 +97,7 @@ class FitResult:
     best_restart: int
     restart_sses: tuple
     iterations: tuple
+    stops: tuple
 
 
 def _probe(plan: Plan, points: np.ndarray, X: np.ndarray, y: np.ndarray):
@@ -118,7 +132,7 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     Each step solves every live restart's damped normal equations, then
     probes all their trial points with one _probe call.  Returns the final
     coefficients and definedness masks as (k, m) and (k, n) arrays, plus
-    per-restart sse, converged flag and iteration count lists."""
+    per-restart sse, iteration count and stop reason lists."""
     k, m = starts.shape
     eye = np.eye(m)
     c = starts.astype(float)
@@ -127,15 +141,18 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     sse = [float(r @ r) for r in res]
     JTJ = [J.T @ J for J in jac]
     g = [J.T @ r for J, r in zip(jac, res)]
-    converged = [bool(np.abs(gi).max() <= config.gtol) for gi in g]
+    stops = ["gtol" if np.abs(gi).max() <= config.gtol else None for gi in g]
     mu = [1e-3 * max(float(A.diagonal().max()), 1e-12) for A in JTJ]
     nu = [2.0] * k
     iterations = [0] * k
-    live = [not conv for conv in converged]
+    # each restart's SSE before and after its last _STALL_WINDOW accepted steps
+    recent = [deque([s], maxlen=_STALL_WINDOW + 1) for s in sse]
+    live = [stop is None for stop in stops]
     while any(live):
         stepping, deltas = [], []
         for i in [i for i, on in enumerate(live) if on]:
             if iterations[i] >= config.max_iterations:
+                stops[i] = "cap"
                 live[i] = False
                 continue
             iterations[i] += 1
@@ -149,7 +166,7 @@ def _levenberg_marquardt(plan, starts, X, y, config):
                 nu[i] *= 2.0
             elif (math.sqrt(delta.dot(delta))
                   <= config.xtol * (math.sqrt(c[i].dot(c[i])) + config.xtol)):
-                converged[i] = True
+                stops[i] = "xtol"
                 live[i] = False
             else:
                 stepping.append(i)
@@ -165,24 +182,32 @@ def _levenberg_marquardt(plan, starts, X, y, config):
             if not (predicted > 0 and actual > 0):
                 mu[i] *= nu[i]
                 nu[i] *= 2.0
-                live[i] = math.isfinite(mu[i])
+                if not math.isfinite(mu[i]):
+                    stops[i] = "mu_overflow"
+                    live[i] = False
                 continue
             rho = actual / predicted
             c[i], defined[i] = trials[t], trial_defined[t]
-            done = abs(actual) <= config.ftol * max(sse[i], 1e-300)
+            if abs(actual) <= config.ftol * max(sse[i], 1e-300):
+                stops[i] = "ftol"
             sse[i] = trial_sse
-            if not done:
+            if stops[i] is None:
                 J = trial_jac[t]
                 JTJ[i] = J.T @ J
                 g[i] = J.T @ trial_res[t]
-                done = np.abs(g[i]).max() <= config.gtol
-            if done:
-                converged[i] = True
+                if np.abs(g[i]).max() <= config.gtol:
+                    stops[i] = "gtol"
+            window = recent[i]
+            window.append(trial_sse)
+            if (stops[i] is None and len(window) > _STALL_WINDOW
+                    and window[0] - trial_sse <= _STALL_RTOL * window[0]):
+                stops[i] = "stall"
+            if stops[i] is not None:
                 live[i] = False
                 continue
             mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu[i] = 2.0
-    return c, defined, sse, converged, iterations
+    return c, defined, sse, iterations, stops
 
 
 def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
@@ -213,6 +238,7 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             best_restart=0,
             restart_sses=(),
             iterations=(),
+            stops=(),
         )
 
     starts = np.empty((config.restarts, m))
@@ -224,7 +250,7 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             ]
         else:
             starts[restart] = rng.standard_normal(m)
-    c, defined, sses, converged, iterations = _levenberg_marquardt(
+    c, defined, sses, iterations, stops = _levenberg_marquardt(
         lower(skeleton.expr), starts, X, y, config)
     finite = [r for r, sse in enumerate(sses) if np.all(np.isfinite(c[r])) and sse < np.inf]
     if not finite:
@@ -236,14 +262,16 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             best_restart=-1,
             restart_sses=tuple(sses),
             iterations=tuple(iterations),
+            stops=tuple(stops),
         )
     best = min(finite, key=sses.__getitem__)
     return FitResult(
         coefficients=c[best],
         sse=sses[best],
-        converged=any(converged),
+        converged=any(s in ("gtol", "xtol", "ftol") for s in stops),
         valid=bool(np.all(defined[best])),
         best_restart=best,
         restart_sses=tuple(sses),
         iterations=tuple(iterations),
+        stops=tuple(stops),
     )

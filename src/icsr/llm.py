@@ -10,6 +10,8 @@ from typing import Callable, Optional
 
 import requests
 
+from .validate import integer, real
+
 API_KEY_ENV = "ICSR_API_KEY"
 
 
@@ -35,16 +37,10 @@ class SamplingParams:
     max_new_tokens: int = 512
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.num_beams < 1:
-            raise ValueError("num_beams must be >= 1")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
+        real(self, "temperature", lambda v: v >= 0, "a finite number >= 0")
+        real(self, "top_p", lambda v: 0 < v <= 1, "a number in (0, 1]")
+        for key in ("top_k", "num_beams", "max_new_tokens"):
+            integer(self, key, 1)
 
 
 @dataclass(frozen=True)
@@ -60,8 +56,9 @@ class TemperatureSchedule:
     def __post_init__(self):
         if self.mode not in ("constant", "linear"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.total_iterations < 1:
-            raise ValueError("total_iterations must be >= 1")
+        for key in ("start", "end"):
+            real(self, key, lambda v: v >= 0, "a finite number >= 0")
+        integer(self, "total_iterations", 1)
 
     def temperature_at(self, iteration: int) -> float:
         if self.mode == "constant" or self.total_iterations == 1:

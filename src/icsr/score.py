@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .validate import real
+
 
 @dataclass(frozen=True)
 class ScoreConfig:
@@ -24,14 +26,10 @@ class ScoreConfig:
     trim_fraction: float = 0.05
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.max_len <= 0:
-            raise ValueError("max_len must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if not 0 <= self.trim_fraction < 1:
-            raise ValueError("trim_fraction must be in [0, 1)")
+        real(self, "lam", lambda v: v >= 0, "a finite number >= 0")
+        for key in ("max_len", "eps"):
+            real(self, key, lambda v: v > 0, "a finite number > 0")
+        real(self, "trim_fraction", lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 @dataclass(frozen=True)

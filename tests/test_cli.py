@@ -208,6 +208,35 @@ def test_run_bad_fit_config_exits_2(tmp_path, capsys, text, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"engine": {"n_seed_calls": 2.5}}', "n_seed_calls"),
+    ('{"engine": {"early_stop_r2": "x"}}', "early_stop_r2"),
+    ('{"engine": {"seed": "abc"}}', "seed"),
+    ('{"engine": {"seed": -1}}', "seed"),
+    ('{"engine": {"top_k": 2.5}}', "top_k"),
+    ('{"schedule": {"mode": "linear", "start": "a"}}', "start"),
+    ('{"engine": {"functions_per_call": true}}', "functions_per_call"),
+    ('{"sampling": {"max_new_tokens": 2.5}}', "max_new_tokens"),
+    ('{"engine": {"model": 5}}', "model"),
+    ('{"score": {"lam": true}}', "lam"),
+])
+def test_run_badly_typed_engine_config_exits_2_before_any_call(
+        tmp_path, monkeypatch, capsys, text, key):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a model call was made")
+
+    monkeypatch.setattr("icsr.llm.ReplayBackend.complete", no_call)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--benchmark", "nguyen1", "--config", str(cfg),
+                 "--replay-file", write_json(tmp_path / "r.json", ["f1(x) = c*x"]),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option,value", [
     ("timeout", "abc"), ("timeout", 0), ("timeout", float("inf")), ("timeout", True),
     ("max_attempts", "3"), ("max_attempts", 0), ("max_attempts", 2.0),

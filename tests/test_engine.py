@@ -49,6 +49,15 @@ def test_config_validation():
         EngineConfig(top_k=0)
     with pytest.raises(ValueError):
         EngineConfig(mode="annealing")
+    # counts are non-bool ints, early_stop_r2 a finite number, model a string
+    for key, bad in (("n_seed_calls", 2.5), ("max_iterations", -1), ("top_k", True),
+                     ("functions_per_call", "5"), ("seed", -1), ("seed", "abc"),
+                     ("early_stop_r2", "x"), ("early_stop_r2", float("nan")),
+                     ("model", 5), ("model", None)):
+        with pytest.raises(ValueError, match=key):
+            EngineConfig(**{key: bad})
+    edge = EngineConfig(n_seed_calls=np.int64(1), max_iterations=0, seed=0, early_stop_r2=2)
+    assert (edge.n_seed_calls, edge.max_iterations, edge.early_stop_r2) == (1, 0, 2)
 
 
 def test_config_mode_alias():
@@ -436,10 +445,11 @@ def test_fitted_outcomes_log_lm_iterations(tmp_path):
     alone = fit(canonicalize(parse("c*x^c", 1), 1), parabola(), record.config.fit,
                 np.random.default_rng(record.config.seed))
     assert fitted["lm_iterations"] == list(alone.iterations)
-    assert len(alone.iterations) == fitted["restarts"] == 5
-    assert no_slots["lm_iterations"] == []
-    assert "lm_iterations" not in duplicate
-    assert "lm_iterations" not in json.dumps(record.summary())
+    assert fitted["lm_stops"] == list(alone.stops)
+    assert len(alone.iterations) == len(alone.stops) == fitted["restarts"] == 5
+    assert no_slots["lm_iterations"] == no_slots["lm_stops"] == []
+    assert "lm_iterations" not in duplicate and "lm_stops" not in duplicate
+    assert "lm_" not in json.dumps(record.summary())
 
 
 # ---------------------------------------------------------------------------

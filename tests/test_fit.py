@@ -3,8 +3,10 @@ import types
 import numpy as np
 import pytest
 
+import icsr.fit as fit_module
+from icsr.bench import get_benchmark, sample
 from icsr.dataset import Dataset
-from icsr.expr import canonicalize, evaluate_batch, parse
+from icsr.expr import canonicalize, evaluate_batch, lower, parse
 from icsr.fit import FitConfig, FitResult, fit
 
 
@@ -189,6 +191,12 @@ def test_fit_result_is_immutable():
 # a singular damped system (LinAlgError), and a run of rejected steps
 # whose damping overflows.  With the default xtol the step-size test stops
 # such a run long before the damping overflows, so that case turns it off.
+#
+# _GOLDEN holds the fitter without the stall stop (_STALL_RTOL = 0: every
+# accepted step lowers the SSE strictly, so the stall test never fires).
+# _GOLDEN_STALL holds the three cases the default stall stop changes; it
+# was derived from that rule-free fitter alone, by rerunning each stalled
+# restart with max_iterations set to its stall point.
 # ---------------------------------------------------------------------------
 
 def _golden_cases():
@@ -271,17 +279,130 @@ _GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name,tree,dataset,seed", list(_golden_cases()),
-                         ids=lambda v: v if isinstance(v, str) else "")
-def test_golden_fit_values_are_bit_exact(name, tree, dataset, seed):
-    config = _GOLDEN_CONFIG.get(name, FitConfig())
-    res = fit(canonicalize(tree, dataset.dim), dataset, config, rng=np.random.default_rng(seed))
-    coefficients, sse, restart_sses, iterations, converged = _GOLDEN[name]
+_GOLDEN_STALL = {
+    "warm_hints": (
+        ["0x1.9c6ff4b44317fp-3", "0x1.b2d93acee7617p+0", "-0x1.9a1991d93a477p-1"],
+        "0x1.00113c49ceb72p-9",
+        ["0x1.00113c49ceb72p-9", "0x1.b614adc54e1adp+1", "0x1.00113c49cebc1p-9",
+         "0x1.00113c49ceb7dp-9", "0x1.00113c49ceba8p-9"],
+        (5, 142, 14, 6, 12), True,
+    ),
+    "iteration_cap": (
+        ["0x1.ba1c89ac5f3b7p+4", "0x1.80df94ce5d729p+5"],
+        "0x1.66d1603fd2d57p+30",
+        ["0x1.688c0a5da561dp+30", "0x1.66d1603fd2d57p+30", "0x1.6764d04c2c737p+30",
+         "0x1.6892bca76ed7ap+30", "0x1.68910591092a5p+30"],
+        (26, 29, 27, 18, 21), False,
+    ),
+    "singular_solve": (
+        ["-0x1.281ff153d65d9p+1", "-0x1.5b81a79bc2642p-10", "-0x1.3f92f2adca800p+0",
+         "-0x1.00f70fcbf318cp-1"],
+        "0x1.b1094724edabap+6",
+        ["0x1.c36314e0f3b00p+6", "0x1.c0c3675dad933p+6", "0x1.bc14ef8ce2006p+6",
+         "0x1.b8f41a28b90ccp+6", "0x1.b1094724edabap+6"],
+        (38, 29, 18, 28, 30), True,
+    ),
+}
+
+# name: (stops without the stall stop, stops with it)
+_GOLDEN_STOPS = {
+    "warm_hints": (("gtol", "cap", "gtol", "ftol", "ftol"),
+                   ("gtol", "stall", "gtol", "ftol", "ftol")),
+    "penalty_region": (("ftol", "ftol", "ftol", "gtol", "ftol"),) * 2,
+    "pow_cliff": (("gtol", "ftol", "ftol", "ftol", "ftol"),) * 2,
+    "two_d": (("gtol",) * 5,) * 2,
+    "iteration_cap": (("cap",) * 5, ("stall",) * 5),
+    "singular_solve": (("ftol",) * 5, ("ftol", "stall", "ftol", "stall", "stall")),
+    "mu_overflow": (("ftol", "mu_overflow", "ftol", "ftol", "ftol"),) * 2,
+}
+
+
+def _assert_golden(res, golden):
+    coefficients, sse, restart_sses, iterations, converged = golden
     assert [float(v).hex() for v in res.coefficients] == coefficients
     assert float(res.sse).hex() == sse
     assert [float(v).hex() for v in res.restart_sses] == restart_sses
     assert res.iterations == iterations
     assert res.converged is converged
+
+
+@pytest.mark.parametrize("name,tree,dataset,seed", list(_golden_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_golden_fit_values_are_bit_exact(monkeypatch, name, tree, dataset, seed):
+    monkeypatch.setattr(fit_module, "_STALL_RTOL", 0.0)
+    config = _GOLDEN_CONFIG.get(name, FitConfig())
+    res = fit(canonicalize(tree, dataset.dim), dataset, config, rng=np.random.default_rng(seed))
+    _assert_golden(res, _GOLDEN[name])
+    assert res.stops == _GOLDEN_STOPS[name][0]
+
+
+@pytest.mark.parametrize("name,tree,dataset,seed", list(_golden_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_golden_fit_values_with_the_stall_stop(name, tree, dataset, seed):
+    config = _GOLDEN_CONFIG.get(name, FitConfig())
+    res = fit(canonicalize(tree, dataset.dim), dataset, config, rng=np.random.default_rng(seed))
+    _assert_golden(res, _GOLDEN_STALL.get(name, _GOLDEN[name]))
+    assert res.stops == _GOLDEN_STOPS[name][1]
+
+
+def test_singular_solve_golden_still_takes_the_linalg_error_branch(monkeypatch):
+    raised = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(fit_module.np.linalg, "solve", counting_solve)
+    name, tree, dataset, seed = [c for c in _golden_cases() if c[0] == "singular_solve"][0]
+    res = fit(canonicalize(tree, dataset.dim), dataset, rng=np.random.default_rng(seed))
+    assert res.stops == _GOLDEN_STOPS[name][1]
+    assert len(raised) == 3
+
+
+def _stalling_cases():
+    for name, tree, dataset, seed in _golden_cases():
+        if name in _GOLDEN_STALL:
+            yield tree, dataset, seed
+    # wrong forms whose SSE creeps down an asymptote without end
+    for equation, text in (("constant6", "c*sinh(c*x)"), ("keijzer12", "c*tanh(c*x1 + c*x2)")):
+        spec = get_benchmark(equation)
+        yield parse(text, spec.dim), sample(spec, "train"), 0
+
+
+@pytest.mark.parametrize("tree,dataset,seed", list(_stalling_cases()))
+def test_stalled_restart_holds_the_rule_free_state_at_its_count(monkeypatch, tree, dataset,
+                                                                seed):
+    skeleton = canonicalize(tree, dataset.dim)
+    plan = lower(skeleton.expr)
+    starts = np.random.default_rng(seed).standard_normal((5, skeleton.num_slots))
+    X, y = dataset.X, dataset.y
+    c, _, sse, iterations, stops = fit_module._levenberg_marquardt(plan, starts, X, y,
+                                                                   FitConfig())
+    assert "stall" in stops
+    monkeypatch.setattr(fit_module, "_STALL_RTOL", 0.0)
+    for i, stop in enumerate(stops):
+        if stop != "stall":
+            continue
+        capped = FitConfig(max_iterations=iterations[i])
+        c0, _, sse0, iterations0, stops0 = fit_module._levenberg_marquardt(plan, starts, X, y,
+                                                                           capped)
+        assert (iterations0[i], stops0[i]) == (iterations[i], "cap")
+        assert c0[i].tobytes() == c[i].tobytes()
+        assert float(sse0[i]).hex() == float(sse[i]).hex()
+
+
+def test_cap_exit_is_still_reachable_with_the_stall_stop():
+    # a restart whose SSE keeps falling by more than _STALL_RTOL per window
+    # all the way to the iteration cap
+    res = fit(canonicalize(parse("c*sqrt(abs(x) + c)", 1)),
+              sample(get_benchmark("nguyen2"), "train"), FitConfig(restarts=1),
+              rng=np.random.default_rng(1))
+    assert res.stops == ("cap",) and res.iterations == (200,)
+    assert res.valid and not res.converged
 
 
 def test_exponent_on_definedness_cliff_stays_pinned():

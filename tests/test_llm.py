@@ -44,6 +44,12 @@ def test_sampling_defaults():
     {"top_k": 0},
     {"num_beams": 0},
     {"max_new_tokens": 0},
+    {"max_new_tokens": 2.5},
+    {"top_k": True},
+    {"num_beams": "2"},
+    {"temperature": "hot"},
+    {"temperature": float("inf")},
+    {"top_p": None},
 ])
 def test_sampling_validation(kwargs):
     with pytest.raises(ValueError):
@@ -81,6 +87,15 @@ def test_schedule_single_iteration():
 def test_schedule_rejects_unknown_mode():
     with pytest.raises(ValueError):
         TemperatureSchedule(mode="cosine")
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("start", "a"), ("start", -0.5), ("end", float("nan")), ("end", True),
+    ("total_iterations", 2.5), ("total_iterations", 0),
+])
+def test_schedule_rejects_badly_typed_fields(key, bad):
+    with pytest.raises(ValueError, match=key):
+        TemperatureSchedule(mode="linear", **{key: bad})
 
 
 # ---------------------------------------------------------------------------

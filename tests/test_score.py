@@ -139,6 +139,10 @@ def test_score_config_validation():
         ScoreConfig(max_len=0.0)
     with pytest.raises(ValueError):
         ScoreConfig(trim_fraction=1.5)
+    for key, bad in (("lam", True), ("lam", "x"), ("max_len", float("inf")),
+                     ("eps", float("nan")), ("trim_fraction", None)):
+        with pytest.raises(ValueError, match=key):
+            ScoreConfig(**{key: bad})
 
 
 @settings(max_examples=200, deadline=None)
