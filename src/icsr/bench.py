@@ -22,7 +22,7 @@ import numpy as np
 
 from . import engine as engine_mod
 from .dataset import Dataset
-from .engine import Candidate, EngineConfig, NoValidSeedsError
+from .engine import Candidate, EngineConfig, NoValidSeedsError, RunRecord
 from .expr import Expr, complexity, evaluate_batch, parse, variable_names
 from .llm import BackendError
 from .score import r_squared, r_squared_trimmed
@@ -330,8 +330,6 @@ class RunCell:
     status: str
     r2: float | None = None
     complexity: int | None = None
-    train_r2: float | None = None
-    trim_excess: int = 0
     error: str | None = None
     candidate: Candidate | None = None
     summary: dict | None = None
@@ -420,15 +418,26 @@ def oracle_response(spec: BenchmarkSpec) -> str:
     return f"f1({', '.join(variable_names(spec.dim))}) = {spec.expression}"
 
 
+def score_winner(record: RunRecord, grid: Dataset, trim_fraction: float):
+    """(summary, predictions) for a finished run: its summary() and its
+    winner's predictions on grid.  When grid is a test split the summary
+    gains the 'evaluation' block, the winner's trimmed R-squared there
+    and how many undefined predictions did not fit in the trim."""
+    best = record.best
+    pred = evaluate_batch(best.skeleton.expr, best.fit.coefficients, grid.X)
+    summary = record.summary()
+    if grid.split == "test":
+        r2, excess = trimmed_r2_with_undefined(pred, grid.y, trim_fraction)
+        summary["evaluation"] = {"test_r2_trimmed": r2, "trim_excess": excess}
+    return summary, pred
+
+
 def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineConfig,
              seed: int, backend, log_path) -> RunCell:
     cell = RunCell(family=spec.family, equation=spec.name, seed=seed, status="failed")
     try:
         record = engine_mod.run(train, replace(config, seed=seed), backend, log_path)
-        candidate = record.best
-        pred = evaluate_batch(candidate.skeleton.expr, candidate.fit.coefficients, test.X)
-        r2, excess = trimmed_r2_with_undefined(pred, test.y, config.score.trim_fraction)
-        summary = record.summary()
+        summary, _ = score_winner(record, test, config.score.trim_fraction)
     except (NoValidSeedsError, BackendError) as exc:
         cell.error = str(exc)
         return cell
@@ -436,15 +445,9 @@ def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineC
         cell.error = f"{type(exc).__name__}: {exc}"
         return cell
     cell.status = "ok"
-    cell.r2 = r2
-    cell.complexity = candidate.scores.complexity
-    cell.train_r2 = candidate.scores.r2_train
-    cell.trim_excess = excess
-    cell.candidate = candidate
-    summary["evaluation"] = {
-        "test_r2_trimmed": r2,
-        "trim_excess": excess,
-    }
+    cell.r2 = summary["evaluation"]["test_r2_trimmed"]
+    cell.complexity = record.best.scores.complexity
+    cell.candidate = record.best
     cell.summary = summary
     return cell
 

@@ -14,14 +14,15 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import bench
 from .bench import atomic_write_text, csv_text, write_summary
 from .dataset import Dataset
-from .engine import EngineConfig, NoValidSeedsError, budget_report, run
-from .expr import evaluate_batch, num_placeholders, parse, variable_names
+from .engine import EngineConfig, NoValidSeedsError, run
+from .expr import num_placeholders, parse, variable_names
 from .fit import FitConfig
 from .llm import (
     API_KEY_ENV,
@@ -32,6 +33,7 @@ from .llm import (
     TemperatureSchedule,
 )
 from .score import ScoreConfig
+from .validate import integer, of_type, real
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -68,16 +70,15 @@ _FLAG_KEYS = {
     "lam": ("score", "lam"),
 }
 
-def _is_real(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+# config keys that hold a string: a kind, URL, path or equation name
+_STRING_KEYS = {"kind", "endpoint", "replay_file", "suite", "equation", "data", "dir"}
 
-
-# live backend option -> (test, what a value must be)
+# live backend option -> its check, as the config dataclasses check their fields
 _LIVE_OPTIONS = {
-    "timeout": (lambda v: _is_real(v) and v > 0, "a finite number > 0"),
-    "max_attempts": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "backoff": (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
-    "include_sampling_extras": (lambda v: isinstance(v, bool), "true or false"),
+    "timeout": lambda o, k: real(o, k, lambda v: v > 0, "a finite number > 0"),
+    "max_attempts": lambda o, k: integer(o, k, 1),
+    "backoff": lambda o, k: real(o, k, lambda v: v >= 0, "a finite number >= 0"),
+    "include_sampling_extras": lambda o, k: of_type(o, k, bool, "true or false"),
 }
 
 
@@ -97,8 +98,9 @@ def load_config(path) -> dict:
         raise ConfigError("config root must be a JSON object")
     for section, value in doc.items():
         if section == "seeds":
-            if not isinstance(value, list) or not all(isinstance(s, int) for s in value):
+            if not isinstance(value, list):
                 raise ConfigError("seeds must be a list of integers")
+            _check_seeds(value)
             continue
         if section not in _CONFIG_SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
@@ -109,7 +111,25 @@ def load_config(path) -> dict:
             raise ConfigError(
                 f"unknown keys in config section {section!r}: {sorted(unknown)}"
             )
+        fields = SimpleNamespace(**value)
+        try:
+            for key in value:
+                if key in _STRING_KEYS:
+                    of_type(fields, key, str, "a string")
+                elif section == "backend":
+                    _LIVE_OPTIONS[key](fields, key)
+        except ValueError as exc:
+            raise ConfigError(f"config section {section!r}: {exc}") from exc
     return doc
+
+
+def _check_seeds(seeds):
+    """Every seed must pass the engine's own seed check."""
+    try:
+        for seed in seeds:
+            EngineConfig(seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad seeds: {exc}") from exc
 
 
 def build_engine_config(doc: dict, args) -> EngineConfig:
@@ -147,15 +167,11 @@ def _load_replay_data(path):
 
 
 def make_backend_factory(doc: dict, args, names=()):
-    """Returns factory(spec_or_name, seed) -> backend.  A replay file
-    keyed by equation must have an entry for each of names, checked
-    here so a bench grid fails before any cell runs."""
+    """Returns factory(spec_or_name, seed) -> backend for each of names.
+    A replay file keyed by equation must have an entry for every one of
+    them, checked here so a run or grid fails before any call."""
     backend_cfg = dict(doc.get("backend", {}))
     options = {k: backend_cfg[k] for k in _LIVE_OPTIONS if k in backend_cfg}
-    for key, value in options.items():
-        valid, what = _LIVE_OPTIONS[key]
-        if not valid(value):
-            raise ConfigError(f"backend {key} must be {what}, got {value!r}")
     kind = getattr(args, "backend", None) or backend_cfg.get("kind") or "replay"
     if kind not in ("live", "replay"):
         raise ConfigError(f"unknown backend kind {kind!r}")
@@ -172,10 +188,7 @@ def make_backend_factory(doc: dict, args, names=()):
         def factory(spec_or_name, seed):
             if isinstance(data, list):
                 return ReplayBackend(data)
-            name = getattr(spec_or_name, "name", spec_or_name)
-            if name not in data:
-                raise ConfigError(f"replay file has no entry for {name!r}")
-            return ReplayBackend(data[name])
+            return ReplayBackend(data[getattr(spec_or_name, "name", spec_or_name)])
 
         return factory
 
@@ -252,8 +265,8 @@ def cmd_run(args) -> int:
         train = _load_csv_dataset(data_path)
         grid = train
 
-    factory = make_backend_factory(doc, args)
-    backend = factory(spec if spec is not None else train.name, config.seed)
+    name = spec.name if spec is not None else train.name
+    backend = make_backend_factory(doc, args, [name])(name, config.seed)
 
     out_dir = args.out or doc.get("output", {}).get("dir") or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -267,31 +280,26 @@ def cmd_run(args) -> int:
             write_summary(out_dir, exc.record.summary())
         return EXIT_NO_SEEDS
 
-    summary = record.summary()
-    best = record.best
-    pred = evaluate_batch(best.skeleton.expr, best.fit.coefficients, grid.X)
-    if spec is not None:
-        r2, excess = bench.trimmed_r2_with_undefined(
-            pred, grid.y, config.score.trim_fraction)
-        summary["evaluation"] = {"test_r2_trimmed": r2, "trim_excess": excess}
+    summary, pred = bench.score_winner(record, grid, config.score.trim_fraction)
     write_summary(out_dir, summary)
     atomic_write_text(
         os.path.join(out_dir, "predictions.csv"),
         _predictions_csv(grid.X, grid.y, pred),
     )
-    counters = budget_report(record)
     print(f"best: {summary['best']['expression']}")
     print(f"train r2: {summary['best']['r2_train']:.6f}  "
           f"err: {summary['best']['error']:.6g}  "
-          f"calls: {counters.calls_issued}")
+          f"calls: {summary['calls_issued']}")
     return EXIT_OK
 
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t.strip() != ""]
+        seeds = [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad seeds list {text!r}") from exc
+    _check_seeds(seeds)
+    return seeds
 
 
 def cmd_bench(args) -> int:

@@ -171,7 +171,7 @@ class RunRecord:
             best = {
                 "raw": c.raw,
                 "skeleton": c.skeleton.key,
-                "expression": render(c.skeleton.expr, c.fit.coefficients),
+                "expression": render(c.skeleton.expr, c.fit.coefficients, self.dataset_dim),
                 "coefficients": [float(v) for v in c.fit.coefficients],
                 "origin": c.origin,
                 "nmse": c.scores.nmse,
@@ -253,8 +253,6 @@ class _Run:
         self.lines: dict[str, tuple | str] = {}
         self.prompt_context = PromptContext.from_dataset(dataset)
         self.trajectory = Trajectory(config.top_k)
-        self.best: Candidate | None = None
-        self.early_stopped = False
         self.record = RunRecord(
             mode=config.mode,
             config=config,
@@ -356,10 +354,10 @@ class _Run:
             self.cache[skeleton.key] = candidate
             if use_trajectory:
                 self.trajectory.add(candidate)
-            if self.best is None or err < self.best.scores.error:
-                self.best = candidate
+            if self.record.best is None or err < self.record.best.scores.error:
+                self.record.best = candidate
             if scores.r2_train > self.config.early_stop_r2:
-                self.early_stopped = True
+                self.record.early_stopped = True
             outcome["status"] = "scored"
             outcome["err"] = err
             outcome["r2_train"] = scores.r2_train
@@ -370,7 +368,7 @@ class _Run:
     def seed_phase(self):
         prompt = build_seed_prompt(self.prompt_context)
         for i in range(self.config.n_seed_calls):
-            if self.early_stopped:
+            if self.record.early_stopped:
                 break
             self.call("seed", i, prompt, self.config.sampling.temperature,
                       use_trajectory=True)
@@ -378,7 +376,7 @@ class _Run:
     def loop_phase(self):
         schedule = self.config.resolved_schedule()
         for j in range(self.config.max_iterations):
-            if self.early_stopped:
+            if self.record.early_stopped:
                 break
             ctx = replace(self.prompt_context,
                           trajectory=tuple(self.trajectory.view_worst_first()))
@@ -392,11 +390,6 @@ class _Run:
         for i in range(total):
             self.call("random", i, prompt, self.config.sampling.temperature,
                       use_trajectory=False)
-
-    def finish(self) -> RunRecord:
-        self.record.best = self.best
-        self.record.early_stopped = self.early_stopped
-        return self.record
 
 
 def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRecord:
@@ -418,16 +411,16 @@ def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRe
             state.random_phase()
         else:
             state.seed_phase()
-        if state.best is None:
+        if state.record.best is None:
             raise NoValidSeedsError(
                 "random guessing produced zero valid candidates"
                 if config.mode == MODE_RANDOM else
                 f"no valid seed candidates after {config.n_seed_calls} seed calls",
-                record=state.finish(),
+                record=state.record,
             )
         if config.mode == MODE_FULL:
             state.loop_phase()
-        return state.finish()
+        return state.record
 
 
 def run_random_guessing(dataset: Dataset, config: EngineConfig, backend,

@@ -413,15 +413,6 @@ def num_placeholders(expr: Expr) -> int:
     return sum(num_placeholders(a) for a in expr.args)
 
 
-def variables_used(expr: Expr) -> set[int]:
-    if expr.kind == "var":
-        return {expr.index}
-    out: set[int] = set()
-    for a in expr.args:
-        out |= variables_used(a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -489,23 +480,16 @@ def variable_names(dimensionality: int) -> list[str]:
     return [f"x{i + 1}" for i in range(dimensionality)]
 
 
-def _var_names(expr: Expr, dimensionality: Optional[int]) -> list[str]:
-    """variable_names, with d inferred from the variables used when omitted."""
-    if dimensionality is None:
-        used = variables_used(expr)
-        dimensionality = max(used) + 1 if used else 1
-    return variable_names(dimensionality)
-
-
-def render(expr: Expr, coefficients=None, dimensionality: Optional[int] = None) -> str:
-    """Render a tree back to text.
+def render(expr: Expr, coefficients=None, dimensionality: int = 1) -> str:
+    """Render a tree back to text, naming variables as parse does at the
+    given dimensionality.
 
     With coefficients=None placeholders print as 'c'; otherwise the
     numeric values are substituted at 6 significant digits.  The output
     re-parses to a structurally identical tree (modulo literal rounding
     when values are substituted).
     """
-    text, _ = _render(expr, coefficients, _var_names(expr, dimensionality))
+    text, _ = _render(expr, coefficients, variable_names(dimensionality))
     return text
 
 
@@ -638,17 +622,16 @@ def _renumber(e: Expr, mapping: dict) -> Expr:
     return e
 
 
-def canonicalize(expr: Expr, dimensionality: Optional[int] = None) -> Skeleton:
+def canonicalize(expr: Expr, dimensionality: int = 1) -> Skeleton:
     """Collapse an expression to its canonical skeleton.
 
     Two candidate strings that differ only in literal values, redundant
     constant arithmetic, or the order of +/* operands share a canonical
     key.  The key names variables as parse does at the given
-    dimensionality (inferred from the variables used when omitted), so it
-    parses back.  Complexity is *not* measured here; it belongs to the
-    tree as parsed.
+    dimensionality, so it parses back.  Complexity is *not* measured
+    here; it belongs to the tree as parsed.
     """
-    c = _Canonicalizer(_var_names(expr, dimensionality))
+    c = _Canonicalizer(variable_names(dimensionality))
     tree, (key, _), _ = c.rewrite(expr)
     mapping: dict[int, int] = {}
     tree = _renumber(tree, mapping)

@@ -74,36 +74,26 @@ class PromptContext:
                    trajectory=tuple(trajectory))
 
 
-def _adapt_seed(text: str, dim: int) -> str:
-    if dim == 1:
-        return text
-    args = ", ".join(variable_names(dim))
-    text = text.replace(
-        "- An independent variable symbol: x.",
-        f"- Independent variable symbols: {args}.",
-    )
-    text = text.replace(
-        '"f1(x) = ", "f2(x) = "...',
-        f'"f1({args}) = ", "f2({args}) = "...',
-    )
-    return text
-
-
-def _adapt_loop(text: str, dim: int) -> str:
-    if dim == 1:
-        return text
-    args = ", ".join(variable_names(dim))
-    text = text.replace("(x, y) coordinates", f"({args}, y) coordinates")
-    text = text.replace(
-        '"f1(x) = ", "f2(x) = "...',
-        f'"f1({args}) = ", "f2({args}) = "...',
-    )
+def _prompt(name: str, dim: int, **slots: str) -> str:
+    """The named template for dim variables: its 1-D phrases rewritten
+    (each template holds only some of them), then every {slot} filled."""
+    text = _template(name)
+    if dim > 1:
+        args = ", ".join(variable_names(dim))
+        for one_d, many in (
+            ("- An independent variable symbol: x.", f"- Independent variable symbols: {args}."),
+            ("(x, y) coordinates", f"({args}, y) coordinates"),
+            ('"f1(x) = ", "f2(x) = "...', f'"f1({args}) = ", "f2({args}) = "...'),
+        ):
+            text = text.replace(one_d, many)
+    for slot, value in dict(slots, num_variables=str(dim),
+                            variables_list=variables_list(dim)).items():
+        text = text.replace("{" + slot + "}", value)
     return text
 
 
 def build_seed_prompt(ctx: PromptContext) -> str:
-    text = _adapt_seed(_template("seed"), ctx.dimensionality)
-    return text.replace("{points}", ctx.points)
+    return _prompt("seed", ctx.dimensionality, points=ctx.points)
 
 
 def format_trajectory(entries) -> str:
@@ -120,19 +110,12 @@ def build_loop_prompt(ctx: PromptContext) -> str:
     errs = [err for _, err in ctx.trajectory]
     if any(errs[i] < errs[i + 1] for i in range(len(errs) - 1)):
         raise ValueError("trajectory must be ordered worst (highest error) first")
-    text = _adapt_loop(_template("loop"), ctx.dimensionality)
-    text = text.replace("{points}", ctx.points)
-    text = text.replace("{num_variables}", str(ctx.dimensionality))
-    text = text.replace("{variables_list}", variables_list(ctx.dimensionality))
-    text = text.replace("{previous_trajectory}", format_trajectory(ctx.trajectory))
-    return text
+    return _prompt("loop", ctx.dimensionality, points=ctx.points,
+                   previous_trajectory=format_trajectory(ctx.trajectory))
 
 
 def build_random_prompt(num_variables: int) -> str:
-    text = _template("random")
-    text = text.replace("{num_variables}", str(num_variables))
-    text = text.replace("{variables_list}", variables_list(num_variables))
-    return text
+    return _prompt("random", num_variables)
 
 
 # Candidate lines look like "f1(x) = <rhs>", possibly wrapped in list

@@ -1,4 +1,4 @@
-"""Type and range checks for the fields of the config dataclasses.
+"""Type and range checks for config values and config dataclass fields.
 
 Config files are untrusted JSON, so a field is checked for its type as
 well as its range: a bool is not a count, 2.5 is not a count, and a

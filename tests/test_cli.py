@@ -14,6 +14,7 @@ from icsr.cli import (
     load_config,
     main,
 )
+from icsr.expr import parse
 from icsr.llm import API_KEY_ENV, BackendError
 
 
@@ -50,9 +51,32 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 
 def test_load_config_rejects_bad_seeds(tmp_path):
-    path = write_json(tmp_path / "c.json", {"seeds": ["one"]})
-    with pytest.raises(ConfigError, match="seeds"):
-        load_config(path)
+    for seeds in (["one"], [True], [-1], [1.5], 3):
+        path = write_json(tmp_path / "c.json", {"seeds": seeds})
+        with pytest.raises(ConfigError, match="seeds"):
+            load_config(path)
+
+
+@pytest.mark.parametrize("section,key", [
+    ("backend", "kind"), ("backend", "endpoint"), ("backend", "replay_file"),
+    ("benchmark", "suite"), ("benchmark", "equation"), ("benchmark", "data"),
+    ("output", "dir"),
+])
+def test_non_string_config_value_exits_2_before_any_call(
+        tmp_path, monkeypatch, capsys, section, key):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a model call was made")
+
+    monkeypatch.setenv(API_KEY_ENV, "test-key")
+    monkeypatch.setattr("icsr.llm.LiveBackend.complete", no_call)
+    cfg = write_json(tmp_path / "c.json", {section: {key: 7}})
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg)
+    code = main(["run", "--config", cfg, "--backend", "live",
+                 "--out", str(tmp_path / "out"), "--ns", "1", "--iterations", "0"])
+    assert code == EXIT_CONFIG
+    assert f"{key} must be a string" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_rejects_broken_json(tmp_path):
@@ -373,9 +397,15 @@ def test_bench_replay_missing_equation_entry(tmp_path, capsys):
 
 def test_bench_bad_seeds(tmp_path, capsys):
     replay = write_json(tmp_path / "replay.json", ["f1(x) = c"])
-    code = main(["bench", "--suite", "r", "--seeds", "a,b",
-                 "--replay-file", replay])
-    assert code == EXIT_CONFIG
+    cfg = write_json(tmp_path / "c.json", {"seeds": [True]})
+    out = tmp_path / "out"
+    for flags in (["--seeds", "a,b"], ["--seeds=-1"], ["--seeds", "1,-2"],
+                  ["--config", cfg]):
+        code = main(["bench", "--suite", "r", *flags, "--replay-file", replay,
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ood_command_from_bench_output(tmp_path, capsys):
@@ -420,6 +450,9 @@ def test_ood_reloads_two_dimensional_skeleton_using_only_x1(tmp_path, capsys):
     summary = json.loads((out / "runs" / "nguyen9" / "seed1" / "summary.json")
                          .read_text(encoding="utf-8"))
     assert summary["best"]["skeleton"] == "c + c*sin(x1)"
+    expression = summary["best"]["expression"]
+    parse(expression, 2)
+    assert "sin(x1)" in expression
     assert main(["ood", "--runs", str(out)]) == EXIT_OK
 
 
