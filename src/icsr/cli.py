@@ -319,7 +319,7 @@ def cmd_bench(args) -> int:
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
     else:
-        seeds = doc.get("seeds") or [1, 2, 3, 4, 5]
+        seeds = doc.get("seeds", [1, 2, 3, 4, 5])
     if not seeds:
         raise ConfigError("empty seeds list")
     if args.jobs < 1:

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import erf as _erf
 
 BINARY_OPS = ("+", "-", "*", "/", "^")
 UNARY_OPS = (
@@ -277,6 +276,11 @@ def parse(text: str, dimensionality: int = 1) -> Expr:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
+
+def _erf(v):
+    from scipy.special import erf  # a third of a second to import: only on use
+    return erf(v)
+
 
 _UNARY_FUNCS = {
     "sqrt": np.sqrt,

@@ -3,12 +3,11 @@ deterministic replay client for tests and offline runs."""
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-import requests
 
 from .validate import integer, real
 
@@ -113,10 +112,12 @@ class LiveBackend:
     """POSTs to an OpenAI-compatible /chat/completions endpoint.
 
     Transport errors, 429s, and 5xx responses are retried with doubling
-    backoff (max_attempts total tries); anything else, or running out of
-    attempts, raises BackendError.  top_k and num_beams are only put on
-    the wire when include_sampling_extras is set, because strict servers
-    reject unknown fields.
+    backoff (max_attempts total tries); a 429 or 503 whose Retry-After
+    header is a number of seconds waits that long instead, capped at
+    timeout.  Anything else, or running out of attempts, raises
+    BackendError.  top_k and num_beams are only put on the wire when
+    include_sampling_extras is set, because strict servers reject
+    unknown fields.
     """
 
     def __init__(
@@ -142,7 +143,10 @@ class LiveBackend:
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.include_sampling_extras = include_sampling_extras
-        self.session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # only the live backend pays for importing it
+            session = requests.Session()
+        self.session = session
         self.sleep = sleep
 
     def _body(self, request: CompletionRequest) -> dict:
@@ -160,6 +164,7 @@ class LiveBackend:
         return body
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
+        import requests
         url = f"{self.endpoint}/chat/completions"
         headers = {
             "Authorization": f"Bearer {self.api_key}",
@@ -170,8 +175,9 @@ class LiveBackend:
         last_error = "no attempt made"
         for attempt in range(self.max_attempts):
             if attempt > 0:
-                self.sleep(delay)
+                self.sleep(delay if wait is None else wait)
                 delay *= 2
+            wait = None  # the server's Retry-After, if this attempt gets one
             start = time.monotonic()
             try:
                 resp = self.session.post(url, json=body, headers=headers, timeout=self.timeout)
@@ -181,6 +187,8 @@ class LiveBackend:
             latency = time.monotonic() - start
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = f"HTTP {resp.status_code}"
+                if resp.status_code in (429, 503):
+                    wait = _retry_after(resp, self.timeout)
                 continue
             if resp.status_code != 200:
                 raise BackendError(f"HTTP {resp.status_code}: {resp.text[:500]}")
@@ -196,3 +204,13 @@ class LiveBackend:
         raise BackendError(
             f"completion failed after {self.max_attempts} attempts ({last_error})"
         )
+
+
+def _retry_after(resp, cap: float) -> Optional[float]:
+    """The seconds resp's Retry-After header asks for, capped at cap, or
+    None when it is missing, an HTTP-date or not a finite number >= 0."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    return min(seconds, cap) if 0 <= seconds < math.inf else None

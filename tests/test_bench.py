@@ -502,6 +502,39 @@ def _tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+_ERF_GRID = """\
+from icsr.bench import run_suite
+from icsr.engine import EngineConfig
+from icsr.llm import ReplayBackend
+
+replies = {{
+    "nguyen1": "f1(x) = c*erf(c*x + c) + c\\nf2(x) = c*x^3 + c*x^2 + c*erf(x)",
+    "keijzer3": "f1(x) = c*x*erf(c*x) + c",
+    "nguyen9": "f1(x1, x2) = c*erf(c*x1) + c*sin(x2^2)",
+}}
+run_suite(list(replies), EngineConfig(n_seed_calls=1, max_iterations=0), [1, 2],
+          lambda spec, seed: ReplayBackend([replies[spec.name]]),
+          jobs={jobs}, out_dir={out!r})
+print(heavy())
+"""
+
+
+def test_run_suite_with_erf_matches_serial_when_workers_load_scipy(tmp_path, fresh_python):
+    # erf loads scipy on first use; in a fresh interpreter the parent
+    # never evaluates, so each forked worker does that import itself
+    dirs = {}
+    for jobs, parent_loads in ((2, "[]"), (1, "['scipy']")):
+        dirs[jobs] = tmp_path / f"jobs{jobs}"
+        out = fresh_python(_ERF_GRID.format(jobs=jobs, out=str(dirs[jobs])))
+        assert out.splitlines() == [parent_loads]
+    serial = _tree_bytes(dirs[1])
+    assert len(serial) == 2 + 3 * 2 * 2  # reports + summary.json, runlog.jsonl per cell
+    assert _tree_bytes(dirs[2]) == serial
+    winners = [json.loads(v)["best"]["skeleton"] for k, v in serial.items()
+               if k.endswith("summary.json")]
+    assert len(winners) == 6 and all("erf" in w for w in winners)
+
+
 def test_run_suite_parallel_matches_serial(tmp_path):
     pids = tmp_path / "pids"
     pids.mkdir()

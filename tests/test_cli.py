@@ -408,6 +408,20 @@ def test_bench_bad_seeds(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_empty_seeds_list_in_config_is_a_config_error(tmp_path, capsys):
+    # a present-but-empty list is not "absent": it must not fall back to
+    # the five default seeds, just as --seeds "," does not
+    replay = write_json(tmp_path / "replay.json", ["f1(x) = c"])
+    cfg = write_json(tmp_path / "c.json", {"seeds": []})
+    out = tmp_path / "out"
+    for flags in (["--config", cfg], ["--seeds", ","]):
+        code = main(["bench", "--suite", "R1", *flags, "--replay-file", replay,
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "empty seeds list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ood_command_from_bench_output(tmp_path, capsys):
     replay = _oracle_replay_file(tmp_path, ["R1", "R2", "R3"])
     out = tmp_path / "bench_out"

@@ -159,6 +159,20 @@ def test_evaluate_erf():
     assert out[1] == pytest.approx(erf(-1.2))
 
 
+def test_import_loads_neither_scipy_nor_requests_until_erf(fresh_python):
+    # a fresh interpreter: this module imports scipy.special itself
+    out = fresh_python(
+        "import icsr, icsr.cli\n"
+        "print(heavy())\n"
+        "from icsr.expr import evaluate_batch, parse\n"
+        "evaluate_batch(parse('c*sin(x) + c', 1), [1.0, 2.0], [[0.5]])\n"
+        "print(heavy())\n"
+        "evaluate_batch(parse('erf(x)', 1), [], [[0.5]])\n"
+        "print(heavy())\n"
+    )
+    assert out.splitlines() == ["[]", "[]", "['scipy']"]
+
+
 def test_evaluate_coefficients_and_variables():
     tree = parse("c*x1 + c*x2", 2)
     out = evaluate_batch(tree, [2.0, 3.0], np.array([[1.0, 1.0], [0.5, 2.0]]))
@@ -525,6 +539,22 @@ def _assert_plan_matches_reference(tree, C, X):
         got = evaluate_batch(form, C, X)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+_ERF_X = np.array([[0.0], [0.3], [-1.2], [5.5], [1e-300], [1e301], [-1e308],
+                   [np.inf], [-np.inf], [np.nan]])
+_ERF_C = np.array([[1.0, 2.0, -0.5], [-3.0, 1e-3, 7.0], [0.5, 1e300, np.inf]])
+
+
+def test_erf_is_scipy_erf_bit_for_bit():
+    # erf loads scipy.special on first use; it must still be scipy's own
+    # ufunc applied to the same contiguous (k, n) input
+    got = evaluate_batch(lower(parse("erf(x)", 1)), _ERF_C, _ERF_X)
+    expected = scipy.special.erf(np.tile(_ERF_X[:, 0], (len(_ERF_C), 1)))
+    assert got.tobytes() == expected.tobytes()
+    tree = parse("c*erf(c*x + c)", 1)
+    _assert_plan_matches_reference(tree, _ERF_C, _ERF_X)
+    assert np.isfinite(evaluate_batch(tree, _ERF_C, _ERF_X)).sum() > len(_ERF_X)
 
 
 def _special_exprs():

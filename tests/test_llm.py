@@ -133,10 +133,11 @@ def test_replay_rejects_non_string_entries():
 # ---------------------------------------------------------------------------
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -227,6 +228,49 @@ def test_live_retries_rate_limit_with_doubling_backoff():
     assert delays == [0.5, 1.0]
 
 
+def _retry_delays(outcomes, **kwargs):
+    session = FakeSession([*outcomes, _ok("late")])
+    delays = []
+    backend = LiveBackend(
+        "http://host", api_key="k", session=session,
+        max_attempts=len(outcomes) + 1, backoff=0.5, sleep=delays.append, **kwargs,
+    )
+    assert backend.complete(_request()).text == "late"
+    return delays
+
+
+def test_live_waits_what_retry_after_asks():
+    delays = _retry_delays([
+        FakeResponse(429, headers={"Retry-After": "3"}),
+        FakeResponse(503, headers={"Retry-After": "0"}),
+        FakeResponse(429, headers={"Retry-After": " 1.5 "}),
+        FakeResponse(500),  # back to the doubling schedule
+    ])
+    assert delays == [3.0, 0.0, 1.5, 4.0]
+
+
+def test_live_retry_after_is_capped_at_timeout():
+    delays = _retry_delays([FakeResponse(503, headers={"Retry-After": "3600"})],
+                           timeout=7.5)
+    assert delays == [7.5]
+
+
+@pytest.mark.parametrize("value", [
+    "Wed, 21 Oct 2015 07:28:00 GMT", "soon", "", "-1", "nan", "inf", "1e999",
+])
+def test_live_unusable_retry_after_falls_back_to_backoff(value):
+    delays = _retry_delays([FakeResponse(429, headers={"Retry-After": value}),
+                            FakeResponse(503, headers={"Retry-After": value})])
+    assert delays == [0.5, 1.0]
+
+
+def test_live_retry_after_applies_only_to_429_and_503():
+    delays = _retry_delays([FakeResponse(500, headers={"Retry-After": "9"}),
+                            FakeResponse(502, headers={"Retry-After": "9"}),
+                            requests.ConnectionError("down")])
+    assert delays == [0.5, 1.0, 2.0]
+
+
 def test_live_retries_transport_errors():
     session = FakeSession([requests.ConnectionError("down"), _ok("recovered")])
     backend = LiveBackend(
@@ -274,3 +318,22 @@ def test_live_non_string_content():
     )
     with pytest.raises(BackendError, match="not a string"):
         backend.complete(_request())
+
+
+def test_only_the_live_backend_loads_requests(fresh_python, tmp_path):
+    # a fresh interpreter: this module imports requests itself
+    replay = tmp_path / "replay.json"
+    replay.write_text('["f1(x) = c*x^3 + c*x"]', encoding="utf-8")
+    argv = ["run", "--benchmark", "nguyen1", "--replay-file", str(replay),
+            "--ns", "1", "--iterations", "0", "--out", str(tmp_path / "out")]
+    out = fresh_python(
+        "import contextlib, io\n"
+        "from icsr.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, heavy())\n"
+        "from icsr.llm import LiveBackend\n"
+        "LiveBackend('http://127.0.0.1:9/v1', api_key='k')\n"
+        "print(heavy())\n"
+    )
+    assert out.splitlines() == ["0 []", "['requests']"]
