@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,55 +46,44 @@ class ConfigError(ValueError):
     pass
 
 
-_CONFIG_SECTIONS = {
-    "engine": {"n_seed_calls", "max_iterations", "top_k", "functions_per_call",
-               "early_stop_r2", "seed", "mode", "model"},
-    "sampling": {"temperature", "top_p", "top_k", "num_beams", "max_new_tokens"},
-    "schedule": {"mode", "start", "end", "total_iterations"},
-    "fit": {"restarts", "max_iterations", "warm_start", "gtol", "xtol", "ftol"},
-    "score": {"lam", "max_len", "eps", "trim_fraction"},
-    "backend": {"kind", "endpoint", "replay_file", "timeout", "max_attempts",
-                "backoff", "include_sampling_extras"},
-    "benchmark": {"suite", "equation", "data"},
-    "output": {"dir"},
+def _string(obj, key: str):
+    of_type(obj, key, str, "a string")
+
+
+# section -> its config dataclass, whose fields (bar the nested sections)
+# are its keys and check themselves when built, or else {key: check}
+_SECTIONS = {
+    "engine": EngineConfig,
+    "sampling": SamplingParams,
+    "schedule": TemperatureSchedule,
+    "fit": FitConfig,
+    "score": ScoreConfig,
+    "backend": {
+        "kind": _string, "endpoint": _string, "replay_file": _string,
+        "timeout": lambda o, k: real(o, k, lambda v: v > 0, "a finite number > 0"),
+        "max_attempts": lambda o, k: integer(o, k, 1),
+        "backoff": lambda o, k: real(o, k, lambda v: v >= 0, "a finite number >= 0"),
+        "include_sampling_extras": lambda o, k: of_type(o, k, bool, "true or false"),
+    },
+    "benchmark": {"suite": _string, "equation": _string, "data": _string},
+    "output": {"dir": _string},
 }
 
 
-# flag -> (config section, key) it overrides
-_FLAG_KEYS = {
-    "ns": ("engine", "n_seed_calls"),
-    "iterations": ("engine", "max_iterations"),
-    "topk": ("engine", "top_k"),
-    "mode": ("engine", "mode"),
-    "model": ("engine", "model"),
-    "seed": ("engine", "seed"),
-    "lam": ("score", "lam"),
-}
-
-# config keys that hold a string: a kind, URL, path or equation name
-_STRING_KEYS = {"kind", "endpoint", "replay_file", "suite", "equation", "data", "dir"}
-
-# live backend option -> its check, as the config dataclasses check their fields
-_LIVE_OPTIONS = {
-    "timeout": lambda o, k: real(o, k, lambda v: v > 0, "a finite number > 0"),
-    "max_attempts": lambda o, k: integer(o, k, 1),
-    "backoff": lambda o, k: real(o, k, lambda v: v >= 0, "a finite number >= 0"),
-    "include_sampling_extras": lambda o, k: of_type(o, k, bool, "true or false"),
-}
-
-
-def _read_json(path, what: str):
+def _read(path, what: str, load=json.load):
+    """load(file) for an untrusted UTF-8 file; every way that fails is a
+    ConfigError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_config(path) -> dict:
-    doc = _read_json(path, "config")
+    doc = _read(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     for section, value in doc.items():
@@ -102,24 +92,36 @@ def load_config(path) -> dict:
                 raise ConfigError("seeds must be a list of integers")
             _check_seeds(value)
             continue
-        if section not in _CONFIG_SECTIONS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(value, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        unknown = set(value) - _CONFIG_SECTIONS[section]
+        checks = _SECTIONS[section]
+        if not isinstance(checks, dict):  # the dataclass checks its fields when built
+            checks = dict.fromkeys({f.name for f in fields(checks)} - _SECTIONS.keys(),
+                                   lambda obj, key: None)
+        unknown = set(value) - set(checks)
         if unknown:
             raise ConfigError(
                 f"unknown keys in config section {section!r}: {sorted(unknown)}"
             )
-        fields = SimpleNamespace(**value)
+        given = SimpleNamespace(**value)
         try:
             for key in value:
-                if key in _STRING_KEYS:
-                    of_type(fields, key, str, "a string")
-                elif section == "backend":
-                    _LIVE_OPTIONS[key](fields, key)
+                checks[key](given, key)
         except ValueError as exc:
             raise ConfigError(f"config section {section!r}: {exc}") from exc
+    return doc
+
+
+def _config(args) -> dict:
+    """The --config file, if any, with each flag that was given written
+    over the key its dest names ("section.key")."""
+    doc = load_config(args.config) if args.config else {}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            doc.setdefault(section, {})[key] = value
     return doc
 
 
@@ -132,22 +134,16 @@ def _check_seeds(seeds):
         raise ConfigError(f"bad seeds: {exc}") from exc
 
 
-def build_engine_config(doc: dict, args) -> EngineConfig:
-    """Fold config-file values and flag overrides into an EngineConfig."""
-    sections = {name: dict(doc.get(name, {}))
-                for name in ("engine", "sampling", "fit", "score")}
-    for flag, (section, key) in _FLAG_KEYS.items():
-        if getattr(args, flag, None) is not None:
-            sections[section][key] = getattr(args, flag)
+def build_engine_config(doc: dict) -> EngineConfig:
+    """The EngineConfig that a config document (see _config) describes."""
     schedule = doc.get("schedule")
-
     try:
         return EngineConfig(
-            score=ScoreConfig(**sections["score"]),
-            fit=FitConfig(**sections["fit"]),
-            sampling=SamplingParams(**sections["sampling"]),
+            score=ScoreConfig(**doc.get("score", {})),
+            fit=FitConfig(**doc.get("fit", {})),
+            sampling=SamplingParams(**doc.get("sampling", {})),
             schedule=TemperatureSchedule(**schedule) if schedule else None,
-            **sections["engine"],
+            **doc.get("engine", {}),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad engine configuration: {exc}") from exc
@@ -156,7 +152,7 @@ def build_engine_config(doc: dict, args) -> EngineConfig:
 def _load_replay_data(path):
     """One script (an array of response strings), or an object of
     scripts keyed by equation name; every script is checked here."""
-    data = _read_json(path, "replay file")
+    data = _read(path, "replay file")
     if not isinstance(data, (list, dict)):
         raise ConfigError("replay file must be a JSON array or an object of arrays")
     for name, script in data.items() if isinstance(data, dict) else [(None, data)]:
@@ -166,18 +162,17 @@ def _load_replay_data(path):
     return data
 
 
-def make_backend_factory(doc: dict, args, names=()):
+def make_backend_factory(doc: dict, names=()):
     """Returns factory(spec_or_name, seed) -> backend for each of names.
     A replay file keyed by equation must have an entry for every one of
     them, checked here so a run or grid fails before any call."""
-    backend_cfg = dict(doc.get("backend", {}))
-    options = {k: backend_cfg[k] for k in _LIVE_OPTIONS if k in backend_cfg}
-    kind = getattr(args, "backend", None) or backend_cfg.get("kind") or "replay"
+    options = dict(doc.get("backend", {}))
+    kind = options.pop("kind", None) or "replay"
+    path = options.pop("replay_file", None)
     if kind not in ("live", "replay"):
         raise ConfigError(f"unknown backend kind {kind!r}")
 
     if kind == "replay":
-        path = getattr(args, "replay_file", None) or backend_cfg.get("replay_file")
         if not path:
             raise ConfigError("replay backend needs --replay-file")
         data = _load_replay_data(path)
@@ -192,21 +187,16 @@ def make_backend_factory(doc: dict, args, names=()):
 
         return factory
 
-    endpoint = getattr(args, "endpoint", None) or backend_cfg.get("endpoint")
-    if not endpoint:
+    if not options.get("endpoint"):
         raise ConfigError("live backend needs --endpoint")
-    options.update(endpoint=endpoint, api_key=os.environ.get(API_KEY_ENV))
+    options["api_key"] = os.environ.get(API_KEY_ENV)
     if not options["api_key"]:
         raise ConfigError(f"live backend needs an API key; set {API_KEY_ENV}")
     return lambda spec_or_name, seed: LiveBackend(**options)
 
 
 def _load_csv_dataset(path) -> Dataset:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file: {exc}") from exc
+    rows = _read(path, "data file", lambda fh: list(csv.reader(fh)))
     if not rows:
         raise ConfigError("data file is empty")
     start = 0
@@ -245,11 +235,10 @@ def _predictions_csv(X, y_true, y_pred) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    doc = load_config(args.config) if args.config else {}
-    config = build_engine_config(doc, args)
-    bench_sel = doc.get("benchmark", {})
-    equation = args.benchmark or bench_sel.get("equation")
-    data_path = args.data or bench_sel.get("data")
+    doc = _config(args)
+    config = build_engine_config(doc)
+    equation = doc.get("benchmark", {}).get("equation")
+    data_path = doc.get("benchmark", {}).get("data")
     if (equation is None) == (data_path is None):
         raise ConfigError("exactly one of --benchmark or --data is required")
 
@@ -266,9 +255,9 @@ def cmd_run(args) -> int:
         grid = train
 
     name = spec.name if spec is not None else train.name
-    backend = make_backend_factory(doc, args, [name])(name, config.seed)
+    backend = make_backend_factory(doc, [name])(name, config.seed)
 
-    out_dir = args.out or doc.get("output", {}).get("dir") or "."
+    out_dir = doc.get("output", {}).get("dir") or "."
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "runlog.jsonl")
 
@@ -303,9 +292,9 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    doc = load_config(args.config) if args.config else {}
-    config = build_engine_config(doc, args)
-    suite_token = args.suite or doc.get("benchmark", {}).get("suite")
+    doc = _config(args)
+    config = build_engine_config(doc)
+    suite_token = doc.get("benchmark", {}).get("suite")
     if not suite_token:
         raise ConfigError("--suite is required")
     names = []
@@ -325,8 +314,8 @@ def cmd_bench(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
-    factory = make_backend_factory(doc, args, names)
-    out_dir = args.out or doc.get("output", {}).get("dir") or "bench_out"
+    factory = make_backend_factory(doc, names)
+    out_dir = doc.get("output", {}).get("dir") or "bench_out"
     report = bench.run_suite(names, config, seeds, factory,
                              jobs=args.jobs, out_dir=out_dir)
     for cell in report.cells:
@@ -359,7 +348,7 @@ def _cells_from_run_dir(runs_dir) -> list:
             path = os.path.join(eq_dir, seed_name, "summary.json")
             if not os.path.isfile(path):
                 continue
-            summary = _read_json(path, path)
+            summary = _read(path, "stored summary")
             try:
                 best = summary.get("best")
                 if not best:
@@ -411,13 +400,7 @@ def _report_from_results(paths) -> bench.EvalReport:
         results = path
         if os.path.isdir(path):
             results = os.path.join(path, "results.csv")
-        try:
-            with open(results, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.DictReader(fh)
-                rows = list(reader)
-        except (OSError, ValueError, csv.Error) as exc:
-            raise ConfigError(f"cannot read {results}: {exc}") from exc
-        for row in rows:
+        for row in _read(results, "results file", lambda fh: list(csv.DictReader(fh))):
             try:
                 if row["benchmark"] not in bench.REFERENCE_COMPLEXITY:
                     raise ValueError(f"unknown family {row['benchmark']!r}")
@@ -453,18 +436,23 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_engine_flags(p: argparse.ArgumentParser):
+    """--config, and the flags that override its keys: each one's dest is
+    the "section.key" it overrides (see _config)."""
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--backend", choices=["live", "replay"])
-    p.add_argument("--endpoint", help="base URL of the chat-completions service")
-    p.add_argument("--model", help="model name sent on the wire")
-    p.add_argument("--replay-file", dest="replay_file",
+    p.add_argument("--backend", dest="backend.kind", choices=["live", "replay"])
+    p.add_argument("--endpoint", dest="backend.endpoint",
+                   help="base URL of the chat-completions service")
+    p.add_argument("--model", dest="engine.model", help="model name sent on the wire")
+    p.add_argument("--replay-file", dest="backend.replay_file",
                    help="JSON array of responses, or object keyed by equation")
-    p.add_argument("--lambda", dest="lam", type=float,
+    p.add_argument("--lambda", dest="score.lam", type=float,
                    help="complexity reward weight")
-    p.add_argument("--iterations", type=int, help="max refinement iterations")
-    p.add_argument("--ns", type=int, help="number of seed calls")
-    p.add_argument("--topk", type=int, help="trajectory size")
-    p.add_argument("--mode", choices=["full", "seed-only", "random"])
+    p.add_argument("--iterations", dest="engine.max_iterations", type=int,
+                   help="max refinement iterations")
+    p.add_argument("--ns", dest="engine.n_seed_calls", type=int, help="number of seed calls")
+    p.add_argument("--topk", dest="engine.top_k", type=int, help="trajectory size")
+    p.add_argument("--mode", dest="engine.mode", choices=["full", "seed-only", "random"])
+    p.add_argument("--out", dest="output.dir", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,21 +464,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one equation or ad-hoc dataset")
     _add_engine_flags(p_run)
-    p_run.add_argument("--benchmark", help="equation name, e.g. nguyen8")
-    p_run.add_argument("--data", help="CSV with columns x[,x2],y")
-    p_run.add_argument("--seed", type=int, help="run seed")
-    p_run.add_argument("--out", help="output directory")
+    p_run.add_argument("--benchmark", dest="benchmark.equation",
+                       help="equation name, e.g. nguyen8")
+    p_run.add_argument("--data", dest="benchmark.data", help="CSV with columns x[,x2],y")
+    p_run.add_argument("--seed", dest="engine.seed", type=int, help="run seed")
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite grid")
     _add_engine_flags(p_bench)
-    p_bench.add_argument("--suite",
+    p_bench.add_argument("--suite", dest="benchmark.suite",
                          help="family (nguyen/constant/keijzer/r), 'all', "
                               "equation name, or comma list")
     p_bench.add_argument("--seeds", help="comma-separated seed list, default 1-5")
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the grid (forked, at most one per cell)")
-    p_bench.add_argument("--out", help="output directory")
     p_bench.set_defaults(func=cmd_bench)
 
     p_ood = sub.add_parser("ood", help="evaluate stored candidates out of domain")
@@ -513,7 +500,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BackendError, bench.SamplingError) as exc:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from icsr.cli import (
     EXIT_NO_SEEDS,
     EXIT_OK,
     ConfigError,
+    build_engine_config,
     load_config,
     main,
 )
 from icsr.expr import parse
-from icsr.llm import API_KEY_ENV, BackendError
+from icsr.llm import API_KEY_ENV, BackendError, CompletionResponse
 
 
 def write_json(path, doc):
@@ -44,8 +46,13 @@ def test_load_config_rejects_unknown_section(tmp_path):
         load_config(path)
 
 
-def test_load_config_rejects_unknown_key(tmp_path):
-    path = write_json(tmp_path / "c.json", {"engine": {"n_seeds": 3}})
+@pytest.mark.parametrize("doc", [
+    {"engine": {"n_seeds": 3}},
+    {"engine": {"fit": {}}},
+    {"engine": {"sampling": {}}},
+], ids=["n_seeds", "nested-fit", "nested-sampling"])
+def test_load_config_rejects_unknown_key(tmp_path, doc):
+    path = write_json(tmp_path / "c.json", doc)
     with pytest.raises(ConfigError, match="unknown keys"):
         load_config(path)
 
@@ -84,6 +91,17 @@ def test_load_config_rejects_broken_json(tmp_path):
     path.write_text("{nope", encoding="utf-8")
     with pytest.raises(ConfigError, match="valid JSON"):
         load_config(str(path))
+
+
+def test_readme_example_config_builds(tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Configuration file", 1)[1]
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "c.json"
+    path.write_text(block, encoding="utf-8")
+    config = build_engine_config(load_config(str(path)))
+    assert config.schedule.mode == "linear"
+    assert config.model == "my-model"
 
 
 def test_main_reports_config_errors_with_exit_2(tmp_path, capsys):
@@ -166,7 +184,11 @@ def test_run_adhoc_csv_dataset(tmp_path, capsys):
     assert (out / "predictions.csv").exists()
 
 
-def test_run_data_csv_validation(tmp_path, capsys):
+def test_run_data_csv_validation(tmp_path, monkeypatch, capsys):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a model call was made")
+
+    monkeypatch.setattr("icsr.llm.ReplayBackend.complete", no_call)
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2,3,4\n", encoding="utf-8")
     replay = write_json(tmp_path / "replay.json", ["f1(x) = c"])
@@ -181,23 +203,31 @@ def test_run_data_csv_validation(tmp_path, capsys):
     code = main(["run", "--data", str(bad), "--replay-file", replay])
     assert code == EXIT_CONFIG
     assert "differ in length" in capsys.readouterr().err
+    for text in (b"x,y\n\xff,1\n", b"x,y\n" + b"a" * 200_000 + b",1\n"):
+        bad.write_bytes(text)
+        code = main(["run", "--data", str(bad), "--replay-file", replay])
+        assert code == EXIT_CONFIG
+        assert f"cannot read data file {bad}" in capsys.readouterr().err
 
 
 def test_malformed_replay_scripts_exit_2_before_any_run(tmp_path, capsys):
+    replay = tmp_path / "replay.json"
     cases = [
-        ({"nguyen1": "f1(x) = c*x"}, "replay entry 'nguyen1' must be an array of strings"),
-        ({"nguyen1": [1]}, "replay entry 'nguyen1' must be an array of strings"),
-        ([1, 2], "replay file must be an array of strings"),
-        ("f1(x) = c*x", "replay file must be a JSON array or an object of arrays"),
+        (json.dumps({"nguyen1": "f1(x) = c*x"}),
+         "replay entry 'nguyen1' must be an array of strings"),
+        (json.dumps({"nguyen1": [1]}), "replay entry 'nguyen1' must be an array of strings"),
+        (json.dumps([1, 2]), "replay file must be an array of strings"),
+        (json.dumps("f1(x) = c*x"), "replay file must be a JSON array or an object of arrays"),
+        ("[" * 100_000 + "]" * 100_000, f"cannot read replay file {replay}"),
     ]
-    for doc, message in cases:
-        replay = write_json(tmp_path / "replay.json", doc)
+    for text, message in cases:
+        replay.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
-        code = main(["run", "--benchmark", "nguyen1", "--replay-file", replay,
+        code = main(["run", "--benchmark", "nguyen1", "--replay-file", str(replay),
                      "--ns", "1", "--iterations", "0", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
-        code = main(["bench", "--suite", "nguyen1", "--seeds", "1", "--replay-file", replay,
+        code = main(["bench", "--suite", "nguyen1", "--seeds", "1", "--replay-file", str(replay),
                      "--ns", "1", "--iterations", "0", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -243,6 +273,7 @@ def test_run_bad_fit_config_exits_2(tmp_path, capsys, text, key):
     ('{"sampling": {"max_new_tokens": 2.5}}', "max_new_tokens"),
     ('{"engine": {"model": 5}}', "model"),
     ('{"score": {"lam": true}}', "lam"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "c.json", id="nested-100000-deep"),
 ])
 def test_run_badly_typed_engine_config_exits_2_before_any_call(
         tmp_path, monkeypatch, capsys, text, key):
@@ -304,21 +335,74 @@ def test_run_good_live_backend_options_reach_the_backend(tmp_path, monkeypatch):
     assert seen and seen[0] == (2, 1, 0.0, True)
 
 
-def test_run_flag_overrides_config_file(tmp_path, capsys):
-    cfg = write_json(tmp_path / "c.json", {
-        "engine": {"n_seed_calls": 5, "max_iterations": 7},
-        "score": {"lam": 0.05},
-    })
-    replay = write_json(tmp_path / "replay.json", ["f1(x) = sqrt(x)"])
-    out = tmp_path / "out"
-    code = main(["run", "--benchmark", "nguyen8", "--config", cfg,
-                 "--replay-file", replay, "--ns", "1", "--iterations", "0",
-                 "--lambda", "0.1", "--out", str(out)])
-    assert code == EXIT_OK
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary["config"]["n_seed_calls"] == 1
-    assert summary["config"]["max_iterations"] == 0
-    assert summary["config"]["lam"] == 0.1
+def _summary(out):
+    return json.loads((out / "summary.json").read_text(encoding="utf-8"))
+
+
+# flag, its value, a config file that sets the key it overrides, and a
+# check that the flag's value won
+_OVERRIDES = [
+    ("--ns", "1", {"engine": {"n_seed_calls": 5}},
+     lambda out, reached: _summary(out)["config"]["n_seed_calls"] == 1),
+    ("--iterations", "0", {"engine": {"max_iterations": 7}},
+     lambda out, reached: _summary(out)["config"]["max_iterations"] == 0),
+    ("--topk", "3", {"engine": {"top_k": 2}},
+     lambda out, reached: _summary(out)["config"]["top_k"] == 3),
+    ("--mode", "seed-only", {"engine": {"mode": "random"}},
+     lambda out, reached: _summary(out)["mode"] == "seed-only"),
+    ("--model", "flag-model", {"engine": {"model": "file-model"}},
+     lambda out, reached: _summary(out)["config"]["model"] == "flag-model"),
+    ("--seed", "9", {"engine": {"seed": 4}},
+     lambda out, reached: _summary(out)["config"]["seed"] == 9),
+    ("--lambda", "0.1", {"score": {"lam": 0.05}},
+     lambda out, reached: _summary(out)["config"]["lam"] == 0.1),
+    ("--backend", "replay", {"backend": {"kind": "live", "endpoint": "http://127.0.0.1:9/v1"}},
+     lambda out, reached: reached == [] and _summary(out)["calls_issued"] == 1),
+    ("--endpoint", "http://127.0.0.1:9/flag",
+     {"backend": {"kind": "live", "endpoint": "http://127.0.0.1:9/file"}},
+     lambda out, reached: reached == ["http://127.0.0.1:9/flag"]),
+    ("--replay-file", "replay.json", {"backend": {"replay_file": "missing.json"}},
+     lambda out, reached: _summary(out)["best"]["skeleton"] == "c + c*x"),
+    ("--benchmark", "nguyen8", {"benchmark": {"equation": "nguyen1"}},
+     lambda out, reached: _summary(out)["dataset"]["name"] == "nguyen8"),
+    ("--data", "line.csv", {"benchmark": {"data": "missing.csv"}},
+     lambda out, reached: _summary(out)["dataset"]["name"] == "line"),
+    ("--suite", "R1", {"benchmark": {"suite": "R2"}},
+     lambda out, reached: os.listdir(out / "runs") == ["R1"]),
+    ("--out", "out", {"output": {"dir": "file_out"}},
+     lambda out, reached: (out / "summary.json").exists()
+     and not (out.parent / "file_out").exists()),
+]
+
+
+@pytest.mark.parametrize("flag,value,doc,check", _OVERRIDES,
+                         ids=[case[0].lstrip("-") for case in _OVERRIDES])
+def test_run_flag_overrides_config_file(tmp_path, monkeypatch, flag, value, doc, check):
+    reached = []
+
+    def complete(self, request):
+        reached.append(self.endpoint)
+        return CompletionResponse(text="f1(x) = c*x + c")
+
+    monkeypatch.setenv(API_KEY_ENV, "test-key")
+    monkeypatch.setattr("icsr.llm.LiveBackend.complete", complete)
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "replay.json", ["f1(x) = c*x + c"])
+    (tmp_path / "line.csv").write_text(
+        "x,y\n" + "".join(f"{v},{2 * v + 1}\n" for v in range(9)), encoding="utf-8")
+    flags = {"--replay-file": "replay.json", "--ns": "1", "--iterations": "0", "--out": "out"}
+    if flag == "--suite":
+        command, flags["--seeds"] = "bench", "1"
+    else:
+        command = "run"
+        if flag != "--data":
+            flags["--benchmark"] = "nguyen8"
+    flags[flag] = value
+    argv = [command, "--config", write_json(tmp_path / "c.json", doc)]
+    for name, given in flags.items():
+        argv += [name, given]
+    assert main(argv) == EXIT_OK
+    assert check(tmp_path / "out", reached)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +582,7 @@ def test_ood_rejects_corrupt_stored_candidates(tmp_path, capsys):
 
     cases = [
         ("{not json", "is not valid JSON"),
+        ("[" * 100_000 + "]" * 100_000, "cannot read stored summary"),
         (with_best(skeleton="c*y"), "unknown identifier 'y'"),
         (with_best(coefficients=["a", "b"]), "bad stored candidate"),
         (with_best(skeleton="c*x+c", coefficients=[1.0]),
@@ -516,12 +601,14 @@ def test_ood_rejects_corrupt_stored_candidates(tmp_path, capsys):
 def test_report_rejects_malformed_results(tmp_path, capsys):
     results = tmp_path / "results.csv"
     cases = [
-        ("benchmark,equation,r2,complexity,status\nr,R1,1,5,ok\n", "'seed'"),
-        ("benchmark,equation,seed,r2,complexity,status\nr,R1,one,1,5,ok\n", "'one'"),
-        ("benchmark,equation,seed,status,r2,complexity\nzzz,R1,1,ok,1,5\n", "'zzz'"),
+        (b"benchmark,equation,r2,complexity,status\nr,R1,1,5,ok\n", "'seed'"),
+        (b"benchmark,equation,seed,r2,complexity,status\nr,R1,one,1,5,ok\n", "'one'"),
+        (b"benchmark,equation,seed,status,r2,complexity\nzzz,R1,1,ok,1,5\n", "'zzz'"),
+        (b"benchmark,equation,seed,status,r2,complexity\nr,R\xff1,1,ok,1,5\n",
+         "can't decode byte 0xff"),
     ]
     for text, token in cases:
-        results.write_text(text, encoding="utf-8")
+        results.write_bytes(text)
         assert main(["report", "--runs", str(results), "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(results) in err
@@ -538,3 +625,27 @@ def test_report_requires_rows(tmp_path, capsys):
     empty.write_text("benchmark,equation,seed,r2,complexity,status\n",
                      encoding="utf-8")
     assert main(["report", "--runs", str(empty)]) == EXIT_CONFIG
+
+
+def test_unusable_output_dir_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a model call was made")
+
+    runs = _r1_bench_out(tmp_path)
+    monkeypatch.setattr("icsr.llm.ReplayBackend.complete", no_call)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = str(blocker / "x")
+    replay = str(tmp_path / "replay.json")
+    cfg = write_json(tmp_path / "c.json", {"output": {"dir": out}})
+    capsys.readouterr()
+    for argv in (["run", "--benchmark", "R1", "--replay-file", replay, "--out", out],
+                 ["run", "--benchmark", "R1", "--replay-file", replay, "--config", cfg],
+                 ["bench", "--suite", "R1", "--seeds", "1", "--replay-file", replay,
+                  "--out", out],
+                 ["bench", "--suite", "R1", "--seeds", "1,2", "--jobs", "2",
+                  "--replay-file", replay, "--config", cfg],
+                 ["ood", "--runs", str(runs), "--out", out],
+                 ["report", "--runs", str(runs), "--out", out]):
+        assert main(argv) == EXIT_CONFIG
+        assert out in capsys.readouterr().err
