@@ -8,7 +8,7 @@ enough or the call budget runs out.
 """
 
 from .dataset import Dataset
-from .engine import EngineConfig, NoValidSeedsError, budget_report, run, run_random_guessing
+from .engine import EngineConfig, NoValidSeedsError, budget_report, run
 from .expr import ParseError, canonicalize, complexity, evaluate_batch, parse, render
 from .fit import FitConfig, FitResult
 from .llm import (
@@ -29,7 +29,6 @@ __all__ = [
     "NoValidSeedsError",
     "budget_report",
     "run",
-    "run_random_guessing",
     "ParseError",
     "canonicalize",
     "complexity",

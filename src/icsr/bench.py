@@ -148,15 +148,13 @@ def equispaced_grid(low, high, num: int, dim: int) -> np.ndarray:
     return X[:num]
 
 
-def sample(spec: BenchmarkSpec, split: str, seed: int | None = None) -> Dataset:
+def sample(spec: BenchmarkSpec, split: str) -> Dataset:
     """Draw a benchmark split.  Uniform splits resample any point where
     the ground truth is undefined; equispaced splits must be fully
     defined or the asset's ranges are wrong."""
     if split not in ("train", "test"):
         raise ValueError("split must be 'train' or 'test'")
     sampler = spec.train if split == "train" else spec.test
-    if seed is None:
-        seed = dataset_seed(spec.name, split)
     gt = spec.ground_truth()
     low = np.asarray(sampler.low)
     high = np.asarray(sampler.high)
@@ -169,7 +167,7 @@ def sample(spec: BenchmarkSpec, split: str, seed: int | None = None) -> Dataset:
                 f"{spec.name}/{split}: ground truth undefined on equispaced grid"
             )
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(dataset_seed(spec.name, split))
         X = rng.uniform(low, high, size=(sampler.num, spec.dim))
         y = evaluate_batch(gt, np.empty(0), X)
         rounds = 0
@@ -180,7 +178,7 @@ def sample(spec: BenchmarkSpec, split: str, seed: int | None = None) -> Dataset:
             bad = np.isnan(y)
             X[bad] = rng.uniform(low, high, size=(int(bad.sum()), spec.dim))
             y = evaluate_batch(gt, np.empty(0), X)
-    return Dataset(X=X, y=y, name=spec.name, split=split, seed=seed)
+    return Dataset(X=X, y=y, name=spec.name, split=split)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,8 @@ def cmd_bench(args) -> int:
         raise ConfigError("empty seeds list")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    # a repeated equation or seed would rerun its cells into one directory
+    names, seeds = list(dict.fromkeys(names)), list(dict.fromkeys(seeds))
 
     factory = make_backend_factory(doc, names)
     out_dir = doc.get("output", {}).get("dir") or "bench_out"
@@ -384,8 +386,9 @@ def cmd_ood(args) -> int:
     cells = _cells_from_run_dir(args.runs)
     if not cells:
         raise ConfigError(f"no stored candidates under {args.runs}")
-    rows = bench.ood_rows(cells, extensions)
     out_dir = args.out or args.runs
+    os.makedirs(out_dir, exist_ok=True)
+    rows = bench.ood_rows(cells, extensions)
     atomic_write_text(os.path.join(out_dir, "ood.csv"), bench.ood_csv(rows))
     for row in rows:
         print(f"{row['benchmark']} e={row['extension']}: "
@@ -421,8 +424,9 @@ def cmd_report(args) -> int:
     report = _report_from_results(args.runs)
     if not report.cells:
         raise ConfigError("no result rows found")
-    text = bench.summary_csv(report)
     out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    text = bench.summary_csv(report)
     atomic_write_text(os.path.join(out_dir, "report.csv"), text)
     print(text, end="")
     missing = sum(1 for c in report.cells if c.status != "ok")

@@ -21,7 +21,6 @@ class Dataset:
     y: np.ndarray
     name: str = "adhoc"
     split: str = "train"
-    seed: int | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)

@@ -28,10 +28,10 @@ from .llm import (
     TemperatureSchedule,
 )
 from .prompts import (
-    PromptContext,
     build_loop_prompt,
     build_random_prompt,
     build_seed_prompt,
+    display_points,
     extract_candidates,
 )
 from .score import ScoreConfig, Scores, fitness, nmse, r_squared
@@ -77,15 +77,6 @@ class EngineConfig:
         if mode not in (MODE_FULL, MODE_SEED_ONLY, MODE_RANDOM):
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "mode", mode)
-
-    def resolved_schedule(self) -> TemperatureSchedule:
-        if self.schedule is not None:
-            return self.schedule
-        t = self.sampling.temperature
-        return TemperatureSchedule(
-            mode="constant", start=t, end=t,
-            total_iterations=max(self.max_iterations, 1),
-        )
 
 
 @dataclass(frozen=True)
@@ -153,12 +144,8 @@ class RunRecord:
     """Complete account of one run: every call with its outcomes, the
     winning candidate, and enough config echo to reproduce the run."""
 
-    mode: str
     config: EngineConfig
-    dataset_name: str
-    dataset_split: str
-    dataset_n: int
-    dataset_dim: int
+    dataset: Dataset
     calls: list = field(default_factory=list)
     best: Candidate | None = None
     early_stopped: bool = False
@@ -171,7 +158,7 @@ class RunRecord:
             best = {
                 "raw": c.raw,
                 "skeleton": c.skeleton.key,
-                "expression": render(c.skeleton.expr, c.fit.coefficients, self.dataset_dim),
+                "expression": render(c.skeleton.expr, c.fit.coefficients, self.dataset.dim),
                 "coefficients": [float(v) for v in c.fit.coefficients],
                 "origin": c.origin,
                 "nmse": c.scores.nmse,
@@ -181,15 +168,10 @@ class RunRecord:
                 "complexity": c.scores.complexity,
                 "sse": c.fit.sse,
             }
-        cfg = self.config
+        cfg, data = self.config, self.dataset
         return {
-            "mode": self.mode,
-            "dataset": {
-                "name": self.dataset_name,
-                "split": self.dataset_split,
-                "n": self.dataset_n,
-                "dim": self.dataset_dim,
-            },
+            "mode": cfg.mode,
+            "dataset": {"name": data.name, "split": data.split, "n": data.n, "dim": data.dim},
             "config": {
                 "n_seed_calls": cfg.n_seed_calls,
                 "max_iterations": cfg.max_iterations,
@@ -251,21 +233,13 @@ class _Run:
         self.cache: dict[str, Candidate | None] = {}
         # raw line -> (complexity, Skeleton), or its ParseError message
         self.lines: dict[str, tuple | str] = {}
-        self.prompt_context = PromptContext.from_dataset(dataset)
+        self.points = display_points(dataset)
         self.trajectory = Trajectory(config.top_k)
-        self.record = RunRecord(
-            mode=config.mode,
-            config=config,
-            dataset_name=dataset.name,
-            dataset_split=dataset.split,
-            dataset_n=dataset.n,
-            dataset_dim=dataset.dim,
-        )
+        self.record = RunRecord(config=config, dataset=dataset)
 
     # -- one backend call -------------------------------------------------
 
-    def call(self, phase: str, index: int, prompt: str, temperature: float,
-             use_trajectory: bool) -> CallRecord:
+    def call(self, phase: str, index: int, prompt: str, temperature: float) -> CallRecord:
         rec = CallRecord(phase=phase, index=index, temperature=temperature, prompt=prompt)
         params = replace(self.config.sampling, temperature=temperature)
         request = CompletionRequest(
@@ -281,7 +255,7 @@ class _Run:
             rec.response = response.text
             rec.usage = response.usage
             rec.latency = response.latency
-            self.process_response(rec, use_trajectory)
+            self.process_response(rec)
         self.record.calls.append(rec)
         self.log.append(rec.to_doc())
         return rec
@@ -302,7 +276,7 @@ class _Run:
             self.lines[raw] = entry
         return entry
 
-    def process_response(self, rec: CallRecord, use_trajectory: bool):
+    def process_response(self, rec: CallRecord):
         accepted = 0
         for raw in extract_candidates(rec.response):
             if accepted >= self.config.functions_per_call:
@@ -352,8 +326,7 @@ class _Run:
                 origin=f"{rec.phase}:{rec.index}",
             )
             self.cache[skeleton.key] = candidate
-            if use_trajectory:
-                self.trajectory.add(candidate)
+            self.trajectory.add(candidate)
             if self.record.best is None or err < self.record.best.scores.error:
                 self.record.best = candidate
             if scores.r2_train > self.config.early_stop_r2:
@@ -366,30 +339,27 @@ class _Run:
     # -- phases --------------------------------------------------------------
 
     def seed_phase(self):
-        prompt = build_seed_prompt(self.prompt_context)
+        prompt = build_seed_prompt(self.points, self.dataset.dim)
         for i in range(self.config.n_seed_calls):
             if self.record.early_stopped:
                 break
-            self.call("seed", i, prompt, self.config.sampling.temperature,
-                      use_trajectory=True)
+            self.call("seed", i, prompt, self.config.sampling.temperature)
 
     def loop_phase(self):
-        schedule = self.config.resolved_schedule()
+        schedule = self.config.schedule
         for j in range(self.config.max_iterations):
             if self.record.early_stopped:
                 break
-            ctx = replace(self.prompt_context,
-                          trajectory=tuple(self.trajectory.view_worst_first()))
-            prompt = build_loop_prompt(ctx)
-            self.call("loop", j, prompt, schedule.temperature_at(j),
-                      use_trajectory=True)
+            prompt = build_loop_prompt(self.points, self.dataset.dim,
+                                       self.trajectory.view_worst_first())
+            self.call("loop", j, prompt, self.config.sampling.temperature
+                      if schedule is None else schedule.temperature_at(j))
 
     def random_phase(self):
         prompt = build_random_prompt(self.dataset.dim)
         total = self.config.n_seed_calls + self.config.max_iterations
         for i in range(total):
-            self.call("random", i, prompt, self.config.sampling.temperature,
-                      use_trajectory=False)
+            self.call("random", i, prompt, self.config.sampling.temperature)
 
 
 def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRecord:
@@ -421,12 +391,6 @@ def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRe
         if config.mode == MODE_FULL:
             state.loop_phase()
         return state.record
-
-
-def run_random_guessing(dataset: Dataset, config: EngineConfig, backend,
-                        log_path=None) -> RunRecord:
-    """run() in random mode, whatever mode config names."""
-    return run(dataset, replace(config, mode=MODE_RANDOM), backend, log_path)
 
 
 def budget_report(record: RunRecord) -> BudgetCounters:

@@ -35,10 +35,6 @@ _FUNCTIONS = frozenset(op for op in UNARY_OPS if op != "neg")
 class ParseError(ValueError):
     """Raised when candidate text is not a well-formed expression."""
 
-    def __init__(self, message: str, position: int = -1):
-        super().__init__(message)
-        self.position = position
-
 
 @dataclass(frozen=True)
 class Expr:
@@ -111,19 +107,19 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos}", pos)
+            raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
         kind = m.lastgroup
         if kind != "ws":
             value = m.group()
             if kind == "pow":
                 kind, value = "op", "^"
-            tokens.append((kind, value, pos))
+            tokens.append((kind, value))
         pos = m.end()
     return tokens
 
@@ -169,7 +165,7 @@ class _Parser:
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
 
     def advance(self):
         tok = self.peek()
@@ -179,35 +175,35 @@ class _Parser:
     def expect(self, kind, value=None):
         tok = self.advance()
         if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(f"expected {value or kind}, got {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {value or kind}, got {tok[1]!r}")
         return tok
 
     def parse(self) -> Expr:
         node = self.expr()
-        kind, value, pos = self.peek()
+        kind, value = self.peek()
         if kind is not None:
-            raise ParseError(f"trailing input at {value!r}", pos)
+            raise ParseError(f"trailing input at {value!r}")
         return node
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+        while self.peek() in (("op", "+"), ("op", "-")):
             op = self.advance()[1]
             node = bin_(op, node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
+        while self.peek() in (("op", "*"), ("op", "/")):
             op = self.advance()[1]
             node = bin_(op, node, self.unary())
         return node
 
     def unary(self) -> Expr:
-        kind, value, pos = self.peek()
+        kind, value = self.peek()
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels")
         if kind == "op" and value in ("-", "+"):
             self.advance()
             node = self.unary()
@@ -220,14 +216,13 @@ class _Parser:
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
+        if self.peek() == ("op", "^"):
             self.advance()
             return bin_("^", base, self.unary())
         return base
 
     def atom(self) -> Expr:
-        kind, value, pos = self.advance()
+        kind, value = self.advance()
         if kind == "num":
             return lit(float(value))
         if kind == "lparen":
@@ -246,8 +241,8 @@ class _Parser:
                 inner = self.expr()
                 self.expect("rparen")
                 return un_(value.lower(), inner)
-            raise ParseError(f"unknown identifier {value!r}", pos)
-        raise ParseError(f"unexpected token {value!r}", pos)
+            raise ParseError(f"unknown identifier {value!r}")
+        raise ParseError(f"unexpected token {value!r}")
 
 
 def parse(text: str, dimensionality: int = 1) -> Expr:
@@ -268,8 +263,7 @@ def parse(text: str, dimensionality: int = 1) -> Expr:
     # checked after parsing, so a line that is also malformed or nested
     # too deep reports that first
     if len(tokens) > MAX_TOKENS:
-        raise ParseError(f"expression has more than {MAX_TOKENS} tokens",
-                         tokens[MAX_TOKENS][2])
+        raise ParseError(f"expression has more than {MAX_TOKENS} tokens")
     return tree
 
 

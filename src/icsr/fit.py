@@ -186,7 +186,7 @@ def _levenberg_marquardt(plan, starts, X, y, config):
                     stops[i] = "mu_overflow"
                     live[i] = False
                 continue
-            rho = actual / predicted
+            rho = min(actual / predicted, 1.0)  # same 1/3 below; a huge rho overflows ** 3
             c[i], defined[i] = trials[t], trial_defined[t]
             if abs(actual) <= config.ftol * max(sse[i], 1e-300):
                 stops[i] = "ftol"
@@ -210,6 +210,7 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     return c, defined, sse, iterations, stops
 
 
+@np.errstate(all="ignore")  # overflow in an SSE or a step is handled as inf
 def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
         rng: np.random.Generator | None = None) -> FitResult:
     """Fit skeleton coefficients to the dataset's training points.

@@ -10,7 +10,6 @@ coordinate wording) and everything else is left untouched.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -55,23 +54,10 @@ def format_points(X: np.ndarray, y: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class PromptContext:
-    """Everything a prompt needs: the formatted display slice of the
-    dataset, the dimensionality, and the current trajectory view
-    (rendered function and error pairs, worst error first).  A run
-    formats the points once and swaps in each call's trajectory with
-    dataclasses.replace."""
-
-    points: str
-    dimensionality: int
-    trajectory: tuple = ()
-
-    @classmethod
-    def from_dataset(cls, dataset, trajectory=()) -> "PromptContext":
-        Xs, ys = select_display_points(dataset.X, dataset.y)
-        return cls(points=format_points(Xs, ys), dimensionality=dataset.dim,
-                   trajectory=tuple(trajectory))
+def display_points(dataset) -> str:
+    """The block of training points every seed and loop prompt shows; a
+    run formats it once."""
+    return format_points(*select_display_points(dataset.X, dataset.y))
 
 
 def _prompt(name: str, dim: int, **slots: str) -> str:
@@ -92,8 +78,8 @@ def _prompt(name: str, dim: int, **slots: str) -> str:
     return text
 
 
-def build_seed_prompt(ctx: PromptContext) -> str:
-    return _prompt("seed", ctx.dimensionality, points=ctx.points)
+def build_seed_prompt(points: str, dim: int) -> str:
+    return _prompt("seed", dim, points=points)
 
 
 def format_trajectory(entries) -> str:
@@ -104,14 +90,16 @@ def format_trajectory(entries) -> str:
     return "\n".join(lines)
 
 
-def build_loop_prompt(ctx: PromptContext) -> str:
-    if not ctx.trajectory:
+def build_loop_prompt(points: str, dim: int, trajectory) -> str:
+    """The loop prompt for a trajectory of (skeleton, error) pairs, worst
+    error first."""
+    if not trajectory:
         raise ValueError("loop prompt needs a non-empty trajectory")
-    errs = [err for _, err in ctx.trajectory]
+    errs = [err for _, err in trajectory]
     if any(errs[i] < errs[i + 1] for i in range(len(errs) - 1)):
         raise ValueError("trajectory must be ordered worst (highest error) first")
-    return _prompt("loop", ctx.dimensionality, points=ctx.points,
-                   previous_trajectory=format_trajectory(ctx.trajectory))
+    return _prompt("loop", dim, points=points,
+                   previous_trajectory=format_trajectory(trajectory))
 
 
 def build_random_prompt(num_variables: int) -> str:

@@ -43,6 +43,7 @@ class Scores:
     complexity: int
 
 
+@np.errstate(over="ignore")  # a finite miss whose square overflows is inf
 def nmse(predictions, targets, eps: float = 1e-9) -> float:
     """Squared error normalized by the target's raw power term.
 
@@ -74,6 +75,7 @@ def fitness(nmse_value: float, complexity: int, config: ScoreConfig = ScoreConfi
     return r, 1.0 / r
 
 
+@np.errstate(over="ignore")
 def r_squared(predictions, targets) -> float:
     """Coefficient of determination, untrimmed.
 
@@ -92,6 +94,7 @@ def r_squared(predictions, targets) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+@np.errstate(over="ignore")
 def r_squared_trimmed(predictions, targets, trim_fraction: float = 0.05) -> float:
     """R-squared after dropping the floor(trim_fraction * n) predictions
     with the largest squared error.  The target mean is recomputed on the

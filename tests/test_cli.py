@@ -450,6 +450,18 @@ def test_bench_oracle_suite_and_report_round_trip(tmp_path, capsys):
         assert not rejected.exists()
 
 
+def test_bench_runs_repeated_equations_and_seeds_once(tmp_path, capsys):
+    replay = _oracle_replay_file(tmp_path, ["R1", "R2", "R3"])
+    out = tmp_path / "bench_out"
+    code = main(["bench", "--suite", "R1,r", "--seeds", "1,1",
+                 "--replay-file", replay, "--ns", "1", "--iterations", "0",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert "3/3 runs ok" in capsys.readouterr().out
+    rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [["R1", "1"], ["R2", "1"], ["R3", "1"]]
+
+
 def test_bench_failure_sets_exit_code(tmp_path, capsys):
     spec = get_benchmark("R1")
     doc = {
@@ -648,4 +660,20 @@ def test_unusable_output_dir_exits_2_naming_it(tmp_path, monkeypatch, capsys):
                  ["ood", "--runs", str(runs), "--out", out],
                  ["report", "--runs", str(runs), "--out", out]):
         assert main(argv) == EXIT_CONFIG
+        assert out in capsys.readouterr().err
+
+
+def test_ood_and_report_check_out_before_computing(tmp_path, monkeypatch, capsys):
+    def no_call(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    runs = _r1_bench_out(tmp_path)
+    monkeypatch.setattr("icsr.bench.ood_rows", no_call)
+    monkeypatch.setattr("icsr.bench.summary_csv", no_call)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = str(blocker / "x")
+    capsys.readouterr()
+    for command in ("ood", "report"):
+        assert main([command, "--runs", str(runs), "--out", out]) == EXIT_CONFIG
         assert out in capsys.readouterr().err

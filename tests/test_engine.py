@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import icsr.engine
 from icsr.dataset import Dataset
@@ -20,11 +20,10 @@ from icsr.engine import (
     Trajectory,
     budget_report,
     run,
-    run_random_guessing,
 )
 from icsr.expr import canonicalize, parse
 from icsr.fit import fit
-from icsr.llm import BackendError, ReplayBackend, TemperatureSchedule
+from icsr.llm import BackendError, ReplayBackend, SamplingParams, TemperatureSchedule
 
 
 def parabola(n=20):
@@ -62,13 +61,6 @@ def test_config_validation():
 
 def test_config_mode_alias():
     assert EngineConfig(mode="random-guessing").mode == MODE_RANDOM
-
-
-def test_config_default_schedule_is_constant_at_base_temperature():
-    cfg = config()
-    sched = cfg.resolved_schedule()
-    assert sched.temperature_at(0) == cfg.sampling.temperature
-    assert sched.temperature_at(cfg.max_iterations - 1) == cfg.sampling.temperature
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +181,23 @@ def test_loop_trajectory_worst_first_in_prompt():
     assert c_pos < cx_pos  # constant fits worse, listed first
 
 
-def test_loop_respects_temperature_schedule():
-    sched = TemperatureSchedule(mode="linear", start=1.0, end=0.4, total_iterations=4)
+@pytest.mark.parametrize("schedule, loop_temps", [
+    (TemperatureSchedule(mode="linear", start=1.0, end=0.4, total_iterations=4),
+     [1.0, 0.8, 0.6, 0.4]),
+    # no schedule: every loop call keeps the base sampling temperature
+    (None, [0.7] * 4),
+], ids=["linear", "none"])
+def test_loop_respects_temperature_schedule(schedule, loop_temps):
     backend = ReplayBackend(["f1(x) = c"] + ["f1(x) = c"] * 4)
     record = run(
         parabola(),
-        config(n_seed_calls=1, max_iterations=4, schedule=sched),
+        config(n_seed_calls=1, max_iterations=4, schedule=schedule,
+               sampling=SamplingParams(temperature=0.7)),
         backend,
     )
     temps = [c.temperature for c in record.calls]
-    assert temps[0] == 1.0  # seed phase uses the base sampling temperature
-    np.testing.assert_allclose(temps[1:], [1.0, 0.8, 0.6, 0.4])
+    assert temps[0] == 0.7  # seed phase uses the base sampling temperature
+    np.testing.assert_allclose(temps[1:], loop_temps)
 
 
 def test_seed_only_mode_skips_loop():
@@ -364,8 +362,8 @@ def test_replay_exhaustion_mid_run_degrades_gracefully():
 def test_random_mode_uses_full_budget_without_feedback():
     responses = ["f1(x) = x^2"] + ["f1(x) = c"] * 4
     backend = ReplayBackend(responses)
-    record = run_random_guessing(
-        parabola(), config(n_seed_calls=2, max_iterations=3), backend
+    record = run(
+        parabola(), config(n_seed_calls=2, max_iterations=3, mode=MODE_RANDOM), backend
     )
     # perfect first answer, yet all five calls are spent: no early stop here
     assert len(record.calls) == 5
@@ -379,19 +377,69 @@ def test_random_mode_uses_full_budget_without_feedback():
 def test_run_delegates_random_mode():
     backend = ReplayBackend(["f1(x) = c"] * 5)
     record = run(
-        parabola(), config(n_seed_calls=2, max_iterations=3, mode=MODE_RANDOM),
+        parabola(), config(n_seed_calls=2, max_iterations=3, mode="random-guessing"),
         backend,
     )
-    assert record.mode == MODE_RANDOM
+    assert record.summary()["mode"] == MODE_RANDOM
     assert len(record.calls) == 5
 
 
 def test_random_mode_all_invalid_raises():
     backend = ReplayBackend(["nonsense"] * 3)
     with pytest.raises(NoValidSeedsError):
-        run_random_guessing(
-            parabola(), config(n_seed_calls=1, max_iterations=2), backend
-        )
+        run(parabola(), config(n_seed_calls=1, max_iterations=2, mode=MODE_RANDOM), backend)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed responses
+# ---------------------------------------------------------------------------
+
+_LEAF = st.sampled_from(["x", "x1", "x2", "c", "0", "-0.0", "2.5", "1e308", "1e-308", "7."])
+_FUNCTION = st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "erf", "sinh",
+                             "tanh"])
+# well-formed right-hand sides, and token soup that mostly is not
+_RHS = st.one_of(
+    st.recursive(_LEAF, lambda inner: st.one_of(
+        st.builds("({}{}{})".format, inner, st.sampled_from("+-*/^"), inner),
+        st.builds("{}({})".format, _FUNCTION, inner),
+        st.builds("-{}".format, inner),
+    ), max_leaves=10),
+    st.lists(st.one_of(_LEAF, _FUNCTION, st.sampled_from(
+        ["+", "-", "*", "/", "^", "**", "(", ")", " ", ",", "=", "`", "y", ".5e3"])),
+        max_size=24).map("".join),
+)
+_CANDIDATE_LINE = st.builds(
+    "{}f{}({}) = {}".format,
+    st.sampled_from(["", "- ", "* ", "3. ", "`", "Function: "]),
+    st.sampled_from(["", "1", "12"]),
+    st.sampled_from(["x", "x1, x2"]),
+    _RHS,
+)
+_RESPONSE = st.lists(st.one_of(_CANDIDATE_LINE, st.text(max_size=30)), max_size=10).map("\n".join)
+OUTCOME_STATUSES = {"scored", "invalid_fit", "duplicate", "parse_error", "discarded_over_cap"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_RESPONSE, min_size=2, max_size=2), st.sampled_from([1, 2]))
+# coefficients that overflow inside the fitter, and predictions that are
+# finite but overflow once squared, unfitted and scored
+@example(["f1(x) = (1e308^(x+c))", ""], 1)
+@example(["f1(x) = exp(x*x*x*x*x*x*x*x + x*x*x*x*x*x*x)",
+          "f1(x) = c*exp(x*x*x*x*x*x*x*x + x*x*x*x*x*x*x)"], 1)
+# an LM step whose actual gain dwarfs the predicted one
+@example(["f(x) = x", "f(x) = \nf(x) = ((x-(x^7.))^(x^7.))"], 1)
+def test_fuzzed_responses_end_in_documented_outcomes(responses, dim):
+    x = np.linspace(-1.0, 2.0, 12)  # log and sqrt are undefined on part of it
+    X = np.column_stack([x, x[::-1]])[:, :dim]
+    ds = Dataset(X, x**2 + X[:, -1], name="fuzz")
+    try:
+        record = run(ds, config(n_seed_calls=1, max_iterations=1), ReplayBackend(responses))
+    except NoValidSeedsError as exc:
+        record = exc.record
+    outcomes = [o for c in record.calls for o in c.outcomes]
+    assert {o["status"] for o in outcomes} <= OUTCOME_STATUSES
+    assert budget_report(record).calls_issued == len(record.calls) <= 2
+    json.dumps(record.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +476,7 @@ def test_budget_never_exceeds_call_allowance():
 def test_budget_report_raises_on_over_budget_record():
     # an explicit check, not an assert, so python -O keeps enforcing it
     cfg = config(n_seed_calls=1, max_iterations=1)
-    record = RunRecord(mode=MODE_FULL, config=cfg, dataset_name="parabola",
-                       dataset_split="train", dataset_n=20, dataset_dim=1,
+    record = RunRecord(config=cfg, dataset=parabola(),
                        calls=[CallRecord("seed", i, 1.0, "p") for i in range(3)])
     with pytest.raises(RuntimeError, match="3 calls exceeds budget 2"):
         budget_report(record)

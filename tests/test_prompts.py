@@ -8,10 +8,10 @@ from icsr.dataset import Dataset
 from icsr.prompts import (
     MAX_CANDIDATES_PER_RESPONSE,
     MAX_PROMPT_POINTS,
-    PromptContext,
     build_loop_prompt,
     build_random_prompt,
     build_seed_prompt,
+    display_points,
     extract_candidates,
     format_points,
     format_trajectory,
@@ -87,12 +87,10 @@ def test_template_assets_match_golden_copies(name, expected):
     assert text == expected
 
 
-def _context(n=20, dim=1, trajectory=(), seed=0):
+def _points(n=20, dim=1, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2, 2, (n, dim))
-    y = X[:, 0] ** 2
-    ds = Dataset(X, y)
-    return PromptContext.from_dataset(ds, trajectory=trajectory)
+    return display_points(Dataset(X, X[:, 0] ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +159,7 @@ def test_variables_list_rendering():
 # ---------------------------------------------------------------------------
 
 def test_seed_prompt_instantiates_template():
-    ctx = _context(n=20)
-    prompt = build_seed_prompt(ctx)
+    prompt = build_seed_prompt(_points(n=20), 1)
     assert "{points}" not in prompt
     assert prompt.count("(") >= 20
     assert "- Basic operators: +, -, *, /, ^, sqrt, exp, log, abs" in prompt
@@ -171,15 +168,13 @@ def test_seed_prompt_instantiates_template():
 
 
 def test_seed_prompt_displays_at_most_forty_points():
-    ctx = _context(n=100)
-    prompt = build_seed_prompt(ctx)
+    prompt = build_seed_prompt(_points(n=100), 1)
     tuples = re.findall(r"\(-?\d+\.\d{4}, -?\d+\.\d{4}\)", prompt)
     assert len(tuples) == 40
 
 
 def test_seed_prompt_two_variable_adaptation():
-    ctx = _context(n=10, dim=2)
-    prompt = build_seed_prompt(ctx)
+    prompt = build_seed_prompt(_points(n=10, dim=2), 2)
     assert "- Independent variable symbols: x1, x2." in prompt
     assert "- An independent variable symbol: x." not in prompt
     assert '"f1(x1, x2) = ", "f2(x1, x2) = "...' in prompt
@@ -207,8 +202,7 @@ def test_trajectory_error_six_significant_digits():
 
 def test_loop_prompt_instantiates_all_placeholders():
     traj = [("c*x + c", 0.99), ("c*sin(x)", 0.98)]
-    ctx = _context(n=15, trajectory=traj)
-    prompt = build_loop_prompt(ctx)
+    prompt = build_loop_prompt(_points(n=15), 1, traj)
     for placeholder in ("{points}", "{num_variables}", "{variables_list}",
                         "{previous_trajectory}"):
         assert placeholder not in prompt
@@ -218,22 +212,19 @@ def test_loop_prompt_instantiates_all_placeholders():
 
 
 def test_loop_prompt_requires_trajectory():
-    ctx = _context(n=10)
     with pytest.raises(ValueError):
-        build_loop_prompt(ctx)
+        build_loop_prompt(_points(n=10), 1, [])
 
 
 def test_loop_prompt_rejects_misordered_trajectory():
     traj = [("c*x", 0.5), ("c*sin(x)", 0.9)]
-    ctx = _context(n=10, trajectory=traj)
     with pytest.raises(ValueError):
-        build_loop_prompt(ctx)
+        build_loop_prompt(_points(n=10), 1, traj)
 
 
 def test_loop_prompt_two_variable_adaptation():
     traj = [("c*x1 + c*x2", 0.7)]
-    ctx = _context(n=10, dim=2, trajectory=traj)
-    prompt = build_loop_prompt(ctx)
+    prompt = build_loop_prompt(_points(n=10, dim=2), 2, traj)
     assert "at most 2 variables [x1, x2]" in prompt
     assert "(x1, x2, y) coordinates" in prompt
 

@@ -72,6 +72,14 @@ def test_nmse_rejects_non_finite_predictions():
         nmse(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
 
 
+def test_finite_misses_whose_squares_overflow_score_as_infinite():
+    y = np.arange(20.0)
+    far = np.full(20, 1e200)
+    assert nmse(far, y) == math.inf
+    assert r_squared(far, y) == -math.inf
+    assert r_squared_trimmed(far, y) == -math.inf
+
+
 def test_r_squared_basics():
     y = np.array([1.0, 2.0, 3.0, 4.0])
     assert r_squared(y.copy(), y) == 1.0
