@@ -23,7 +23,7 @@ from . import bench
 from .bench import atomic_write_text, csv_text, write_summary
 from .dataset import Dataset
 from .engine import EngineConfig, NoValidSeedsError, run
-from .expr import num_placeholders, parse, variable_names
+from .expr import lower, parse, variable_names
 from .fit import FitConfig
 from .llm import (
     API_KEY_ENV,
@@ -357,9 +357,9 @@ def _cells_from_run_dir(runs_dir) -> list:
                     continue
                 tree = parse(best["skeleton"], spec.dim)
                 coeffs = np.asarray(best["coefficients"], dtype=float)
-                if coeffs.shape != (num_placeholders(tree),):
-                    raise ValueError(f"{coeffs.size} coefficients for "
-                                     f"{num_placeholders(tree)} placeholders")
+                m = lower(tree).num_coefficients
+                if coeffs.shape != (m,):
+                    raise ValueError(f"{coeffs.size} coefficients for {m} placeholders")
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad stored candidate in {path}: {exc}") from exc
             cells.append((spec, (tree, coeffs)))

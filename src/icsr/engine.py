@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,33 +199,8 @@ class RunRecord:
         }
 
 
-class RunLog:
-    """Streams one JSON document per backend call to a JSON-lines file.
-    With no path it swallows everything, which keeps the engine free of
-    None checks."""
-
-    def __init__(self, path=None):
-        self._fh = open(path, "w", encoding="utf-8") if path else None
-
-    def append(self, doc: dict):
-        if self._fh is not None:
-            self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
-            self._fh.flush()
-
-    def close(self):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 class _Run:
-    def __init__(self, dataset: Dataset, config: EngineConfig, backend, log: RunLog):
+    def __init__(self, dataset: Dataset, config: EngineConfig, backend, log):
         self.dataset = dataset
         self.config = config
         self.backend = backend
@@ -257,22 +233,24 @@ class _Run:
             rec.latency = response.latency
             self.process_response(rec)
         self.record.calls.append(rec)
-        self.log.append(rec.to_doc())
+        # flushed per call, so a run that dies still leaves a readable log
+        self.log.write(json.dumps(rec.to_doc(), sort_keys=True) + "\n")
+        self.log.flush()
         return rec
 
     # -- candidate pipeline ------------------------------------------------
 
     def parse_line(self, raw: str) -> tuple | str:
         """(complexity, Skeleton) for a candidate line, or the message of
-        its ParseError; each distinct line is parsed once per run."""
+        its ParseError (a key that breaks parse's caps is one too); each
+        distinct line is parsed once per run."""
         entry = self.lines.get(raw)
         if entry is None:
             try:
                 tree = parse(raw, self.dataset.dim)
+                entry = (complexity(tree), canonicalize(tree, self.dataset.dim))
             except ParseError as exc:
                 entry = str(exc)
-            else:
-                entry = (complexity(tree), canonicalize(tree, self.dataset.dim))
             self.lines[raw] = entry
         return entry
 
@@ -303,13 +281,16 @@ class _Run:
             outcome["restarts"] = len(result.restart_sses)
             outcome["lm_iterations"] = list(result.iterations)
             outcome["lm_stops"] = list(result.stops)
-            if not result.valid:
+            nmse_value = math.inf
+            if result.valid:
+                pred = evaluate_batch(skeleton.expr, result.coefficients, self.dataset.X)
+                nmse_value = nmse(pred, self.dataset.y, self.config.score.eps)
+            # finite predictions whose squared miss overflows are no fit either
+            if not math.isfinite(nmse_value):
                 self.cache[skeleton.key] = None
                 outcome["status"] = "invalid_fit"
                 rec.outcomes.append(outcome)
                 continue
-            pred = evaluate_batch(skeleton.expr, result.coefficients, self.dataset.X)
-            nmse_value = nmse(pred, self.dataset.y, self.config.score.eps)
             r, err = fitness(nmse_value, comp, self.config.score)
             scores = Scores(
                 nmse=nmse_value,
@@ -375,7 +356,7 @@ def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRe
     record attached) when phase 1, or a whole random run, yields nothing
     fittable.
     """
-    with RunLog(log_path) as log:
+    with open(log_path or os.devnull, "w", encoding="utf-8") as log:
         state = _Run(dataset, config, backend, log)
         if config.mode == MODE_RANDOM:
             state.random_phase()

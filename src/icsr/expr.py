@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -405,12 +405,6 @@ def complexity(expr: Expr) -> int:
     return 1 + sum(complexity(a) for a in expr.args)
 
 
-def num_placeholders(expr: Expr) -> int:
-    if expr.kind == "coef":
-        return 1
-    return sum(num_placeholders(a) for a in expr.args)
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -499,17 +493,20 @@ def render(expr: Expr, coefficients=None, dimensionality: int = 1) -> str:
 class Skeleton:
     """A canonicalized expression ready for coefficient fitting.
 
-    expr holds the canonical tree whose placeholders are numbered left to
-    right.  key is the rendered canonical form and doubles as the dedup
-    identity.  origins keeps, per slot, an expression over the original
-    parse's placeholders and literals describing how that slot was
-    assembled, which makes the whole transformation auditable.
+    key is the rendered canonical form and doubles as the dedup identity;
+    expr is the key parsed back, so its placeholders are numbered left to
+    right in the key's text.  origins keeps, per slot, an expression over
+    the original parse's placeholders and literals describing how that
+    slot was assembled, which makes the whole transformation auditable.
     """
 
     expr: Expr
     key: str
-    num_slots: int
     origins: tuple
+
+    @property
+    def num_slots(self) -> int:
+        return len(self.origins)
 
     @cached_property
     def hints(self) -> tuple:
@@ -519,10 +516,11 @@ class Skeleton:
         empty = np.zeros((1, 1))
         hints = []
         for origin in self.origins:
-            if num_placeholders(origin):
+            plan = lower(origin)
+            if plan.num_coefficients:
                 hints.append(None)
             else:
-                value = float(evaluate_batch(origin, np.empty(0), empty)[0])
+                value = float(evaluate_batch(plan, np.empty(0), empty)[0])
                 hints.append(value if math.isfinite(value) else None)
         return tuple(hints)
 
@@ -540,25 +538,30 @@ class Skeleton:
 class _Node(NamedTuple):
     """One rewritten subtree; see _Canonicalizer."""
 
-    tree: Expr
     text: tuple
-    operands: Optional[list]
+    slots: tuple
+    op: Optional[str] = None
+    operands: Optional[list] = None
+
+
+_SLOT_TEXT = ("c", _ATOM_PREC)
 
 
 class _Canonicalizer:
-    """Rewrites a parsed tree into its canonical skeleton form.
+    """Rewrites a parsed tree into the text of its canonical skeleton.
 
     Three rewrites run bottom-up: literals become placeholders, operator
     applications whose inputs are all placeholders collapse into a single
     placeholder, and +/* operand chains are flattened, sorted by rendered
-    form, and rebuilt left-associatively with at most one placeholder
+    form, and joined left-associatively with at most one placeholder
     operand.  Placeholder provenance is threaded through as origin trees
     so nothing about the rewrite is opaque.
 
-    Each rewrite returns a _Node: the tree, its (text, precedence) under
-    the key's variable names, built once from its children's, and for a
-    +/* chain its sorted operands, which an enclosing chain of the same op
-    takes over without rendering anything again.
+    Each rewrite returns a _Node: its (text, precedence) under the key's
+    variable names, built once from its children's; the ids of the
+    origins its placeholders stand for, in text order; and for a +/*
+    chain its op and sorted operands, which an enclosing chain of the same
+    op takes over without rendering anything again.
     """
 
     def __init__(self, var_names):
@@ -567,57 +570,50 @@ class _Canonicalizer:
 
     def fresh(self, origin: Expr) -> _Node:
         self.origins.append(origin)
-        return _Node(coef(len(self.origins) - 1), ("c", _ATOM_PREC), None)
+        return _Node(_SLOT_TEXT, (len(self.origins) - 1,))
 
     def rewrite(self, e: Expr) -> _Node:
         if e.kind in ("lit", "coef"):
             return self.fresh(e)
         if e.kind == "var":
-            return _Node(e, (self.var_names[e.index], _ATOM_PREC), None)
+            return _Node((self.var_names[e.index], _ATOM_PREC), ())
         if e.kind == "un":
             child = self.rewrite(e.args[0])
-            if child.tree.kind == "coef":
-                return self.fresh(un_(e.op, self.origins[child.tree.index]))
-            return _Node(un_(e.op, child.tree), _join_unary(e.op, child.text), None)
+            if child.text == _SLOT_TEXT:
+                return self.fresh(un_(e.op, self.origins[child.slots[0]]))
+            return _Node(_join_unary(e.op, child.text), child.slots)
         left = self.rewrite(e.args[0])
         right = self.rewrite(e.args[1])
         if e.op in ("+", "*"):
             return self._rebuild_chain(e.op, left, right)
-        if left.tree.kind == "coef" and right.tree.kind == "coef":
-            return self.fresh(bin_(e.op, self.origins[left.tree.index],
-                                   self.origins[right.tree.index]))
-        return _Node(bin_(e.op, left.tree, right.tree),
-                     _join(e.op, left.text, right.text), None)
+        if left.text == right.text == _SLOT_TEXT:
+            return self.fresh(bin_(e.op, self.origins[left.slots[0]],
+                                   self.origins[right.slots[0]]))
+        return _Node(_join(e.op, left.text, right.text), left.slots + right.slots)
 
     def _rebuild_chain(self, op: str, left: _Node, right: _Node) -> _Node:
         operands = [o for node in (left, right)
-                    for o in (node.operands if node.tree.op == op else [node])]
-        slots = [o for o in operands if o.tree.kind == "coef"]
-        rest = [o for o in operands if o.tree.kind != "coef"]
+                    for o in (node.operands if node.op == op else [node])]
+        slots = [o for o in operands if o.text == _SLOT_TEXT]
+        rest = [o for o in operands if o.text != _SLOT_TEXT]
         if len(slots) > 1:
-            origin = self.origins[slots[0].tree.index]
+            origin = self.origins[slots[0].slots[0]]
             for s in slots[1:]:
-                origin = bin_(op, origin, self.origins[s.tree.index])
+                origin = bin_(op, origin, self.origins[s.slots[0]])
             slots = [self.fresh(origin)]
         operands = rest + slots
         if len(operands) == 1:
             return operands[0]
         operands.sort(key=lambda o: o.text[0])
-        tree, text = operands[0].tree, operands[0].text
+        text, ids = operands[0].text, operands[0].slots
         for o in operands[1:]:
-            tree, text = bin_(op, tree, o.tree), _join(op, text, o.text)
-        return _Node(tree, text, operands)
+            text, ids = _join(op, text, o.text), ids + o.slots
+        return _Node(text, ids, op, operands)
 
 
-def _renumber(e: Expr, mapping: dict) -> Expr:
-    if e.kind == "coef":
-        if e.index not in mapping:
-            mapping[e.index] = len(mapping)
-        return coef(mapping[e.index])
-    if e.args:
-        return Expr(e.kind, op=e.op, index=e.index, value=e.value,
-                    args=tuple(_renumber(a, mapping) for a in e.args))
-    return e
+# Most distinct candidate lines differ only in their literals and share a
+# key, so each process parses a key once while it stays in this memo.
+_parse_key = lru_cache(maxsize=1024)(parse)
 
 
 def canonicalize(expr: Expr, dimensionality: int = 1) -> Skeleton:
@@ -626,18 +622,14 @@ def canonicalize(expr: Expr, dimensionality: int = 1) -> Skeleton:
     Two candidate strings that differ only in literal values, redundant
     constant arithmetic, or the order of +/* operands share a canonical
     key.  The key names variables as parse does at the given
-    dimensionality, so it parses back.  Complexity is *not* measured
-    here; it belongs to the tree as parsed.
+    dimensionality, and the skeleton's tree is that key parsed back, so a
+    key that breaks parse's nesting or token cap raises ParseError.
+    Complexity is *not* measured here; it belongs to the tree as parsed.
     """
     c = _Canonicalizer(variable_names(dimensionality))
-    tree, (key, _), _ = c.rewrite(expr)
-    mapping: dict[int, int] = {}
-    tree = _renumber(tree, mapping)
-    order = sorted(mapping, key=mapping.get)
-    origins = tuple(c.origins[old] for old in order)
+    (key, _), slots, *_ = c.rewrite(expr)
     return Skeleton(
-        expr=tree,
+        expr=_parse_key(key, dimensionality),
         key=key,
-        num_slots=len(origins),
-        origins=origins,
+        origins=tuple(c.origins[i] for i in slots),
     )

@@ -147,13 +147,11 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     iterations = [0] * k
     # each restart's SSE before and after its last _STALL_WINDOW accepted steps
     recent = [deque([s], maxlen=_STALL_WINDOW + 1) for s in sse]
-    live = [stop is None for stop in stops]
-    while any(live):
+    while None in stops:
         stepping, deltas = [], []
-        for i in [i for i, on in enumerate(live) if on]:
+        for i in [i for i, stop in enumerate(stops) if stop is None]:
             if iterations[i] >= config.max_iterations:
                 stops[i] = "cap"
-                live[i] = False
                 continue
             iterations[i] += 1
             try:
@@ -167,7 +165,6 @@ def _levenberg_marquardt(plan, starts, X, y, config):
             elif (math.sqrt(delta.dot(delta))
                   <= config.xtol * (math.sqrt(c[i].dot(c[i])) + config.xtol)):
                 stops[i] = "xtol"
-                live[i] = False
             else:
                 stepping.append(i)
                 deltas.append(delta)
@@ -184,7 +181,6 @@ def _levenberg_marquardt(plan, starts, X, y, config):
                 nu[i] *= 2.0
                 if not math.isfinite(mu[i]):
                     stops[i] = "mu_overflow"
-                    live[i] = False
                 continue
             rho = min(actual / predicted, 1.0)  # same 1/3 below; a huge rho overflows ** 3
             c[i], defined[i] = trials[t], trial_defined[t]
@@ -203,7 +199,6 @@ def _levenberg_marquardt(plan, starts, X, y, config):
                     and window[0] - trial_sse <= _STALL_RTOL * window[0]):
                 stops[i] = "stall"
             if stops[i] is not None:
-                live[i] = False
                 continue
             mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu[i] = 2.0

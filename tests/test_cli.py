@@ -566,6 +566,29 @@ def test_ood_reloads_two_dimensional_skeleton_using_only_x1(tmp_path, capsys):
     assert main(["ood", "--runs", str(out)]) == EXIT_OK
 
 
+def test_a_line_whose_key_nests_too_deep_is_a_parse_error_and_ood_still_runs(tmp_path):
+    # the line itself parses, but its sorted key needs over 100 nested
+    # parentheses: fitting it and storing it as the winner left a
+    # summary.json that no later command could parse back
+    deep = "x" + "/x*x" * 110 + "/x"
+    replay = write_json(tmp_path / "replay.json",
+                        {"nguyen1": [f"f1(x) = {deep}\nf2(x) = c*x*x"]})
+    out = tmp_path / "bench_out"
+    assert main(["bench", "--suite", "nguyen1", "--seeds", "1",
+                 "--replay-file", replay, "--ns", "1", "--iterations", "0",
+                 "--out", str(out)]) == EXIT_OK
+    run_dir = out / "runs" / "nguyen1" / "seed1"
+    call = json.loads((run_dir / "runlog.jsonl").read_text(encoding="utf-8"))
+    first, second = call["outcomes"]
+    assert first["status"] == "parse_error"
+    assert "nested deeper than 100 levels" in first["detail"]
+    assert second["status"] == "scored"
+    summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary["best"]["skeleton"] == "c*x*x"
+    assert main(["ood", "--runs", str(out)]) == EXIT_OK
+    assert (out / "ood.csv").exists()
+
+
 def _r1_bench_out(tmp_path):
     replay = _oracle_replay_file(tmp_path, ["R1"])
     out = tmp_path / "bench_out"

@@ -256,6 +256,26 @@ def test_parse_errors_do_not_consume_the_acceptance_cap():
     assert statuses == ["parse_error", "scored", "parse_error", "scored"]
 
 
+def test_a_fit_whose_training_nmse_overflows_is_invalid(tmp_path):
+    # the fitted predictions are finite, but their squared miss overflows
+    x = np.linspace(-1.0, 2.0, 12)
+    ds = Dataset(x.reshape(-1, 1), x**2 + x, name="overflow")
+    overflowing = "c*exp(x*x*x*x*x*x*x*x + x*x*x*x*x*x*x)"
+    log_path = tmp_path / "runlog.jsonl"
+    record = run(ds, config(n_seed_calls=1, max_iterations=0), ReplayBackend(
+        [f"f1(x) = {overflowing}\nf2(x) = {overflowing.replace('c', '2')}\nf3(x) = c*x"]),
+        log_path=log_path)
+    first, again, linear = record.calls[0].outcomes
+    assert first["status"] == "invalid_fit" and "err" not in first
+    assert (again["status"], again["err"]) == ("duplicate", None)
+    assert linear["status"] == "scored"
+    assert record.best.skeleton.key == "c*x"
+    json.loads(log_path.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+    with pytest.raises(NoValidSeedsError):
+        run(ds, config(n_seed_calls=1, max_iterations=0),
+            ReplayBackend([f"f1(x) = {overflowing}"]))
+
+
 # Eight lines: a valid line twice in a row, a parse error twice, a second
 # skeleton, the first line again, a third skeleton, and one line past the
 # five-per-call acceptance cap.

@@ -19,7 +19,6 @@ from icsr.expr import (
     evaluate_batch,
     lit,
     lower,
-    num_placeholders,
     parse,
     render,
     un_,
@@ -34,7 +33,7 @@ from icsr.expr import (
 def test_parse_placeholder_and_nodes():
     tree = parse("c*sin(x) + c", 1)
     assert complexity(tree) == 6
-    assert num_placeholders(tree) == 2
+    assert lower(tree).num_coefficients == 2
 
 
 def test_parse_polynomial_node_count():
@@ -218,7 +217,7 @@ def test_render_round_trip_is_stable(text):
     pts = np.linspace(0.3, 1.7, 7).reshape(-1, 1)
     if dim == 2:
         pts = np.column_stack([pts[:, 0], pts[:, 0] + 0.25])
-    m = num_placeholders(tree)
+    m = lower(tree).num_coefficients
     coeffs = np.linspace(0.5, 1.5, m) if m else []
     a = evaluate_batch(tree, coeffs, pts)
     b = evaluate_batch(again, coeffs, pts)
@@ -380,7 +379,7 @@ def test_property_render_parse_round_trip(tree, seed):
     rendered = render(normalized)
     assert render(parse(rendered, 1)) == rendered
     rng = np.random.default_rng(seed)
-    m = num_placeholders(normalized)
+    m = lower(normalized).num_coefficients
     coeffs = rng.uniform(-3, 3, m)
     X = rng.uniform(-2, 2, (6, 1))
     a = evaluate_batch(normalized, coeffs, X)
@@ -392,7 +391,7 @@ def test_property_render_parse_round_trip(tree, seed):
 @given(_exprs(), st.integers(0, 2**32 - 1))
 def test_property_evaluate_total(tree, seed):
     rng = np.random.default_rng(seed)
-    m = num_placeholders(tree)
+    m = lower(tree).num_coefficients
     # leave indices untouched: evaluate only needs enough coefficients
     coeffs = rng.uniform(-5, 5, m + 1)
     X = rng.uniform(-5, 5, (8, 1))
@@ -407,7 +406,7 @@ def test_property_canonicalization_preserves_semantics(tree, seed):
     normalized = parse(render(tree), 1)
     sk = canonicalize(normalized)
     rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(-3, 3, num_placeholders(normalized))
+    coeffs = rng.uniform(-3, 3, lower(normalized).num_coefficients)
     mapped = sk.map_coefficients(coeffs)
     X = rng.uniform(-2, 2, (8, 1))
     a = evaluate_batch(normalized, coeffs, X)
@@ -418,6 +417,15 @@ def test_property_canonicalization_preserves_semantics(tree, seed):
     both = np.isfinite(a) & np.isfinite(b) & (np.abs(a) < 1e12)
     if both.sum() >= 2:
         np.testing.assert_allclose(a[both], b[both], rtol=1e-6, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs(), st.sampled_from([1, 2]))
+def test_property_skeleton_tree_is_its_key_parsed_back(tree, dim):
+    sk = canonicalize(tree, dim)
+    assert render(sk.expr, None, dim) == sk.key
+    assert canonicalize(sk.expr, dim).key == sk.key
+    assert lower(sk.expr).num_coefficients == sk.num_slots
 
 
 @settings(max_examples=200, deadline=None)
