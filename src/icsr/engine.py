@@ -5,9 +5,9 @@ A run is a sequential state machine around one backend.  Every backend
 call is logged as one JSON-lines document; candidates are deduplicated
 by canonical skeleton so each functional form is fitted exactly once per
 run, no matter how often the model re-proposes it.  The front-end work is
-memoised per run as well: each distinct candidate line is parsed and
-canonicalized once, warm-start hints are computed only for skeletons that
-get fitted, and the prompt's block of training points is formatted once.
+memoised per run as well: each literal-free template (a line with 'c' for
+its numbers) is parsed and canonicalized once, hints are computed only
+for fitted skeletons, and the prompt's training points formatted once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import Dataset
-from .expr import ParseError, canonicalize, complexity, evaluate_batch, parse, render
+from .expr import (ParseError, canonicalize, complexity, evaluate_batch, parse, render,
+                   split_literals)
 from .fit import FitConfig, FitResult, fit
 from .llm import (
     BackendError,
@@ -209,6 +210,8 @@ class _Run:
         self.cache: dict[str, Candidate | None] = {}
         # raw line -> (complexity, Skeleton), or its ParseError message
         self.lines: dict[str, tuple | str] = {}
+        # template -> its entry, or None if it does not parse; see parse_line
+        self.templates: dict[str, tuple | str | None] = {}
         self.points = display_points(dataset)
         self.trajectory = Trajectory(config.top_k)
         self.record = RunRecord(config=config, dataset=dataset)
@@ -242,17 +245,31 @@ class _Run:
 
     def parse_line(self, raw: str) -> tuple | str:
         """(complexity, Skeleton) for a candidate line, or the message of
-        its ParseError (a key that breaks parse's caps is one too); each
-        distinct line is parsed once per run."""
+        its ParseError (a key that breaks parse's caps is one too): once
+        per distinct line, from its template's entry and its own values."""
         entry = self.lines.get(raw)
         if entry is None:
             try:
-                tree = parse(raw, self.dataset.dim)
-                entry = (complexity(tree), canonicalize(tree, self.dataset.dim))
+                template, values = split_literals(raw)
+                if template not in self.templates:
+                    self.templates[template] = self.parse_template(template)
+                entry = self.templates[template]
+                if entry is None:
+                    parse(raw, self.dataset.dim)  # fails as the template did
+                elif not isinstance(entry, str):
+                    entry = (entry[0], replace(entry[1], values=values))
             except ParseError as exc:
                 entry = str(exc)
             self.lines[raw] = entry
         return entry
+
+    def parse_template(self, template: str) -> tuple | str | None:
+        tree = None
+        try:
+            tree = parse(template, self.dataset.dim)
+            return complexity(tree), canonicalize(tree, self.dataset.dim)
+        except ParseError as exc:  # past parse: a key over its caps, whatever the literals
+            return None if tree is None else str(exc)
 
     def process_response(self, rec: CallRecord):
         accepted = 0

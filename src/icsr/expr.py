@@ -124,6 +124,16 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def split_literals(text: str) -> tuple[str, tuple]:
+    """text's template, its tokens joined by spaces with every number
+    written as 'c', which parses where text does; and the template's
+    placeholder values: each number text wrote, and NaN for each 'c'."""
+    tokens = _tokenize(text)
+    values = tuple(float(v) if k == "num" else math.nan
+                   for k, v in tokens if k == "num" or v == "c")
+    return " ".join("c" if k == "num" else v for k, v in tokens), values
+
+
 def _variable_table(dimensionality: int) -> dict[str, int]:
     if dimensionality == 1:
         return {"x": 0, "x1": 0, "x_1": 0}
@@ -496,13 +506,15 @@ class Skeleton:
     key is the rendered canonical form and doubles as the dedup identity;
     expr is the key parsed back, so its placeholders are numbered left to
     right in the key's text.  origins keeps, per slot, an expression over
-    the original parse's placeholders and literals describing how that
-    slot was assembled, which makes the whole transformation auditable.
+    the canonicalized tree's placeholders and literals describing how that
+    slot was assembled, which makes the whole transformation auditable;
+    values gives each of those placeholders a number, NaN for a 'c'.
     """
 
     expr: Expr
     key: str
     origins: tuple
+    values: tuple
 
     @property
     def num_slots(self) -> int:
@@ -510,29 +522,12 @@ class Skeleton:
 
     @cached_property
     def hints(self) -> tuple:
-        """One warm-start value (or None) per slot, recovered from the
-        literals the candidate text supplied.  Computed on first read, so
-        only skeletons that get fitted pay for it."""
+        """One warm-start value (or None) per slot: its origin evaluated at
+        values, so a slot that reads a 'c' has none, as NaN never launders
+        away.  Computed on first read, so only fitted skeletons pay."""
         empty = np.zeros((1, 1))
-        hints = []
-        for origin in self.origins:
-            plan = lower(origin)
-            if plan.num_coefficients:
-                hints.append(None)
-            else:
-                value = float(evaluate_batch(plan, np.empty(0), empty)[0])
-                hints.append(value if math.isfinite(value) else None)
-        return tuple(hints)
-
-    def map_coefficients(self, original_values) -> np.ndarray:
-        """Translate coefficients for the pre-canonical tree into this
-        skeleton's slots by evaluating each slot's origin expression."""
-        original_values = np.asarray(original_values, dtype=float)
-        empty = np.zeros((1, 1))
-        out = np.empty(self.num_slots)
-        for j, origin in enumerate(self.origins):
-            out[j] = evaluate_batch(origin, original_values, empty)[0]
-        return out
+        hints = [float(evaluate_batch(o, self.values, empty)[0]) for o in self.origins]
+        return tuple(h if math.isfinite(h) else None for h in hints)
 
 
 class _Node(NamedTuple):
@@ -567,12 +562,15 @@ class _Canonicalizer:
     def __init__(self, var_names):
         self.var_names = var_names
         self.origins: list[Expr] = []
+        self.placeholders = 0
 
     def fresh(self, origin: Expr) -> _Node:
         self.origins.append(origin)
         return _Node(_SLOT_TEXT, (len(self.origins) - 1,))
 
     def rewrite(self, e: Expr) -> _Node:
+        if e.kind == "coef":
+            self.placeholders = max(self.placeholders, e.index + 1)
         if e.kind in ("lit", "coef"):
             return self.fresh(e)
         if e.kind == "var":
@@ -611,8 +609,8 @@ class _Canonicalizer:
         return _Node(text, ids, op, operands)
 
 
-# Most distinct candidate lines differ only in their literals and share a
-# key, so each process parses a key once while it stays in this memo.
+# Templates that differ only in operand order share a key, and so do the
+# runs of a grid, so a process parses a key once while it is memoised here.
 _parse_key = lru_cache(maxsize=1024)(parse)
 
 
@@ -623,7 +621,8 @@ def canonicalize(expr: Expr, dimensionality: int = 1) -> Skeleton:
     constant arithmetic, or the order of +/* operands share a canonical
     key.  The key names variables as parse does at the given
     dimensionality, and the skeleton's tree is that key parsed back, so a
-    key that breaks parse's nesting or token cap raises ParseError.
+    key that breaks parse's nesting or token cap raises ParseError.  Its
+    values are NaN, so its hints come from expr's literals alone.
     Complexity is *not* measured here; it belongs to the tree as parsed.
     """
     c = _Canonicalizer(variable_names(dimensionality))
@@ -632,4 +631,5 @@ def canonicalize(expr: Expr, dimensionality: int = 1) -> Skeleton:
         expr=_parse_key(key, dimensionality),
         key=key,
         origins=tuple(c.origins[i] for i in slots),
+        values=(math.nan,) * c.placeholders,
     )

@@ -195,12 +195,14 @@ class LiveBackend:
             try:
                 payload = resp.json()
                 text = payload["choices"][0]["message"]["content"]
+                usage = payload.get("usage") or {}
+                if not isinstance(usage, dict):
+                    raise TypeError("usage is not a JSON object")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion payload: {exc}") from exc
             if not isinstance(text, str):
                 raise BackendError("completion content is not a string")
-            usage = payload.get("usage") or {}
-            return CompletionResponse(text=text, usage=dict(usage), latency=latency)
+            return CompletionResponse(text=text, usage=usage, latency=latency)
         raise BackendError(
             f"completion failed after {self.max_attempts} attempts ({last_error})"
         )

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +23,7 @@ from icsr.engine import (
     budget_report,
     run,
 )
-from icsr.expr import canonicalize, parse
+from icsr.expr import ParseError, canonicalize, complexity, parse
 from icsr.fit import fit
 from icsr.llm import BackendError, ReplayBackend, SamplingParams, TemperatureSchedule
 
@@ -286,9 +288,10 @@ REPEATING_REPLY = "\n".join([
 OVERSIZED_LINE = "+".join(["x*c"] * 600)
 
 
-def test_each_distinct_line_is_parsed_and_canonicalized_once_per_run(monkeypatch):
-    parsed, canonicalized = [], []
+def test_each_distinct_template_is_parsed_and_canonicalized_once_per_run(monkeypatch):
+    parsed, canonicalized, entries = [], [], {}
     real_parse, real_canonicalize = icsr.engine.parse, icsr.engine.canonicalize
+    real_parse_line = icsr.engine._Run.parse_line
 
     def counting_parse(text, dim):
         parsed.append(text)
@@ -298,14 +301,29 @@ def test_each_distinct_line_is_parsed_and_canonicalized_once_per_run(monkeypatch
         canonicalized.append(tree)
         return real_canonicalize(tree, dim)
 
+    def recording_parse_line(state, raw):
+        entries[raw] = real_parse_line(state, raw)
+        return entries[raw]
+
     monkeypatch.setattr(icsr.engine, "parse", counting_parse)
     monkeypatch.setattr(icsr.engine, "canonicalize", counting_canonicalize)
+    monkeypatch.setattr(icsr.engine._Run, "parse_line", recording_parse_line)
     reply = REPEATING_REPLY.replace("f7(x) = exp(x)", f"f7(x) = {OVERSIZED_LINE}")
-    script = [reply, "f1(x) = x\nf2(x) = c*(", reply, "f1(x) = x\nf2(x) = c*x + c"]
+    # 2.5*x, 0.5*x and c*x differ only in their literals: one template
+    script = [reply, "f1(x) = x\nf2(x) = c*(\nf3(x) = 0.5*x", reply,
+              "f1(x) = x\nf2(x) = c*x + c\nf3(x) = c*x"]
     record = run(parabola(), config(n_seed_calls=2, max_iterations=2), ReplayBackend(script))
     assert [c.phase for c in record.calls] == ["seed", "seed", "loop", "loop"]
-    assert sorted(parsed) == sorted(["c*x + c", "c*(", "2.5*x", OVERSIZED_LINE, "sin(x)", "x"])
+    # a template that does not parse leaves the message to its line, as
+    # the message may quote a literal
+    assert sorted(parsed) == sorted([
+        "c * x + c", "c * (", "c*(", "c * x", " + ".join(["x * c"] * 600), OVERSIZED_LINE,
+        "sin ( x )", "x",
+    ])
     assert len(canonicalized) == 4
+    assert entries["2.5*x"][1].key == entries["0.5*x"][1].key == entries["c*x"][1].key
+    assert [entries[raw][1].hints for raw in ("2.5*x", "0.5*x", "c*x")] == [
+        (2.5,), (0.5,), (None,)]
     outcomes = [o for c in record.calls for o in c.outcomes]
     oversized = [o for o in outcomes if o["raw"] == OVERSIZED_LINE]
     assert len(oversized) == 2
@@ -438,25 +456,88 @@ _CANDIDATE_LINE = st.builds(
 _RESPONSE = st.lists(st.one_of(_CANDIDATE_LINE, st.text(max_size=30)), max_size=10).map("\n".join)
 OUTCOME_STATUSES = {"scored", "invalid_fit", "duplicate", "parse_error", "discarded_over_cap"}
 
+# forms with a "{}" per literal slot, well-formed or not; filling the
+# slots in different ways gives lines of one literal-free template
+_SLOT = st.sampled_from(["x", "x1", "x2", "{}", "{}", "{}"])
+_FORM = st.one_of(
+    st.recursive(_SLOT, lambda inner: st.one_of(
+        st.builds("({}{}{})".format, inner, st.sampled_from(["+", "-", "*", "/", "^", "**"]),
+                  inner),
+        st.builds("{}({})".format, _FUNCTION, inner),
+        st.builds("-{}".format, inner),
+    ), max_leaves=8),
+    st.lists(st.one_of(_SLOT, _FUNCTION, st.sampled_from(
+        ["+", "-", "*", "^", "(", ")", " ", "y"])), max_size=12).map("".join),
+)
+SLOT_VALUES = ["1e308", "1e999", "0", "-0.0", "c", "2.5", "7.", ".5e3", "1e-308"]
+# values for up to 12 slots, more than a form has
+_FILLINGS = st.lists(st.lists(st.sampled_from(SLOT_VALUES), min_size=12, max_size=12),
+                     min_size=1, max_size=5)
+_TEMPLATE_REPLY = st.builds(
+    lambda form, fillings: "".join(f"f{i}(x) = {form.format(*values)}\n"
+                                   for i, values in enumerate(fillings, 1)),
+    _FORM, _FILLINGS)
+
+
+def _literal_tree_entry(raw, dim):
+    try:
+        tree = parse(raw, dim)
+        return complexity(tree), canonicalize(tree, dim)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORM, st.sampled_from([1, 2]), _FILLINGS)
+# tokens the template must keep apart: "* *" is not "**"
+@example("x* *{}", 1, [["2.5"] * 12])
+def test_property_template_path_matches_the_literal_tree(form, dim, fillings):
+    x = np.linspace(0.5, 2.0, 4)
+    state = icsr.engine._Run(Dataset(np.column_stack([x, x])[:, :dim], x), config(), None, None)
+    # every special value at every slot, then mixes: most are template hits
+    lines = [form.format(*[v] * 12) for v in SLOT_VALUES] + [form.format(*f) for f in fillings]
+    for raw in lines:
+        got, want = state.parse_line(raw), _literal_tree_entry(raw, dim)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert (got[0], got[1].key) == (want[0], want[1].key)
+        assert [h if h is None else h.hex() for h in got[1].hints] == \
+            [h if h is None else h.hex() for h in want[1].hints]
+
+
+def _reject_constant(name):
+    raise ValueError(f"run log holds {name}, which is not JSON")
+
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(_RESPONSE, min_size=2, max_size=2), st.sampled_from([1, 2]))
+@given(st.lists(_RESPONSE, min_size=2, max_size=2), st.sampled_from([1, 2]), _TEMPLATE_REPLY)
 # coefficients that overflow inside the fitter, and predictions that are
 # finite but overflow once squared, unfitted and scored
-@example(["f1(x) = (1e308^(x+c))", ""], 1)
+@example(["f1(x) = (1e308^(x+c))", ""], 1, "")
 @example(["f1(x) = exp(x*x*x*x*x*x*x*x + x*x*x*x*x*x*x)",
-          "f1(x) = c*exp(x*x*x*x*x*x*x*x + x*x*x*x*x*x*x)"], 1)
+          "f1(x) = c*exp(x*x*x*x*x*x*x*x + x*x*x*x*x*x*x)"], 1, "")
 # an LM step whose actual gain dwarfs the predicted one
-@example(["f(x) = x", "f(x) = \nf(x) = ((x-(x^7.))^(x^7.))"], 1)
-def test_fuzzed_responses_end_in_documented_outcomes(responses, dim):
+@example(["f(x) = x", "f(x) = \nf(x) = ((x-(x^7.))^(x^7.))"], 1, "")
+# template hits whose literals overflow, vanish or are c
+@example(["", ""], 1, "f1(x) = 1e999*x*x\nf2(x) = 2.5*x*x\nf3(x) = c*x*x\nf4(x) = 1e308*x*x\n"
+                      "f5(x) = -0.0*x*x")
+def test_fuzzed_responses_end_in_documented_outcomes(responses, dim, template_reply):
     x = np.linspace(-1.0, 2.0, 12)  # log and sqrt are undefined on part of it
     X = np.column_stack([x, x[::-1]])[:, :dim]
     ds = Dataset(X, x**2 + X[:, -1], name="fuzz")
-    try:
-        record = run(ds, config(n_seed_calls=1, max_iterations=1), ReplayBackend(responses))
-    except NoValidSeedsError as exc:
-        record = exc.record
+    script = [template_reply + responses[0], responses[1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        log_path = os.path.join(tmp, "runlog.jsonl")
+        try:
+            record = run(ds, config(n_seed_calls=1, max_iterations=1), ReplayBackend(script),
+                         log_path)
+        except NoValidSeedsError as exc:
+            record = exc.record
+        with open(log_path, encoding="utf-8") as fh:
+            logged = [json.loads(line, parse_constant=_reject_constant) for line in fh]
     outcomes = [o for c in record.calls for o in c.outcomes]
+    assert [o for doc in logged for o in doc["outcomes"]] == outcomes
     assert {o["status"] for o in outcomes} <= OUTCOME_STATUSES
     assert budget_report(record).calls_issued == len(record.calls) <= 2
     json.dumps(record.summary())

@@ -309,6 +309,18 @@ def test_live_malformed_payload():
         backend.complete(_request())
 
 
+@pytest.mark.parametrize("usage", ["abc", 5, [1, 2], ["ab"]],
+                         ids=["string", "number", "list", "pairs"])
+def test_live_usage_that_is_not_an_object_is_a_malformed_payload(usage):
+    # ["ab"] is one dict() would take, as {"a": "b"}
+    session = FakeSession([_ok(usage=usage)])
+    backend = LiveBackend(
+        "http://host", api_key="k", session=session, sleep=lambda _: None
+    )
+    with pytest.raises(BackendError, match="malformed completion payload"):
+        backend.complete(_request())
+
+
 def test_live_non_string_content():
     session = FakeSession([
         FakeResponse(200, {"choices": [{"message": {"content": 5}}]})
