@@ -298,6 +298,7 @@ class _Run:
             outcome["restarts"] = len(result.restart_sses)
             outcome["lm_iterations"] = list(result.iterations)
             outcome["lm_stops"] = list(result.stops)
+            outcome["lm_frozen"] = result.frozen
             nmse_value = math.inf
             if result.valid:
                 pred = evaluate_batch(skeleton.expr, result.coefficients, self.dataset.X)

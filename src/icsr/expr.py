@@ -8,8 +8,10 @@ and canonicalizing trees into fit-ready skeletons.
 
 Evaluation runs a tree lowered to a flat post-order plan (lower); a
 caller that evaluates one tree many times, like the fitter, lowers it
-once.  Undefined values (log of a negative, division by zero, overflow)
-are represented as NaN.  Evaluation never raises on numeric grounds.
+once.  The same pass can carry exact partials in every coefficient
+(forward-mode differentiation): the fitter's Jacobian.  Undefined values
+(log of a negative, division by zero, overflow) are represented as NaN.
+Evaluation never raises on numeric grounds.
 """
 
 from __future__ import annotations
@@ -355,35 +357,117 @@ def _finite(values):
     return values if finite.all() else np.where(finite, values, np.nan)
 
 
-def _run(steps, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _chain(t, factor):
+    """t * factor, but 0 wherever t is: where a coefficient does not move a
+    function's input it does not move its output, even at a point where
+    the derivative is infinite (sqrt(c*x) at x = 0)."""
+    out = t * factor
+    np.copyto(out, 0.0, where=t == 0.0)
+    return out
+
+
+# Each function's tangent from its input's tangent t, its input u and its
+# value v; ^ has one per operand.  Where a derivative is not finite but
+# the value is (sqrt at 0, the exponent of a negative base), the fitter
+# treats that coefficient as frozen.
+_TANGENTS = {
+    np.sqrt: lambda t, u, v: _chain(t, 0.5 / v),
+    np.exp: lambda t, u, v: t * v,
+    np.log: lambda t, u, v: t / u,
+    np.abs: lambda t, u, v: t * np.sign(u),
+    np.sin: lambda t, u, v: t * np.cos(u),
+    np.cos: lambda t, u, v: t * -np.sin(u),
+    np.tan: lambda t, u, v: t * (1.0 + v * v),
+    np.sinh: lambda t, u, v: t * np.cosh(u),
+    np.cosh: lambda t, u, v: t * np.sinh(u),
+    np.tanh: lambda t, u, v: t * (1.0 - v * v),
+    _erf: lambda t, u, v: t * ((2.0 / math.sqrt(math.pi)) * np.exp(-u * u)),
+    np.negative: lambda t, u, v: -t,
+    # a^b is flat in b where it is 0 (0^b for b > 0), though log(0) is -inf
+    "^": (lambda t, a, b, v: _chain(t, b * np.power(a, b - 1.0)),
+          lambda t, a, b, v: _chain(t, np.where(v == 0.0, 0.0, v * np.log(a)))),
+}
+
+
+# A tangent is None (the value reads no coefficient) or (cols, T): the
+# coefficients the value reads and its partials in them, shape (len(cols),
+# k, n).  Carrying only the columns a subtree reads keeps a non-finite
+# partial (d/db of a^b over a < 0, say) out of every other column, where
+# 0 * nan would otherwise put it.
+
+def _scaled(t, factor):
+    return None if t is None else (t[0], t[1] * factor)
+
+
+def _summed(ta, tb):
+    if ta is None or tb is None:
+        return tb if ta is None else ta
+    (ca, a), (cb, b) = ta, tb
+    if set(ca).isdisjoint(cb):
+        return ca + cb, np.concatenate((a, b))
+    cols = ca + tuple(j for j in cb if j not in ca)
+    both = np.zeros((len(cols),) + a.shape[1:])
+    both[:len(ca)] = a
+    both[[cols.index(j) for j in cb]] += b
+    return cols, both
+
+
+def _arith_tangent(op, a, b, v, ta, tb):
+    if op is np.add:
+        return _summed(ta, tb)
+    if op is np.subtract:
+        return _summed(ta, _scaled(tb, -1.0))
+    if op is np.multiply:
+        return _summed(_scaled(ta, b), _scaled(tb, a))
+    # d(a/b) = da/b - (a/b) db/b
+    return _summed(None if ta is None else (ta[0], ta[1] / b), _scaled(tb, -v / b))
+
+
+def _power_tangent(a, b, v, ta, tb):
+    da, db = _TANGENTS["^"]
+    return _summed(None if ta is None else (ta[0], da(ta[1], a, b, v)),
+                   None if tb is None else (tb[0], db(tb[1], a, b, v)))
+
+
+def _run(steps, rows: np.ndarray, X: np.ndarray, jacobian: bool = False):
+    """The plan's value at every row and point, and its tangent (None
+    unless jacobian).  The values are the same ops either way."""
+    k, n = rows.shape[0], X.shape[0]
+    unit = np.ones((1, k, n)) if jacobian else None
     stack = []
     push, pop = stack.append, stack.pop
     for kind, arg in steps:
         if kind == "arith":
-            b = pop()
-            push(_finite(arg(pop(), b)))
+            (b, tb), (a, ta) = pop(), pop()
+            v = _finite(arg(a, b))
+            push((v, None if ta is tb is None else _arith_tangent(arg, a, b, v, ta, tb)))
         elif kind == "coef":
-            push(rows[:, arg:arg + 1])
+            push((rows[:, arg:arg + 1], None if unit is None else ((arg,), unit)))
         elif kind == "var":
-            push(X[:, arg])
+            push((X[:, arg], None))
         elif kind == "dense":
-            push(np.full((rows.shape[0], X.shape[0]), pop()))
+            a, ta = pop()
+            push((np.full((k, n), a), ta))
         elif kind == "un":
-            push(_finite(arg(pop())))
+            u, tu = pop()
+            v = _finite(arg(u))
+            push((v, None if tu is None else (tu[0], _TANGENTS[arg](tu[1], u, v))))
         elif kind == "lit":
-            push(arg)
+            push((arg, None))
         else:
             # nan^0 and 1^nan are 1: ^ is the one op that launders NaN,
             # so it alone checks its inputs
-            b, a = pop(), pop()
+            (b, tb), (a, ta) = pop(), pop()
             out = np.power(a, b)
             bad = ~np.isfinite(out) | np.isnan(a) | np.isnan(b)
-            push(np.where(bad, np.nan, out) if bad.any() else out)
+            v = np.where(bad, np.nan, out) if bad.any() else out
+            push((v, None if ta is tb is None else _power_tangent(a, b, v, ta, tb)))
     # a leaf root (an inf literal, say) is the one result not yet sanitized
-    return _finite(pop())
+    v, t = pop()
+    return _finite(v), t
 
 
-def evaluate_batch(expr, coefficients, X) -> np.ndarray:
+def evaluate_batch(expr, coefficients, X, jacobian: bool = False):
     """Evaluate expr, an Expr or a Plan from lower, at every row of X.
 
     X has shape (n, d).  A coefficient vector of shape (m,) gives a result
@@ -392,6 +476,12 @@ def evaluate_batch(expr, coefficients, X) -> np.ndarray:
     expression is undefined (or any intermediate is non-finite) come back
     as NaN.  NaN never launders back into a finite value: nan^0 is NaN
     here, not 1.
+
+    With jacobian=True the result is a pair: the same values, bit for bit,
+    and their exact partials in each coefficient, of shape (m, n) or
+    (k, m, n), carried forward through every step of the plan.  A partial
+    may be non-finite where the value is defined (sqrt at 0); at undefined
+    points it means nothing.
     """
     plan = expr if isinstance(expr, Plan) else lower(expr)
     X = np.asarray(X, dtype=float)
@@ -406,8 +496,13 @@ def evaluate_batch(expr, coefficients, X) -> np.ndarray:
         raise ValueError(f"expression uses variable {plan.dimensionality - 1} "
                          f"but points are {X.shape[1]}-dimensional")
     with np.errstate(all="ignore"):
-        result = _run(plan.steps, rows, X)
-    return result if coefficients.ndim == 2 else result[0]
+        values, tangent = _run(plan.steps, rows, X, jacobian)
+    if not jacobian:
+        return values if coefficients.ndim == 2 else values[0]
+    partials = np.zeros((rows.shape[0], rows.shape[1], X.shape[0]))
+    if tangent is not None:
+        partials[:, list(tangent[0])] = tangent[1].swapaxes(0, 1)
+    return (values, partials) if coefficients.ndim == 2 else (values[0], partials[0])
 
 
 def complexity(expr: Expr) -> int:

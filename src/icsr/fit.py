@@ -1,15 +1,19 @@
 """Multi-start nonlinear least squares for skeleton coefficients.
 
-The optimizer is a plain Levenberg-Marquardt loop over central-difference
-Jacobians.  All restarts run in lockstep: each step solves every live
-restart's damped normal equations on its own, then evaluates the trial
-points of all of them, each with its 2m probes c +/- h*e_j, as the rows
-of one evaluate_batch call on the tree's plan, lowered once per fit.  A
-restart that stops (converged, out of iterations, or with its damping
-overflowed) drops out of later batches.  Every restart does exactly the
-arithmetic it would do alone, so results do not depend on which
-restarts run beside it.  At 20-200 points a step costs numpy calls, not
-arithmetic, so each does as few as it can.
+The optimizer is a plain Levenberg-Marquardt loop over exact Jacobians:
+one evaluate_batch pass over the tree's plan, lowered once per fit,
+carries each value together with its partials in every coefficient
+(forward-mode differentiation), so a trial point costs one row of
+evaluation.  All restarts run in lockstep: each step solves every live
+restart's damped normal equations in one stacked solve, then evaluates
+all their trial points, with their Jacobians, as the rows of one pass.
+J^T J, J^T r and r.r come from one stacked matmul, and the per-restart
+tests run on Python floats.  A restart that stops (converged, out of
+iterations, or with its damping overflowed) drops out of later batches.
+Every row of a stacked numpy call gets the bits it would get alone, so a
+restart's result does not depend on which restarts run beside it.  At
+20-200 points a step costs numpy calls, not arithmetic, so each does as
+few as it can.
 
 A restart stops when its gradient is flat (gtol), its step is tiny
 (xtol) or an accepted step barely lowers the SSE (ftol); when it runs
@@ -28,13 +32,14 @@ instead of poisoning the solve, which lets restarts wander through
 invalid coefficient regions and still rank restarts by SSE.
 
 Coefficients that sit on a definedness cliff get special treatment: if
-nudging a coefficient by the finite-difference step turns predictions
-that are defined at the current point into undefined ones (an integer
-exponent over negative inputs is the canonical case), the central
-difference is meaningless and any step along that coordinate would be
-rejected outright.  Such coordinates are frozen for the iteration by
-zeroing their Jacobian column, which pins them in the LM step while the
-remaining coefficients keep optimizing.
+a coefficient's partial is not finite at a point where the prediction is
+defined (the exponent of an integer power over negative inputs, whose
+partial x^c*log(x) is NaN there, is the canonical case), any step along
+that coordinate would leave the domain and be rejected outright.  Such
+coordinates are frozen for the iteration by zeroing their Jacobian
+column, which pins them in the LM step while the remaining coefficients
+keep optimizing.  Points where the prediction is undefined, or whose
+residual is clipped, get zero partials: their residual does not move.
 """
 
 from __future__ import annotations
@@ -87,7 +92,9 @@ class FitResult:
     keeps the per-restart final SSEs for budget accounting and tests;
     iterations holds each restart's LM iteration count and stops why it
     stopped (gtol, xtol, ftol, stall, cap or mu_overflow), in the same
-    order.  converged means some restart met gtol, xtol or ftol.
+    order.  converged means some restart met gtol, xtol or ftol.  frozen
+    counts the Jacobian columns pinned on a definedness cliff, summed over
+    every Jacobian each restart adopted (its start and each accepted step).
     """
 
     coefficients: np.ndarray
@@ -98,84 +105,127 @@ class FitResult:
     restart_sses: tuple
     iterations: tuple
     stops: tuple
+    frozen: int
 
 
 def _probe(plan: Plan, points: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Residuals, definedness mask and central-difference Jacobian at each
-    row of points, all from one evaluate_batch call over the rows and
-    their 2m probes c +/- h*e_j.  Shapes: (k, n), (k, n) and (k, n, m)."""
-    k, m = points.shape
-    h = np.fmax(1e-6, 1e-6 * np.abs(points))
-    probes = np.repeat(points[:, None, :], 2 * m + 1, axis=1)
-    j = np.arange(m)
-    probes[:, 1 + j, j] += h
-    probes[:, 1 + m + j, j] -= h
-    pred = evaluate_batch(plan, probes.reshape(-1, m), X).reshape(k, 2 * m + 1, -1)
+    """Residuals, definedness mask, masked Jacobian of the prediction and
+    the number of frozen columns at each row of points, from one
+    evaluate_batch pass that carries the exact partials.  Shapes: (k, n),
+    (k, n) and (k, m, n), and a list of k ints."""
+    pred, jac = evaluate_batch(plan, points, X, jacobian=True)
     defined = np.isfinite(pred)
-    # y is finite, so a residual is non-finite exactly where the prediction
-    # is undefined or y - pred overflowed
     res = y - pred
+    # false where the prediction is undefined (NaN), y - pred overflowed or
+    # the residual is clipped: there it does not move with the coefficients
+    moves = np.abs(res) < _RESIDUAL_CAP
+    finite = np.isfinite(jac)
+    if moves.all() and finite.all():
+        return res, defined, jac, [0] * len(points)
     np.copyto(res, PENALTY, where=~np.isfinite(res))
     np.minimum(res, _RESIDUAL_CAP, out=res)
     np.maximum(res, -_RESIDUAL_CAP, out=res)
-    up, down = slice(1, m + 1), slice(m + 1, None)
-    jac = (res[:, up] - res[:, down]) / (2 * h)[:, :, None]
-    # on a cliff: defined at the point but not at both of its probes
-    cliff = defined[:, up] & defined[:, down]
-    jac[np.less(cliff, defined[:, :1], out=cliff).any(axis=2)] = 0.0
-    return res[:, 0], defined[:, 0], np.ascontiguousarray(jac.transpose(0, 2, 1))
+    # on a cliff: a partial that is not finite where the prediction is defined
+    frozen = (~finite & defined[:, None]).any(axis=2)
+    jac = np.where(moves[:, None] & ~frozen[:, :, None], jac, 0.0)
+    return res, defined, jac, frozen.sum(axis=1).tolist()
+
+
+def _normal_equations(res, jac):
+    """Every row's [[J^T J, -J^T r], [., r.r]], with J the Jacobian of res,
+    from one stacked matmul of [-J; r] with its transpose; and its SSE."""
+    both = np.concatenate((jac, res[:, None]), axis=1)
+    products = both @ both.transpose(0, 2, 1)
+    return products, products[:, -1, -1].tolist()
+
+
+def _solve(A, b):
+    """The solution of every system A[t] x = b[t]; NaN for a singular one.
+    One stacked solve gives each row the bits its own solve gives."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for t in range(len(b)):
+            try:
+                x[t] = np.linalg.solve(A[t], b[t, :, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _flat(gradient, gtol):
+    """Whether every entry of a gradient (a list) is within gtol; not if one is NaN."""
+    return all(abs(v) <= gtol for v in gradient)
 
 
 def _levenberg_marquardt(plan, starts, X, y, config):
     """Minimize 0.5 * ||res||^2 from every row of starts, in lockstep.
 
-    Each step solves every live restart's damped normal equations, then
-    probes all their trial points with one _probe call.  Returns the final
-    coefficients and definedness masks as (k, m) and (k, n) arrays, plus
-    per-restart sse, iteration count and stop reason lists."""
+    Each step solves every live restart's damped normal equations in one
+    stacked solve, then probes all their trial points with one _probe
+    call.  Returns the final coefficients and definedness masks as (k, m)
+    and (k, n) arrays, per-restart sse, iteration count and stop reason
+    lists, and the number of Jacobian columns frozen on a cliff, summed
+    over the Jacobians the restarts adopted."""
     k, m = starts.shape
     eye = np.eye(m)
     c = starts.astype(float)
-    res, defined, jac = _probe(plan, c, X, y)
-    defined = defined.copy()
-    sse = [float(r @ r) for r in res]
-    JTJ = [J.T @ J for J in jac]
-    g = [J.T @ r for J, r in zip(jac, res)]
-    stops = ["gtol" if np.abs(gi).max() <= config.gtol else None for gi in g]
-    mu = [1e-3 * max(float(A.diagonal().max()), 1e-12) for A in JTJ]
+    res, defined, jac, frozen = _probe(plan, c, X, y)
+    normal, sse = _normal_equations(res, jac)
+    frozen = sum(frozen)
+    stops = ["gtol" if _flat(r, config.gtol) else None for r in normal[:, :m, m].tolist()]
+    mu = [1e-3 * max(max(A.diagonal().tolist()), 1e-12) for A in normal[:, :m, :m]]
     nu = [2.0] * k
     iterations = [0] * k
     # each restart's SSE before and after its last _STALL_WINDOW accepted steps
     recent = [deque([s], maxlen=_STALL_WINDOW + 1) for s in sse]
-    while None in stops:
-        stepping, deltas = [], []
-        for i in [i for i, stop in enumerate(stops) if stop is None]:
-            if iterations[i] >= config.max_iterations:
+    final_c, final_defined = np.empty_like(c), np.empty_like(defined)
+    rows = list(range(k))  # the restart on each row of c, defined and normal
+    while True:
+        for t, i in enumerate(rows):
+            if stops[i] is None and iterations[i] >= config.max_iterations:
                 stops[i] = "cap"
-                continue
+        keep = [t for t, i in enumerate(rows) if stops[i] is None]
+        if len(keep) < len(rows):
+            for t, i in enumerate(rows):
+                if stops[i] is not None:
+                    final_c[i], final_defined[i] = c[t], defined[t]
+            if not keep:
+                break
+            rows = [rows[t] for t in keep]
+            c, defined, normal = c[keep], defined[keep], normal[keep]
+        damping = [mu[i] for i in rows]
+        rhs = normal[:, :m, m]
+        deltas = _solve(normal[:, :m, :m] + np.multiply.outer(damping, eye), rhs)
+        # per row: |delta|^2, |c|^2 and delta . rhs
+        lengths, sizes, gains = (np.array((deltas, c, deltas))
+                                 * np.array((deltas, c, rhs))).sum(axis=2).tolist()
+        stepping = []
+        for t, i in enumerate(rows):
             iterations[i] += 1
-            try:
-                delta = np.linalg.solve(JTJ[i] + mu[i] * eye, -g[i])
-            except np.linalg.LinAlgError:
-                delta = None
-            # np.linalg.norm of a vector is sqrt(v.dot(v)), bit for bit
-            if delta is None or not np.isfinite(delta).all():
+            if not math.isfinite(lengths[t]):
                 mu[i] *= nu[i]
                 nu[i] *= 2.0
-            elif (math.sqrt(delta.dot(delta))
-                  <= config.xtol * (math.sqrt(c[i].dot(c[i])) + config.xtol)):
+            elif math.sqrt(lengths[t]) <= config.xtol * (math.sqrt(sizes[t]) + config.xtol):
                 stops[i] = "xtol"
             else:
-                stepping.append(i)
-                deltas.append(delta)
+                stepping.append(t)
         if not stepping:
             continue
-        trials = c[stepping] + np.array(deltas)
-        trial_res, trial_defined, trial_jac = _probe(plan, trials, X, y)
-        for t, (i, delta) in enumerate(zip(stepping, deltas)):
-            trial_sse = float(trial_res[t] @ trial_res[t])
-            predicted = float(delta @ (mu[i] * delta - g[i]))
-            actual = sse[i] - trial_sse
+        if len(stepping) < len(rows):
+            still = np.zeros((len(rows), 1), dtype=bool)
+            still[stepping] = True
+            deltas = np.where(still, deltas, 0.0)
+        trials = c + deltas
+        trial_res, trial_defined, trial_jac, trial_frozen = _probe(plan, trials, X, y)
+        trial_normal, trial_sse = _normal_equations(trial_res, trial_jac)
+        gradients = trial_normal[:, :m, m].tolist()
+        taken = [False] * len(rows)
+        for t in stepping:
+            i = rows[t]
+            predicted = damping[t] * lengths[t] + gains[t]
+            actual = sse[i] - trial_sse[t]
             if not (predicted > 0 and actual > 0):
                 mu[i] *= nu[i]
                 nu[i] *= 2.0
@@ -183,26 +233,29 @@ def _levenberg_marquardt(plan, starts, X, y, config):
                     stops[i] = "mu_overflow"
                 continue
             rho = min(actual / predicted, 1.0)  # same 1/3 below; a huge rho overflows ** 3
-            c[i], defined[i] = trials[t], trial_defined[t]
+            taken[t] = True
+            frozen += trial_frozen[t]
             if abs(actual) <= config.ftol * max(sse[i], 1e-300):
                 stops[i] = "ftol"
-            sse[i] = trial_sse
-            if stops[i] is None:
-                J = trial_jac[t]
-                JTJ[i] = J.T @ J
-                g[i] = J.T @ trial_res[t]
-                if np.abs(g[i]).max() <= config.gtol:
-                    stops[i] = "gtol"
+            elif _flat(gradients[t], config.gtol):
+                stops[i] = "gtol"
+            sse[i] = trial_sse[t]
             window = recent[i]
-            window.append(trial_sse)
+            window.append(sse[i])
             if (stops[i] is None and len(window) > _STALL_WINDOW
-                    and window[0] - trial_sse <= _STALL_RTOL * window[0]):
+                    and window[0] - sse[i] <= _STALL_RTOL * window[0]):
                 stops[i] = "stall"
-            if stops[i] is not None:
-                continue
-            mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu[i] = 2.0
-    return c, defined, sse, iterations, stops
+            if stops[i] is None:
+                mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu[i] = 2.0
+        if all(taken):
+            c, defined, normal = trials, trial_defined, trial_normal
+        elif any(taken):
+            taken = np.array(taken)[:, None]
+            np.copyto(c, trials, where=taken)
+            np.copyto(defined, trial_defined, where=taken)
+            np.copyto(normal, trial_normal, where=taken[:, :, None])
+    return final_c, final_defined, sse, iterations, stops, frozen
 
 
 @np.errstate(all="ignore")  # overflow in an SSE or a step is handled as inf
@@ -235,6 +288,7 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             restart_sses=(),
             iterations=(),
             stops=(),
+            frozen=0,
         )
 
     starts = np.empty((config.restarts, m))
@@ -246,7 +300,7 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             ]
         else:
             starts[restart] = rng.standard_normal(m)
-    c, defined, sses, iterations, stops = _levenberg_marquardt(
+    c, defined, sses, iterations, stops, frozen = _levenberg_marquardt(
         lower(skeleton.expr), starts, X, y, config)
     finite = [r for r, sse in enumerate(sses) if np.all(np.isfinite(c[r])) and sse < np.inf]
     if not finite:
@@ -259,6 +313,7 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             restart_sses=tuple(sses),
             iterations=tuple(iterations),
             stops=tuple(stops),
+            frozen=frozen,
         )
     best = min(finite, key=sses.__getitem__)
     return FitResult(
@@ -270,4 +325,5 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
         restart_sses=tuple(sses),
         iterations=tuple(iterations),
         stops=tuple(stops),
+        frozen=frozen,
     )

@@ -3,6 +3,7 @@ deterministic replay client for tests and offline runs."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
@@ -198,6 +199,7 @@ class LiveBackend:
                 usage = payload.get("usage") or {}
                 if not isinstance(usage, dict):
                     raise TypeError("usage is not a JSON object")
+                json.dumps(usage, allow_nan=False)  # the run log is strict JSON
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion payload: {exc}") from exc
             if not isinstance(text, str):

@@ -594,9 +594,11 @@ def test_fitted_outcomes_log_lm_iterations(tmp_path):
                 np.random.default_rng(record.config.seed))
     assert fitted["lm_iterations"] == list(alone.iterations)
     assert fitted["lm_stops"] == list(alone.stops)
+    assert fitted["lm_frozen"] == alone.frozen
     assert len(alone.iterations) == len(alone.stops) == fitted["restarts"] == 5
     assert no_slots["lm_iterations"] == no_slots["lm_stops"] == []
-    assert "lm_iterations" not in duplicate and "lm_stops" not in duplicate
+    assert no_slots["lm_frozen"] == 0
+    assert not {"lm_iterations", "lm_stops", "lm_frozen"} & set(duplicate)
     assert "lm_" not in json.dumps(record.summary())
 
 

@@ -548,6 +548,10 @@ def _assert_plan_matches_reference(tree, C, X):
         got = evaluate_batch(form, C, X)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+        # the tangent pass computes its values by the same ops
+        values, partials = evaluate_batch(form, C, X, jacobian=True)
+        assert values.tobytes() == expected.tobytes()
+        assert partials.shape == expected.shape[:-1] + (np.shape(C)[-1], expected.shape[-1])
 
 
 _ERF_X = np.array([[0.0], [0.3], [-1.2], [5.5], [1e-300], [1e301], [-1e308],
@@ -657,3 +661,76 @@ def test_evaluate_batch_never_returns_a_view_of_its_inputs():
     for text in ("c", "x"):
         out = evaluate_batch(parse(text, 1), C, X)
         assert not np.shares_memory(out, C) and not np.shares_memory(out, X)
+
+
+# ---------------------------------------------------------------------------
+# Exact Jacobians against central differences
+# ---------------------------------------------------------------------------
+
+# every unary function, + - * /, and ^ with a literal, a coefficient and a
+# computed exponent; at x in [0.5, 2] and coefficients in [0.3, 0.7] each
+# stays away from its domain's edges
+_JACOBIAN_CASES = [
+    "c*sqrt(c*x + c)", "c*exp(c*x) - c", "log(c*x + c)*c", "abs(c*x - 4)/c",
+    "sin(c*x)*cos(c*x + c)", "tan(c*x) + c", "sinh(c*x)/cosh(c*x + c)",
+    "tanh(c*x - c)*erf(c*x)", "-(c*x) + -c", "(c*x + c)^2.5", "c*x^c",
+    "(c + x)^(c*x)", "c^x + x/c", "c/(x + c) - (c - x)*c", "c*x1*sin(c*x2) + c",
+]
+
+
+@pytest.mark.parametrize("text", _JACOBIAN_CASES)
+def test_jacobian_matches_central_differences(text):
+    dim = 2 if "x1" in text else 1
+    plan = lower(parse(text, dim))
+    m = plan.num_coefficients
+    rng = np.random.default_rng(len(text))
+    C = rng.uniform(0.3, 0.7, (4, m))
+    X = rng.uniform(0.5, 2.0, (30, dim))
+    values, partials = evaluate_batch(plan, C, X, jacobian=True)
+    assert values.tobytes() == evaluate_batch(plan, C, X).tobytes()
+    assert partials.shape == (4, m, 30)
+    for j in range(m):
+        up, down = C.copy(), C.copy()
+        up[:, j] += 1e-6
+        down[:, j] -= 1e-6
+        step = (up[:, j] - down[:, j])[:, None]
+        central = (evaluate_batch(plan, up, X) - evaluate_batch(plan, down, X)) / step
+        np.testing.assert_allclose(partials[:, j], central, rtol=1e-6, atol=1e-9)
+    one_row = evaluate_batch(plan, C[1], X, jacobian=True)
+    assert one_row[0].tobytes() == values[1].tobytes()
+    assert one_row[1].tobytes() == partials[1].tobytes()
+
+
+def test_jacobian_sums_the_partials_of_a_repeated_coefficient():
+    # parse numbers every c apart; a tree built by hand can read one twice
+    tree = bin_("+", bin_("*", coef(0), coef(0)), bin_("*", coef(1), bin_("^", var(0), coef(0))))
+    X = np.array([[0.5], [2.0]])
+    _, partials = evaluate_batch(tree, [1.5, 3.0, 7.0], X, jacobian=True)
+    x = X[:, 0]
+    np.testing.assert_allclose(partials[0], 2 * 1.5 + 3.0 * x**1.5 * np.log(x), rtol=1e-13)
+    np.testing.assert_allclose(partials[1], x**1.5, rtol=1e-13)
+    assert not partials[2].any()  # a coefficient the tree does not read
+
+
+def test_jacobian_keeps_a_non_finite_partial_in_its_own_column():
+    # d/dc of x^c is x^c*log(x), NaN for x < 0 even at an integer c, and
+    # 0*NaN must not carry it into the other coefficients' columns
+    plan = lower(parse("c*x^c + c*x", 1))
+    X = np.array([[-2.0], [-0.5], [1.5]])
+    values, partials = evaluate_batch(plan, [1.3, 2.0, 0.7], X, jacobian=True)
+    assert np.isfinite(values).all()
+    assert np.isnan(partials[1, :2]).all() and np.isfinite(partials[1, 2])
+    assert np.isfinite(partials[[0, 2]]).all()
+    np.testing.assert_array_equal(partials[0], X[:, 0] ** 2)
+    np.testing.assert_array_equal(partials[2], X[:, 0])
+
+
+@pytest.mark.parametrize("text", ["x^c", "sqrt(c*x)", "(c*x)^0.5", "x^(c*x)"])
+def test_jacobian_is_zero_where_the_coefficient_does_not_move_the_value(text):
+    # at x = 0 each is constant in c (0^c is 0 for c > 0, sqrt(c*0) is 0),
+    # so its partial is 0, not 0*log(0) or 0*inf
+    X = np.array([[0.0], [2.0]])
+    values, partials = evaluate_batch(parse(text, 1), [1.5], X, jacobian=True)
+    assert np.isfinite(values).all()
+    assert partials[0, 0] == 0.0
+    assert np.isfinite(partials[0, 1]) and partials[0, 1] != 0.0

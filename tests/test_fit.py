@@ -183,20 +183,21 @@ def test_fit_result_is_immutable():
 
 
 # ---------------------------------------------------------------------------
-# Golden values: the lockstep LM must do exactly the arithmetic of fitting
-# each restart on its own, so these float.hex values were captured from
-# the one-restart-at-a-time implementation and must never drift.  The last
-# three cases, captured from the lockstep fitter with its tree walker, pin
-# the rarer exits of a restart: every restart running out of iterations,
-# a singular damped system (LinAlgError), and a run of rejected steps
-# whose damping overflows.  With the default xtol the step-size test stops
-# such a run long before the damping overflows, so that case turns it off.
+# Golden values: float.hex values captured from the fitter with exact
+# Jacobians, which must never drift.  That each restart does exactly the
+# arithmetic of fitting it on its own is checked below, against the same
+# fits run one restart at a time.  The last three cases pin the rarer
+# exits of a restart: every restart running out of iterations, a singular
+# damped system (LinAlgError: the warm start's two shifts, both 2, have
+# bit-identical Jacobian columns), and a run of rejected steps whose
+# damping overflows.  With the default xtol the step-size test stops such
+# a run long before the damping overflows, so that case turns it off.
 #
 # _GOLDEN holds the fitter without the stall stop (_STALL_RTOL = 0: every
 # accepted step lowers the SSE strictly, so the stall test never fires).
-# _GOLDEN_STALL holds the three cases the default stall stop changes; it
-# was derived from that rule-free fitter alone, by rerunning each stalled
-# restart with max_iterations set to its stall point.
+# _GOLDEN_STALL holds the three cases the default stall stop changes;
+# test_stalled_restart_holds_the_rule_free_state_at_its_count checks that
+# a stalled restart holds that rule-free fitter's state at its count.
 # ---------------------------------------------------------------------------
 
 def _golden_cases():
@@ -216,10 +217,10 @@ def _golden_cases():
     yield "iteration_cap", parse("c*sin(c*x)", 1), Dataset(x.reshape(-1, 1), 1e4 * np.sin(3 * x)), 1
     x = np.linspace(-3.0, 3.0, 25)
     yield ("singular_solve", parse("1/(2 + x)*1/(2 + x)", 1),
-           Dataset(x.reshape(-1, 1), 2 * np.exp(x / 6)), 0)
+           Dataset(x.reshape(-1, 1), 2 * np.exp(x / 3)), 0)
     u = np.linspace(1.0, 5.0, 30)
     yield ("mu_overflow", parse("c*x + c", 1),
-           Dataset(1e80 * u.reshape(-1, 1), 1e80 * (u + 0.3 * np.sin(3 * u))), 1)
+           Dataset(1e80 * u.reshape(-1, 1), 1e80 * (u + 0.3 * np.sin(3 * u))), 2)
 
 
 _GOLDEN_CONFIG = {"mu_overflow": FitConfig(xtol=0.0)}
@@ -227,80 +228,80 @@ _GOLDEN_CONFIG = {"mu_overflow": FitConfig(xtol=0.0)}
 # name: (coefficients, sse, restart_sses, iterations, converged)
 _GOLDEN = {
     "warm_hints": (
-        ["0x1.9c6ff4b44317fp-3", "0x1.b2d93acee7617p+0", "-0x1.9a1991d93a477p-1"],
-        "0x1.00113c49ceb72p-9",
-        ["0x1.00113c49ceb72p-9", "0x1.b5f8461c1fd9bp+1", "0x1.00113c49cebc1p-9",
-         "0x1.00113c49ceb7dp-9", "0x1.00113c49ceba8p-9"],
+        ["0x1.9c6ff4b432cf9p-3", "0x1.b2d93acee9cdfp+0", "-0x1.9a1991d938185p-1"],
+        "0x1.00113c49ceb77p-9",
+        ["0x1.00113c49ceb77p-9", "0x1.b5f8484317877p+1", "0x1.00113c49cebb0p-9",
+         "0x1.00113c49ceb80p-9", "0x1.00113c49ceb9ep-9"],
         (5, 200, 14, 6, 12), True,
     ),
     "penalty_region": (
-        ["-0x1.341d1de33e7a0p-22"],
-        "0x1.341d477e64e1fp-22",
-        ["0x1.d1a94a2000004p+39", "0x1.d1a94a2000000p+39", "0x1.d1a94a2000001p+39",
-         "0x1.341d477e64e1fp-22", "0x1.d1a94a2000006p+39"],
-        (2, 4, 2, 26, 3), True,
+        ["-0x1.5e83c6ab7f808p-67"],
+        "0x1.5e83c6ab7f808p-67",
+        ["0x1.d1a94a2000002p+39", "0x1.d1a94a2000000p+39", "0x1.d1a94a2000000p+39",
+         "0x1.5e83c6ab7f808p-67", "0x1.d1a94a2000004p+39"],
+        (2, 4, 2, 82, 3), True,
     ),
     "pow_cliff": (
-        ["0x1.4d799b830da55p+0", "0x1.0000000000000p+1"],
-        "0x1.f27e88a026033p-6",
-        ["0x1.f27e88a026033p-6", "0x1.5d3ef798000b9p+43", "0x1.5d3ef79800008p+43",
-         "0x1.5d3ef79802f6ep+43", "0x1.5d3ef7980005ap+43"],
+        ["0x1.4d799b830da5fp+0", "0x1.0000000000000p+1"],
+        "0x1.f27e88a026036p-6",
+        ["0x1.f27e88a026036p-6", "0x1.5d3ef798000b8p+43", "0x1.5d3ef79800008p+43",
+         "0x1.5d3ef79802f6dp+43", "0x1.5d3ef79800059p+43"],
         (3, 9, 5, 10, 8), True,
     ),
     "two_d": (
-        ["0x1.333333343d83ap-2", "-0x1.ccccccd0f786cp-1", "-0x1.6666665f156eep+0"],
-        "0x1.f64e504277d80p-62",
-        ["0x1.2cf65c6a2b0d0p-60", "0x1.f64e504277d80p-62", "0x1.652d8000f4ca6p-52",
-         "0x1.4b2230d5351b4p-58", "0x1.4391b34de6909p-56"],
+        ["0x1.333333343d83ap-2", "-0x1.ccccccd0f786dp-1", "-0x1.6666665f156ecp+0"],
+        "0x1.f64e624354900p-62",
+        ["0x1.2cf65a2a1fd60p-60", "0x1.f64e624354900p-62", "0x1.652d8108221e5p-52",
+         "0x1.4b222b96a4494p-58", "0x1.4391b2c830268p-56"],
         (11, 5, 6, 5, 7), True,
     ),
     "iteration_cap": (
-        ["0x1.d0246869c4612p+4", "0x1.80e3f7a700a19p+5"],
-        "0x1.66baa6dcfa1f4p+30",
-        ["0x1.687b9c71c8ed9p+30", "0x1.66baa6dcfa1f4p+30", "0x1.67648fbdfe22ap+30",
-         "0x1.686e8793b5119p+30", "0x1.6890d2f14ec14p+30"],
+        ["0x1.d311ecd2263b9p+4", "0x1.80e7f298fb64fp+5"],
+        "0x1.66b7aa0fd8db5p+30",
+        ["0x1.687f29cd73b3ap+30", "0x1.66b7aa0fd8db5p+30", "0x1.676473ed261e7p+30",
+         "0x1.683e826f03268p+30", "0x1.6890bb960c4dbp+30"],
         (200, 200, 200, 200, 200), False,
     ),
     "singular_solve": (
-        ["-0x1.281ff15380e12p+1", "-0x1.5b6efcf429615p-10", "-0x1.3f92f88d96f7bp+0",
-         "-0x1.00f7027e25ab8p-1"],
-        "0x1.b1094724e8798p+6",
-        ["0x1.c36314e0f3b00p+6", "0x1.c0c34141b40cap+6", "0x1.bc14ef8ce2006p+6",
-         "0x1.b8f418d00a0d6p+6", "0x1.b1094724e8798p+6"],
-        (38, 46, 18, 33, 32), True,
+        ["-0x1.2822264d01b13p+1", "-0x1.58bb307733006p-9",
+         "-0x1.3f4ffe6368ed9p+0", "-0x1.01c36e070528ep-1"],
+        "0x1.5d7871c55adafp+7",
+        ["0x1.76b3015770710p+7", "0x1.6ef28ee29b26bp+7", "0x1.6fc59d6c72cc7p+7",
+         "0x1.671d121a2ee27p+7", "0x1.5d7871c55adafp+7"],
+        (24, 45, 15, 21, 23), True,
     ),
     "mu_overflow": (
-        ["0x1.cf8acddd349f3p-1", "0x1.022955d2627c8p+0"],
-        "0x1.e79c0020787aap+531",
-        ["0x1.e79c0020787adp+531", "0x1.e79c0020787abp+531", "0x1.e79c0020787aap+531",
-         "0x1.e79c0020787adp+531", "0x1.e79c0020787aep+531"],
-        (3, 35, 6, 7, 4), True,
+        ["-0x1.a6fa212826f90p-2", "0x1.022955d1d6950p+0"],
+        "0x1.e79c0020787a9p+531",
+        ["0x1.e79c0020787afp+531", "0x1.e79c0020787a9p+531", "0x1.e79c0020787afp+531",
+         "0x1.e79c0020787b0p+531", "0x1.e79c0020787abp+531"],
+        (4, 35, 3, 5, 7), True,
     ),
 }
 
 
 _GOLDEN_STALL = {
     "warm_hints": (
-        ["0x1.9c6ff4b44317fp-3", "0x1.b2d93acee7617p+0", "-0x1.9a1991d93a477p-1"],
-        "0x1.00113c49ceb72p-9",
-        ["0x1.00113c49ceb72p-9", "0x1.b614adc54e1adp+1", "0x1.00113c49cebc1p-9",
-         "0x1.00113c49ceb7dp-9", "0x1.00113c49ceba8p-9"],
-        (5, 142, 14, 6, 12), True,
+        ["0x1.9c6ff4b432cf9p-3", "0x1.b2d93acee9cdfp+0", "-0x1.9a1991d938185p-1"],
+        "0x1.00113c49ceb77p-9",
+        ["0x1.00113c49ceb77p-9", "0x1.b613bad51866ep+1", "0x1.00113c49cebb0p-9",
+         "0x1.00113c49ceb80p-9", "0x1.00113c49ceb9ep-9"],
+        (5, 143, 14, 6, 12), True,
     ),
     "iteration_cap": (
-        ["0x1.ba1c89ac5f3b7p+4", "0x1.80df94ce5d729p+5"],
-        "0x1.66d1603fd2d57p+30",
-        ["0x1.688c0a5da561dp+30", "0x1.66d1603fd2d57p+30", "0x1.6764d04c2c737p+30",
-         "0x1.6892bca76ed7ap+30", "0x1.68910591092a5p+30"],
+        ["0x1.ba1be109decb2p+4", "0x1.80df955c94019p+5"],
+        "0x1.66d160edd9e52p+30",
+        ["0x1.688c0ae25d849p+30", "0x1.66d160edd9e52p+30", "0x1.6764cff78bfd0p+30",
+         "0x1.6892bca77d6c5p+30", "0x1.6891059168183p+30"],
         (26, 29, 27, 18, 21), False,
     ),
     "singular_solve": (
-        ["-0x1.281ff153d65d9p+1", "-0x1.5b81a79bc2642p-10", "-0x1.3f92f2adca800p+0",
-         "-0x1.00f70fcbf318cp-1"],
-        "0x1.b1094724edabap+6",
-        ["0x1.c36314e0f3b00p+6", "0x1.c0c3675dad933p+6", "0x1.bc14ef8ce2006p+6",
-         "0x1.b8f41a28b90ccp+6", "0x1.b1094724edabap+6"],
-        (38, 29, 18, 28, 30), True,
+        ["-0x1.2822264d01b13p+1", "-0x1.58bb307733006p-9",
+         "-0x1.3f4ffe6368ed9p+0", "-0x1.01c36e070528ep-1"],
+        "0x1.5d7871c55adafp+7",
+        ["0x1.76b3015770710p+7", "0x1.6ef29671e0743p+7", "0x1.6fc59d6c72cc7p+7",
+         "0x1.671d121a2f47ep+7", "0x1.5d7871c55adafp+7"],
+        (24, 40, 15, 20, 23), True,
     ),
 }
 
@@ -308,11 +309,11 @@ _GOLDEN_STALL = {
 _GOLDEN_STOPS = {
     "warm_hints": (("gtol", "cap", "gtol", "ftol", "ftol"),
                    ("gtol", "stall", "gtol", "ftol", "ftol")),
-    "penalty_region": (("ftol", "ftol", "ftol", "gtol", "ftol"),) * 2,
+    "penalty_region": (("ftol", "ftol", "ftol", "xtol", "ftol"),) * 2,
     "pow_cliff": (("gtol", "ftol", "ftol", "ftol", "ftol"),) * 2,
     "two_d": (("gtol",) * 5,) * 2,
     "iteration_cap": (("cap",) * 5, ("stall",) * 5),
-    "singular_solve": (("ftol",) * 5, ("ftol", "stall", "ftol", "stall", "stall")),
+    "singular_solve": (("ftol",) * 5, ("ftol", "stall", "ftol", "stall", "ftol")),
     "mu_overflow": (("ftol", "mu_overflow", "ftol", "ftol", "ftol"),) * 2,
 }
 
@@ -346,21 +347,50 @@ def test_golden_fit_values_with_the_stall_stop(name, tree, dataset, seed):
 
 
 def test_singular_solve_golden_still_takes_the_linalg_error_branch(monkeypatch):
-    raised = []
-    solve = np.linalg.solve
+    raised, steps = [], []
+    solve, stacked = np.linalg.solve, fit_module._solve
 
     def counting_solve(a, b):
         try:
             return solve(a, b)
         except np.linalg.LinAlgError:
-            raised.append(1)
+            raised.append(np.ndim(a))
             raise
 
+    def recording_solve(A, b):
+        steps.append(stacked(A, b))
+        return steps[-1]
+
     monkeypatch.setattr(fit_module.np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(fit_module, "_solve", recording_solve)
     name, tree, dataset, seed = [c for c in _golden_cases() if c[0] == "singular_solve"][0]
     res = fit(canonicalize(tree, dataset.dim), dataset, rng=np.random.default_rng(seed))
+    _assert_golden(res, _GOLDEN_STALL[name])
     assert res.stops == _GOLDEN_STOPS[name][1]
-    assert len(raised) == 3
+    # one stacked solve raised; solved row by row, only one row raised again
+    assert raised == [3, 2]
+    singular = [d for d in steps if np.isnan(d).any()]
+    assert len(singular) == 1
+    # that restart alone got no step, so it alone took the mu-growth branch
+    assert np.isnan(singular[0]).all(axis=1).sum() == 1
+    assert np.isfinite(singular[0][~np.isnan(singular[0]).any(axis=1)]).all()
+
+
+def test_lockstep_restarts_match_each_restart_alone():
+    for name, tree, dataset, seed in _golden_cases():
+        skeleton = canonicalize(tree, dataset.dim)
+        plan = lower(skeleton.expr)
+        starts = np.random.default_rng(seed).standard_normal((5, skeleton.num_slots))
+        config = _GOLDEN_CONFIG.get(name, FitConfig())
+        together = fit_module._levenberg_marquardt(plan, starts, dataset.X, dataset.y, config)
+        for i in range(5):
+            alone = fit_module._levenberg_marquardt(plan, starts[i:i + 1], dataset.X,
+                                                    dataset.y, config)
+            assert together[0][i].tobytes() == alone[0][0].tobytes(), name
+            assert together[1][i].tobytes() == alone[1][0].tobytes(), name
+            assert [float(v[i]).hex() for v in together[2:4]] == [
+                float(v[0]).hex() for v in alone[2:4]], name
+            assert together[4][i] == alone[4][0], name
 
 
 def _stalling_cases():
@@ -380,7 +410,7 @@ def test_stalled_restart_holds_the_rule_free_state_at_its_count(monkeypatch, tre
     plan = lower(skeleton.expr)
     starts = np.random.default_rng(seed).standard_normal((5, skeleton.num_slots))
     X, y = dataset.X, dataset.y
-    c, _, sse, iterations, stops = fit_module._levenberg_marquardt(plan, starts, X, y,
+    c, _, sse, iterations, stops, _ = fit_module._levenberg_marquardt(plan, starts, X, y,
                                                                    FitConfig())
     assert "stall" in stops
     monkeypatch.setattr(fit_module, "_STALL_RTOL", 0.0)
@@ -388,7 +418,7 @@ def test_stalled_restart_holds_the_rule_free_state_at_its_count(monkeypatch, tre
         if stop != "stall":
             continue
         capped = FitConfig(max_iterations=iterations[i])
-        c0, _, sse0, iterations0, stops0 = fit_module._levenberg_marquardt(plan, starts, X, y,
+        c0, _, sse0, iterations0, stops0, _ = fit_module._levenberg_marquardt(plan, starts, X, y,
                                                                            capped)
         assert (iterations0[i], stops0[i]) == (iterations[i], "cap")
         assert c0[i].tobytes() == c[i].tobytes()
@@ -400,7 +430,7 @@ def test_cap_exit_is_still_reachable_with_the_stall_stop():
     # all the way to the iteration cap
     res = fit(canonicalize(parse("c*sqrt(abs(x) + c)", 1)),
               sample(get_benchmark("nguyen2"), "train"), FitConfig(restarts=1),
-              rng=np.random.default_rng(1))
+              rng=np.random.default_rng(4))
     assert res.stops == ("cap",) and res.iterations == (200,)
     assert res.valid and not res.converged
 
@@ -414,6 +444,39 @@ def test_exponent_on_definedness_cliff_stays_pinned():
     assert res.best_restart == 0 and res.valid
     assert res.coefficients[1] == 2.0
     np.testing.assert_allclose(res.coefficients[0], 1.3, rtol=1e-9)
+    # restart 0 froze the exponent at its start and at each accepted step
+    assert res.frozen >= res.iterations[0] > 0
+
+
+def test_only_the_exponent_column_freezes_over_negative_x():
+    # d/dc of x^c is NaN at x < 0 even at the integer warm start, while
+    # the multipliers' partials stay finite and both coefficients fit
+    x = np.linspace(-2.0, -0.5, 20)
+    ds = Dataset(x.reshape(-1, 1), 1.3 * x**2 + 0.7 * x)
+    sk = canonicalize(parse("c*x^2 + c*x", 1))
+    exponent = sk.hints.index(2.0)
+    start = np.array([[0.4, 0.4, 0.4]])
+    start[0, exponent] = 2.0
+    _, defined, jac, frozen = fit_module._probe(lower(sk.expr), start, ds.X, ds.y)
+    assert defined.all() and frozen == [1]
+    assert not jac[0, exponent].any()
+    others = np.delete(jac[0], exponent, axis=0)
+    assert np.isfinite(others).all() and np.abs(others).min(axis=1).min() > 0
+    res = fit(sk, ds, rng=np.random.default_rng(0))
+    assert res.best_restart == 0 and res.valid
+    assert res.coefficients[exponent] == 2.0
+    multipliers = np.delete(res.coefficients, exponent)
+    np.testing.assert_allclose(sorted(multipliers), [0.7, 1.3], rtol=1e-9)
+
+
+def test_a_point_the_coefficient_does_not_move_freezes_nothing():
+    # sqrt(c*x) at x = 0 is 0 for every c: its partial there is 0, not
+    # 0*inf, so c is not pinned and the fit recovers it
+    x = np.linspace(0.0, 4.0, 30)
+    ds = Dataset(x.reshape(-1, 1), np.sqrt(2.0 * x))
+    res = fit(canonicalize(parse("sqrt(c*x)", 1)), ds, rng=np.random.default_rng(0))
+    assert res.valid and res.frozen == 0
+    np.testing.assert_allclose(res.coefficients, [2.0], rtol=1e-9)
 
 
 def test_iterations_reported_per_restart():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 import requests
 
@@ -314,6 +316,24 @@ def test_live_malformed_payload():
 def test_live_usage_that_is_not_an_object_is_a_malformed_payload(usage):
     # ["ab"] is one dict() would take, as {"a": "b"}
     session = FakeSession([_ok(usage=usage)])
+    backend = LiveBackend(
+        "http://host", api_key="k", session=session, sleep=lambda _: None
+    )
+    with pytest.raises(BackendError, match="malformed completion payload"):
+        backend.complete(_request())
+
+
+@pytest.mark.parametrize("usage", [
+    '{"total_tokens": NaN}',
+    '{"total_tokens": Infinity}',
+    '{"prompt_tokens": -Infinity}',
+    '{"details": {"cached_tokens": NaN}}',
+    '{"per_choice": [1, Infinity]}',
+], ids=["nan", "inf", "minus_inf", "nested", "in_list"])
+def test_live_usage_with_a_non_finite_number_is_a_malformed_payload(usage):
+    # the run log is strict JSON, which has no NaN or Infinity; requests'
+    # json() reads both
+    session = FakeSession([_ok(usage=json.loads(usage))])
     backend = LiveBackend(
         "http://host", api_key="k", session=session, sleep=lambda _: None
     )
