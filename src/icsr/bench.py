@@ -23,7 +23,7 @@ import numpy as np
 from . import engine as engine_mod
 from .dataset import Dataset
 from .engine import Candidate, EngineConfig, NoValidSeedsError, RunRecord
-from .expr import Expr, complexity, evaluate_batch, parse, variable_names
+from .expr import Expr, complexity, evaluate_batch, parse
 from .llm import BackendError
 from .score import r_squared, r_squared_trimmed
 
@@ -408,12 +408,6 @@ def _sem(values) -> float:
     if len(values) < 2:
         return 0.0 if values else float("nan")
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
-
-
-def oracle_response(spec: BenchmarkSpec) -> str:
-    """A scripted model response carrying the ground-truth expression
-    verbatim (literals intact, so canonicalization warm-starts the fit)."""
-    return f"f1({', '.join(variable_names(spec.dim))}) = {spec.expression}"
 
 
 def score_winner(record: RunRecord, grid: Dataset, trim_fraction: float):

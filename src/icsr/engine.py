@@ -124,10 +124,6 @@ class Trajectory:
         self.entries.sort(key=lambda c: c.scores.error)
         del self.entries[self.k:]
 
-    @property
-    def best_error(self) -> float:
-        return self.entries[0].scores.error if self.entries else math.inf
-
     def view_worst_first(self) -> list[tuple[str, float]]:
         return [(c.skeleton.key, c.scores.error) for c in reversed(self.entries)]
 

@@ -9,9 +9,12 @@ and canonicalizing trees into fit-ready skeletons.
 Evaluation runs a tree lowered to a flat post-order plan (lower); a
 caller that evaluates one tree many times, like the fitter, lowers it
 once.  The same pass can carry exact partials in every coefficient
-(forward-mode differentiation): the fitter's Jacobian.  Undefined values
-(log of a negative, division by zero, overflow) are represented as NaN.
-Evaluation never raises on numeric grounds.
+(forward-mode differentiation): the fitter's Jacobian.  A coefficient a
+value does not read has partial exactly 0 in it, and a non-finite partial
+never spreads to another coefficient's column; partials at undefined
+points mean nothing.  Undefined values (log of a negative, division by
+zero, overflow) are represented as NaN.  Evaluation never raises on
+numeric grounds.
 """
 
 from __future__ import annotations
@@ -366,10 +369,11 @@ def _chain(t, factor):
     return out
 
 
-# Each function's tangent from its input's tangent t, its input u and its
-# value v; ^ has one per operand.  Where a derivative is not finite but
-# the value is (sqrt at 0, the exponent of a negative base), the fitter
-# treats that coefficient as frozen.
+# Each op's tangent from its input's tangent t, its input u and its value
+# v; a binary op has one per operand, from that operand's t, a, b and v.
+# A factor that can be non-finite where the value is defined goes through
+# _chain, so it stays in the columns of the coefficients that move its
+# input; the fitter treats those as frozen there.
 _TANGENTS = {
     np.sqrt: lambda t, u, v: _chain(t, 0.5 / v),
     np.exp: lambda t, u, v: t * v,
@@ -383,66 +387,41 @@ _TANGENTS = {
     np.tanh: lambda t, u, v: t * (1.0 - v * v),
     _erf: lambda t, u, v: t * ((2.0 / math.sqrt(math.pi)) * np.exp(-u * u)),
     np.negative: lambda t, u, v: -t,
+    np.add: (lambda t, a, b, v: t, lambda t, a, b, v: t),
+    np.subtract: (lambda t, a, b, v: t, lambda t, a, b, v: -t),
+    np.multiply: (lambda t, a, b, v: t * b, lambda t, a, b, v: t * a),
+    # d(a/b) = da/b - (a/b) db/b; a/b/b can overflow where a/b is finite
+    np.divide: (lambda t, a, b, v: t / b, lambda t, a, b, v: _chain(t, -v / b)),
     # a^b is flat in b where it is 0 (0^b for b > 0), though log(0) is -inf
     "^": (lambda t, a, b, v: _chain(t, b * np.power(a, b - 1.0)),
           lambda t, a, b, v: _chain(t, np.where(v == 0.0, 0.0, v * np.log(a)))),
 }
 
 
-# A tangent is None (the value reads no coefficient) or (cols, T): the
-# coefficients the value reads and its partials in them, shape (len(cols),
-# k, n).  Carrying only the columns a subtree reads keeps a non-finite
-# partial (d/db of a^b over a < 0, say) out of every other column, where
-# 0 * nan would otherwise put it.
-
-def _scaled(t, factor):
-    return None if t is None else (t[0], t[1] * factor)
-
-
-def _summed(ta, tb):
+def _binary_tangent(op, a, b, v, ta, tb):
+    """The sum of one term per operand whose tangent is not None."""
+    da, db = _TANGENTS[op]
     if ta is None or tb is None:
-        return tb if ta is None else ta
-    (ca, a), (cb, b) = ta, tb
-    if set(ca).isdisjoint(cb):
-        return ca + cb, np.concatenate((a, b))
-    cols = ca + tuple(j for j in cb if j not in ca)
-    both = np.zeros((len(cols),) + a.shape[1:])
-    both[:len(ca)] = a
-    both[[cols.index(j) for j in cb]] += b
-    return cols, both
-
-
-def _arith_tangent(op, a, b, v, ta, tb):
-    if op is np.add:
-        return _summed(ta, tb)
-    if op is np.subtract:
-        return _summed(ta, _scaled(tb, -1.0))
-    if op is np.multiply:
-        return _summed(_scaled(ta, b), _scaled(tb, a))
-    # d(a/b) = da/b - (a/b) db/b
-    return _summed(None if ta is None else (ta[0], ta[1] / b), _scaled(tb, -v / b))
-
-
-def _power_tangent(a, b, v, ta, tb):
-    da, db = _TANGENTS["^"]
-    return _summed(None if ta is None else (ta[0], da(ta[1], a, b, v)),
-                   None if tb is None else (tb[0], db(tb[1], a, b, v)))
+        return db(tb, a, b, v) if ta is None else da(ta, a, b, v)
+    return da(ta, a, b, v) + db(tb, a, b, v)
 
 
 def _run(steps, rows: np.ndarray, X: np.ndarray, jacobian: bool = False):
     """The plan's value at every row and point, and its tangent (None
-    unless jacobian).  The values are the same ops either way."""
+    unless jacobian).  The values are the same ops either way.  A tangent
+    is None (the value reads no coefficient) or its partials in all m
+    coefficients, broadcastable to (m, k, n); coefficient j's is units[j]."""
     k, n = rows.shape[0], X.shape[0]
-    unit = np.ones((1, k, n)) if jacobian else None
+    units = np.eye(rows.shape[1])[:, :, None, None] if jacobian else None
     stack = []
     push, pop = stack.append, stack.pop
     for kind, arg in steps:
         if kind == "arith":
             (b, tb), (a, ta) = pop(), pop()
             v = _finite(arg(a, b))
-            push((v, None if ta is tb is None else _arith_tangent(arg, a, b, v, ta, tb)))
+            push((v, None if ta is tb is None else _binary_tangent(arg, a, b, v, ta, tb)))
         elif kind == "coef":
-            push((rows[:, arg:arg + 1], None if unit is None else ((arg,), unit)))
+            push((rows[:, arg:arg + 1], None if units is None else units[arg]))
         elif kind == "var":
             push((X[:, arg], None))
         elif kind == "dense":
@@ -451,7 +430,7 @@ def _run(steps, rows: np.ndarray, X: np.ndarray, jacobian: bool = False):
         elif kind == "un":
             u, tu = pop()
             v = _finite(arg(u))
-            push((v, None if tu is None else (tu[0], _TANGENTS[arg](tu[1], u, v))))
+            push((v, None if tu is None else _TANGENTS[arg](tu, u, v)))
         elif kind == "lit":
             push((arg, None))
         else:
@@ -461,7 +440,7 @@ def _run(steps, rows: np.ndarray, X: np.ndarray, jacobian: bool = False):
             out = np.power(a, b)
             bad = ~np.isfinite(out) | np.isnan(a) | np.isnan(b)
             v = np.where(bad, np.nan, out) if bad.any() else out
-            push((v, None if ta is tb is None else _power_tangent(a, b, v, ta, tb)))
+            push((v, None if ta is tb is None else _binary_tangent("^", a, b, v, ta, tb)))
     # a leaf root (an inf literal, say) is the one result not yet sanitized
     v, t = pop()
     return _finite(v), t
@@ -479,9 +458,11 @@ def evaluate_batch(expr, coefficients, X, jacobian: bool = False):
 
     With jacobian=True the result is a pair: the same values, bit for bit,
     and their exact partials in each coefficient, of shape (m, n) or
-    (k, m, n), carried forward through every step of the plan.  A partial
-    may be non-finite where the value is defined (sqrt at 0); at undefined
-    points it means nothing.
+    (k, m, n), carried forward through every step of the plan.  A
+    coefficient the value does not read has partial exactly 0.  A partial
+    may be non-finite where the value is defined (sqrt at 0), but never
+    spreads to another coefficient's column.  At undefined points a
+    partial means nothing.
     """
     plan = expr if isinstance(expr, Plan) else lower(expr)
     X = np.asarray(X, dtype=float)
@@ -501,7 +482,7 @@ def evaluate_batch(expr, coefficients, X, jacobian: bool = False):
         return values if coefficients.ndim == 2 else values[0]
     partials = np.zeros((rows.shape[0], rows.shape[1], X.shape[0]))
     if tangent is not None:
-        partials[:, list(tangent[0])] = tangent[1].swapaxes(0, 1)
+        partials[:] = tangent.swapaxes(0, 1)
     return (values, partials) if coefficients.ndim == 2 else (values[0], partials[0])
 
 

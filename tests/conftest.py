@@ -4,6 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from icsr.bench import BenchmarkSpec
+from icsr.expr import variable_names
+
 _PRELUDE = f"""\
 import sys
 sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
@@ -27,3 +30,9 @@ def fresh_python():
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
     return run
+
+
+def oracle_response(spec: BenchmarkSpec) -> str:
+    """A scripted model response carrying the ground-truth expression
+    verbatim (literals intact, so canonicalization warm-starts the fit)."""
+    return f"f1({', '.join(variable_names(spec.dim))}) = {spec.expression}"

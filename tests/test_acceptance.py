@@ -24,6 +24,8 @@ from icsr.fit import FitConfig, fit
 from icsr.llm import LiveBackend, ReplayBackend
 from icsr.score import ScoreConfig, fitness, nmse, r_squared_trimmed
 
+from conftest import oracle_response
+
 
 def all_benchmark_names():
     names = []
@@ -50,7 +52,7 @@ def test_criterion_1_oracle_replay_recovers_every_benchmark():
         train = bench.sample(spec, "train")
         test = bench.sample(spec, "test")
         config = EngineConfig(n_seed_calls=1, max_iterations=0, seed=0)
-        record = engine.run(train, config, ReplayBackend([bench.oracle_response(spec)]))
+        record = engine.run(train, config, ReplayBackend([oracle_response(spec)]))
         best = record.best
         assert best is not None
         pred = evaluate_batch(best.skeleton.expr, best.fit.coefficients, test.X)
@@ -231,7 +233,7 @@ def test_criterion_5_trajectory_invariants_and_fit_once_cache():
         if key not in present:
             best_seen = min(best_seen, error)
         trajectory.add(_stub(key, error))
-        assert trajectory.best_error == best_seen
+        assert trajectory.entries[0].scores.error == best_seen
         assert len(trajectory.entries) <= 5
         if step % 50 == 0 or step > 9_950:
             errors = [c.scores.error for c in trajectory.entries]
@@ -267,7 +269,7 @@ def test_criterion_6_suite_reports_are_deterministic():
     config = EngineConfig(n_seed_calls=1, max_iterations=0)
 
     def factory(spec, seed):
-        return ReplayBackend([bench.oracle_response(spec)])
+        return ReplayBackend([oracle_response(spec)])
 
     reports = [bench.run_suite(names, config, [1, 2], factory) for _ in range(2)]
     parallel = bench.run_suite(names, config, [1, 2], factory, jobs=2)

@@ -22,7 +22,6 @@ from icsr.bench import (
     ood_bounds,
     ood_csv,
     operator_complexity,
-    oracle_response,
     resolve_suite,
     results_csv,
     run_suite,
@@ -32,6 +31,8 @@ from icsr.bench import (
 from icsr.engine import EngineConfig
 from icsr.expr import evaluate_batch, parse
 from icsr.llm import ReplayBackend
+
+from conftest import oracle_response
 
 
 def linear_spec(**overrides):

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import tempfile
 from types import SimpleNamespace
@@ -81,7 +80,7 @@ def test_trajectory_keeps_k_best_sorted():
     for key, err in [("a", 0.9), ("b", 0.5), ("c", 0.7), ("d", 0.6), ("e", 0.8)]:
         t.add(_stub(key, err))
     assert [e.skeleton.key for e in t.entries] == ["b", "d", "c"]
-    assert t.best_error == 0.5
+    assert t.entries[0].scores.error == 0.5
     assert t.view_worst_first() == [("c", 0.7), ("d", 0.6), ("b", 0.5)]
 
 
@@ -90,11 +89,7 @@ def test_trajectory_ignores_repeated_keys():
     t.add(_stub("a", 0.9))
     t.add(_stub("a", 0.1))
     assert len(t.entries) == 1
-    assert t.best_error == 0.9
-
-
-def test_trajectory_empty_best_error():
-    assert Trajectory(5).best_error == math.inf
+    assert t.entries[0].scores.error == 0.9
 
 
 @settings(max_examples=50, deadline=None)

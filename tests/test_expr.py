@@ -1,6 +1,9 @@
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +359,31 @@ def test_canonicalize_skeleton_key_reparses_to_same_key():
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
+
+_PLANTED_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_planted(n):
+    assert n < 10
+"""
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # under the repo's filterwarnings = error, a warning raised while
+    # hypothesis reports a failure must not end the session instead
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "test_planted.py").write_text(_PLANTED_PROPERTY, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path), "test_planted.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "1 failed" in proc.stdout
+
 
 def _exprs():
     leaves = st.one_of(
@@ -725,10 +753,24 @@ def test_jacobian_keeps_a_non_finite_partial_in_its_own_column():
     np.testing.assert_array_equal(partials[2], X[:, 0])
 
 
-@pytest.mark.parametrize("text", ["x^c", "sqrt(c*x)", "(c*x)^0.5", "x^(c*x)"])
+def test_jacobian_keeps_an_overflowing_divisor_partial_in_its_own_column():
+    # d/dc2 of c1/c2 is -(c1/c2)/c2, -inf at these values though c1/c2 is
+    # 1e300, and 0*inf must not carry it into the other columns
+    X = np.array([[0.5], [2.0]])
+    values, partials = evaluate_batch(parse("c*x + c/c", 1), [1.0, 1e200, 1e-100],
+                                      X, jacobian=True)
+    assert np.isfinite(values).all()
+    np.testing.assert_array_equal(partials[0], X[:, 0])
+    np.testing.assert_array_equal(partials[1], [1e100, 1e100])
+    np.testing.assert_array_equal(partials[2], [-np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("text", ["x^c", "sqrt(c*x)", "(c*x)^0.5", "x^(c*x)",
+                                  "1e290/(c*x + 1e-10)"])
 def test_jacobian_is_zero_where_the_coefficient_does_not_move_the_value(text):
-    # at x = 0 each is constant in c (0^c is 0 for c > 0, sqrt(c*0) is 0),
-    # so its partial is 0, not 0*log(0) or 0*inf
+    # at x = 0 each is constant in c (0^c is 0 for c > 0, sqrt(c*0) is 0,
+    # 1e290/(c*0 + 1e-10) is 1e300), so its partial is 0, not 0*log(0) or
+    # 0*inf
     X = np.array([[0.0], [2.0]])
     values, partials = evaluate_batch(parse(text, 1), [1.5], X, jacobian=True)
     assert np.isfinite(values).all()
