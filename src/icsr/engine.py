@@ -6,8 +6,8 @@ call is logged as one JSON-lines document; candidates are deduplicated
 by canonical skeleton so each functional form is fitted exactly once per
 run, no matter how often the model re-proposes it.  The front-end work is
 memoised per run as well: each literal-free template (a line with 'c' for
-its numbers) is parsed and canonicalized once, hints are computed only
-for fitted skeletons, and the prompt's training points formatted once.
+its numbers) is parsed and canonicalized once, a line's numbers are bound
+only to fit its skeleton, and each prompt's frame is filled once.
 """
 
 from __future__ import annotations
@@ -106,7 +106,19 @@ class CallRecord:
     outcomes: list = field(default_factory=list)
 
     def to_doc(self) -> dict:
-        return {**vars(self), "latency": round(self.latency, 6)}
+        """The call's run-log document, its keys in sorted order at every
+        level, as the outcomes' are, so it encodes without sort_keys."""
+        return {"error": self.error, "index": self.index, "latency": round(self.latency, 6),
+                "outcomes": self.outcomes, "phase": self.phase, "prompt": self.prompt,
+                "response": self.response, "temperature": self.temperature,
+                "usage": _keys_sorted(self.usage) if self.usage else self.usage}
+
+
+def _keys_sorted(value):
+    """value with every dict in it rebuilt in sorted key order."""
+    if isinstance(value, dict):
+        return {k: _keys_sorted(value[k]) for k in sorted(value)}
+    return [_keys_sorted(v) for v in value] if isinstance(value, list) else value
 
 
 class Trajectory:
@@ -204,7 +216,8 @@ class _Run:
         self.log = log
         self.rng = np.random.default_rng(config.seed)
         self.cache: dict[str, Candidate | None] = {}
-        # raw line -> (complexity, Skeleton), or its ParseError message
+        # raw line -> (complexity, template Skeleton, values), or its
+        # ParseError message
         self.lines: dict[str, tuple | str] = {}
         # template -> its entry, or None if it does not parse; see parse_line
         self.templates: dict[str, tuple | str | None] = {}
@@ -214,14 +227,10 @@ class _Run:
 
     # -- one backend call -------------------------------------------------
 
-    def call(self, phase: str, index: int, prompt: str, temperature: float) -> CallRecord:
-        rec = CallRecord(phase=phase, index=index, temperature=temperature, prompt=prompt)
-        params = replace(self.config.sampling, temperature=temperature)
-        request = CompletionRequest(
-            model=self.config.model,
-            messages=({"role": "user", "content": prompt},),
-            params=params,
-        )
+    def call(self, phase: str, index: int, prompt: str, params: SamplingParams) -> CallRecord:
+        rec = CallRecord(phase=phase, index=index, temperature=params.temperature, prompt=prompt)
+        request = CompletionRequest(model=self.config.model, params=params,
+                                    messages=({"role": "user", "content": prompt},))
         try:
             response = self.backend.complete(request)
         except BackendError as exc:
@@ -233,16 +242,17 @@ class _Run:
             self.process_response(rec)
         self.record.calls.append(rec)
         # flushed per call, so a run that dies still leaves a readable log
-        self.log.write(json.dumps(rec.to_doc(), sort_keys=True) + "\n")
+        self.log.write(json.dumps(rec.to_doc()) + "\n")
         self.log.flush()
         return rec
 
     # -- candidate pipeline ------------------------------------------------
 
     def parse_line(self, raw: str) -> tuple | str:
-        """(complexity, Skeleton) for a candidate line, or the message of
-        its ParseError (a key that breaks parse's caps is one too): once
-        per distinct line, from its template's entry and its own values."""
+        """(complexity, template Skeleton, values) for a candidate line, or
+        the message of its ParseError (a key that breaks parse's caps is
+        one too): once per distinct line, from its template's entry.  The
+        line's values are bound to the skeleton only if it is fitted."""
         entry = self.lines.get(raw)
         if entry is None:
             try:
@@ -253,7 +263,7 @@ class _Run:
                 if entry is None:
                     parse(raw, self.dataset.dim)  # fails as the template did
                 elif not isinstance(entry, str):
-                    entry = (entry[0], replace(entry[1], values=values))
+                    entry = (*entry, values)
             except ParseError as exc:
                 entry = str(exc)
             self.lines[raw] = entry
@@ -268,68 +278,54 @@ class _Run:
             return None if tree is None else str(exc)
 
     def process_response(self, rec: CallRecord):
+        # each outcome's keys in sorted order; see CallRecord.to_doc
         accepted = 0
         for raw in extract_candidates(rec.response):
             if accepted >= self.config.functions_per_call:
                 rec.outcomes.append({"raw": raw, "status": "discarded_over_cap"})
                 continue
-            outcome = {"raw": raw}
             entry = self.parse_line(raw)
             if isinstance(entry, str):
-                outcome["status"] = "parse_error"
-                outcome["detail"] = entry
-                rec.outcomes.append(outcome)
+                rec.outcomes.append({"detail": entry, "raw": raw, "status": "parse_error"})
                 continue
             accepted += 1
-            comp, skeleton = entry
-            outcome["key"] = skeleton.key
-            outcome["complexity"] = comp
-            if skeleton.key in self.cache:
-                cached = self.cache[skeleton.key]
-                outcome["status"] = "duplicate"
-                outcome["err"] = None if cached is None else cached.scores.error
-                rec.outcomes.append(outcome)
+            comp, skeleton, values = entry
+            key = skeleton.key
+            if key in self.cache:
+                cached = self.cache[key]
+                rec.outcomes.append({"complexity": comp,
+                                     "err": None if cached is None else cached.scores.error,
+                                     "key": key, "raw": raw, "status": "duplicate"})
                 continue
+            skeleton = replace(skeleton, values=values)
             result = fit(skeleton, self.dataset, self.config.fit, self.rng)
-            outcome["restarts"] = len(result.restart_sses)
-            outcome["lm_iterations"] = list(result.iterations)
-            outcome["lm_stops"] = list(result.stops)
-            outcome["lm_frozen"] = result.frozen
+            lm = {"lm_frozen": result.frozen, "lm_iterations": list(result.iterations),
+                  "lm_stops": list(result.stops)}
+            restarts = len(result.restart_sses)
             nmse_value = math.inf
             if result.valid:
                 pred = evaluate_batch(skeleton.expr, result.coefficients, self.dataset.X)
                 nmse_value = nmse(pred, self.dataset.y, self.config.score.eps)
             # finite predictions whose squared miss overflows are no fit either
             if not math.isfinite(nmse_value):
-                self.cache[skeleton.key] = None
-                outcome["status"] = "invalid_fit"
-                rec.outcomes.append(outcome)
+                self.cache[key] = None
+                rec.outcomes.append({"complexity": comp, "key": key, **lm, "raw": raw,
+                                     "restarts": restarts, "status": "invalid_fit"})
                 continue
             r, err = fitness(nmse_value, comp, self.config.score)
-            scores = Scores(
-                nmse=nmse_value,
-                fitness=r,
-                error=err,
-                r2_train=r_squared(pred, self.dataset.y),
-                complexity=comp,
-            )
-            candidate = Candidate(
-                raw=raw,
-                skeleton=skeleton,
-                fit=result,
-                scores=scores,
-                origin=f"{rec.phase}:{rec.index}",
-            )
-            self.cache[skeleton.key] = candidate
+            scores = Scores(nmse=nmse_value, fitness=r, error=err,
+                            r2_train=r_squared(pred, self.dataset.y), complexity=comp)
+            candidate = Candidate(raw=raw, skeleton=skeleton, fit=result, scores=scores,
+                                  origin=f"{rec.phase}:{rec.index}")
+            self.cache[key] = candidate
             self.trajectory.add(candidate)
             if self.record.best is None or err < self.record.best.scores.error:
                 self.record.best = candidate
             if scores.r2_train > self.config.early_stop_r2:
                 self.record.early_stopped = True
-            outcome["status"] = "scored"
-            outcome["err"] = err
-            outcome["r2_train"] = scores.r2_train
-            rec.outcomes.append(outcome)
+            rec.outcomes.append({"complexity": comp, "err": err, "key": key, **lm,
+                                 "r2_train": scores.r2_train, "raw": raw,
+                                 "restarts": restarts, "status": "scored"})
 
     # -- phases --------------------------------------------------------------
 
@@ -338,23 +334,27 @@ class _Run:
         for i in range(self.config.n_seed_calls):
             if self.record.early_stopped:
                 break
-            self.call("seed", i, prompt, self.config.sampling.temperature)
+            self.call("seed", i, prompt, self.config.sampling)
 
     def loop_phase(self):
-        schedule = self.config.schedule
+        schedule, params = self.config.schedule, self.config.sampling
         for j in range(self.config.max_iterations):
             if self.record.early_stopped:
                 break
+            # new SamplingParams only where the schedule moves the
+            # temperature; by repr, as 1 and 1.0 send different bytes
+            t = params.temperature if schedule is None else schedule.temperature_at(j)
+            if repr(t) != repr(params.temperature):
+                params = replace(params, temperature=t)
             prompt = build_loop_prompt(self.points, self.dataset.dim,
                                        self.trajectory.view_worst_first())
-            self.call("loop", j, prompt, self.config.sampling.temperature
-                      if schedule is None else schedule.temperature_at(j))
+            self.call("loop", j, prompt, params)
 
     def random_phase(self):
         prompt = build_random_prompt(self.dataset.dim)
         total = self.config.n_seed_calls + self.config.max_iterations
         for i in range(total):
-            self.call("random", i, prompt, self.config.sampling.temperature)
+            self.call("random", i, prompt, self.config.sampling)
 
 
 def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRecord:

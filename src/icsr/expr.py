@@ -98,55 +98,59 @@ def lit(value: float) -> Expr:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# Every token in one scan: a number, '**' or '^', any other token, and
+# whitespace, which no group keeps.  A character no token starts with is
+# a stray of its own, so the scan never skips one.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<pow>\*\*|\^)
-  | (?P<op>[+\-*/])
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<ws>\s+)
+    ((?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+  | (\*\*|\^)
+  | ([A-Za-z_][A-Za-z_0-9]*|[+\-*/()])
+  | \s+
+  | (.)
 """,
     re.VERBOSE,
 )
+_KINDS = {"+": "op", "-": "op", "*": "op", "/": "op", "(": "lparen", ")": "rparen"}
+
+
+def _unexpected(text: str) -> ParseError:
+    """The error for text's first stray character, at its position."""
+    m = next(m for m in _TOKEN_RE.finditer(text) if m.group(4))
+    return ParseError(f"unexpected character {m.group()!r} at {m.start()}")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
-        kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            if kind == "pow":
-                kind, value = "op", "^"
-            tokens.append((kind, value))
-        pos = m.end()
-    return tokens
+    found = _TOKEN_RE.findall(text)
+    if any(stray for *_, stray in found):
+        raise _unexpected(text)
+    return [("num", num) if num else ("op", "^") if power else (_KINDS.get(word, "ident"), word)
+            for num, power, word, _ in found if num or power or word]
 
 
 def split_literals(text: str) -> tuple[str, tuple]:
     """text's template, its tokens joined by spaces with every number
     written as 'c', which parses where text does; and the template's
     placeholder values: each number text wrote, and NaN for each 'c'."""
-    tokens = _tokenize(text)
-    values = tuple(float(v) if k == "num" else math.nan
-                   for k, v in tokens if k == "num" or v == "c")
-    return " ".join("c" if k == "num" else v for k, v in tokens), values
+    parts, values = [], []
+    for num, power, word, stray in _TOKEN_RE.findall(text):
+        if num:
+            parts.append("c")
+            values.append(float(num))
+        elif word:
+            parts.append(word)
+            if word == "c":
+                values.append(math.nan)
+        elif power:
+            parts.append("^")
+        elif stray:
+            raise _unexpected(text)
+    return " ".join(parts), tuple(values)
 
 
 def _variable_table(dimensionality: int) -> dict[str, int]:
-    if dimensionality == 1:
-        return {"x": 0, "x1": 0, "x_1": 0}
-    table = {}
-    for i in range(dimensionality):
-        table[f"x{i + 1}"] = i
-        table[f"x_{i + 1}"] = i
-    return table
+    table = {f"x{sep}{i + 1}": i for i in range(dimensionality) for sep in ("", "_")}
+    return dict(table, x=0) if dimensionality == 1 else table
 
 
 # Every nesting level (parentheses, a function call, a sign, an exponent)

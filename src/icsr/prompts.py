@@ -21,11 +21,6 @@ MAX_PROMPT_POINTS = 40
 MAX_CANDIDATES_PER_RESPONSE = 8
 
 
-@lru_cache(maxsize=None)
-def _template(name: str) -> str:
-    return (resources.files("icsr") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
-
-
 def variables_list(dimensionality: int) -> str:
     return "[" + ", ".join(variable_names(dimensionality)) + "]"
 
@@ -46,12 +41,8 @@ def select_display_points(X: np.ndarray, y: np.ndarray):
 def format_points(X: np.ndarray, y: np.ndarray) -> str:
     """Render points as '(x, y)' or '(x1, x2, y)' tuples, 4 decimal
     places, comma-separated, five tuples per line."""
-    rows = []
-    for i in range(X.shape[0]):
-        parts = [f"{v:.4f}" for v in X[i]] + [f"{y[i]:.4f}"]
-        rows.append("(" + ", ".join(parts) + ")")
-    lines = [", ".join(rows[i:i + 5]) for i in range(0, len(rows), 5)]
-    return "\n".join(lines)
+    rows = ["(" + ", ".join(f"{v:.4f}" for v in (*xs, yv)) + ")" for xs, yv in zip(X, y)]
+    return "\n".join(", ".join(rows[i:i + 5]) for i in range(0, len(rows), 5))
 
 
 def display_points(dataset) -> str:
@@ -60,10 +51,13 @@ def display_points(dataset) -> str:
     return format_points(*select_display_points(dataset.X, dataset.y))
 
 
-def _prompt(name: str, dim: int, **slots: str) -> str:
+@lru_cache(maxsize=16)
+def _frame(name: str, dim: int, points: str = "") -> str:
     """The named template for dim variables: its 1-D phrases rewritten
-    (each template holds only some of them), then every {slot} filled."""
-    text = _template(name)
+    (each template holds only some of them), then every slot filled but
+    {previous_trajectory}.  A run's loop prompts share one frame: neither
+    the points nor a canonical key can hold a brace."""
+    text = (resources.files("icsr") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
     if dim > 1:
         args = ", ".join(variable_names(dim))
         for one_d, many in (
@@ -72,14 +66,14 @@ def _prompt(name: str, dim: int, **slots: str) -> str:
             ('"f1(x) = ", "f2(x) = "...', f'"f1({args}) = ", "f2({args}) = "...'),
         ):
             text = text.replace(one_d, many)
-    for slot, value in dict(slots, num_variables=str(dim),
-                            variables_list=variables_list(dim)).items():
+    for slot, value in (("points", points), ("num_variables", str(dim)),
+                        ("variables_list", variables_list(dim))):
         text = text.replace("{" + slot + "}", value)
     return text
 
 
 def build_seed_prompt(points: str, dim: int) -> str:
-    return _prompt("seed", dim, points=points)
+    return _frame("seed", dim, points)
 
 
 def format_trajectory(entries) -> str:
@@ -98,20 +92,21 @@ def build_loop_prompt(points: str, dim: int, trajectory) -> str:
     errs = [err for _, err in trajectory]
     if any(errs[i] < errs[i + 1] for i in range(len(errs) - 1)):
         raise ValueError("trajectory must be ordered worst (highest error) first")
-    return _prompt("loop", dim, points=points,
-                   previous_trajectory=format_trajectory(trajectory))
+    return _frame("loop", dim, points).replace("{previous_trajectory}",
+                                               format_trajectory(trajectory))
 
 
 def build_random_prompt(num_variables: int) -> str:
-    return _prompt("random", num_variables)
+    return _frame("random", num_variables)
 
 
 # Candidate lines look like "f1(x) = <rhs>", possibly wrapped in list
 # bullets, numbering, backticks, or a "Function:" prefix.  The digit is
-# optional so the random baseline's bare "f(x) = ..." also matches.
+# optional so the random baseline's bare "f(x) = ..." also matches.  The
+# rhs runs to the end of the line; extract_candidates trims its tail.
 _CANDIDATE_RE = re.compile(
     r"^\s*(?:[-*>•]\s*|\d+[.)]\s*)?`?\s*(?:Function\s*:\s*)?"
-    r"f\d*\s*\([^)]*\)\s*=\s*(?P<rhs>.+?)\s*`?\s*$",
+    r"f\d*\s*\([^)]*\)\s*=\s*(?P<rhs>.+)",
     re.IGNORECASE,
 )
 
@@ -124,7 +119,8 @@ def extract_candidates(response_text: str) -> list[str]:
     for line in response_text.splitlines():
         m = _CANDIDATE_RE.match(line)
         if m:
-            rhs = m.group("rhs").strip().rstrip("`").strip()
+            # less its trailing whitespace and one closing backtick
+            rhs = m.group("rhs").rstrip().removesuffix("`").strip().rstrip("`").strip()
             rhs = rhs.rstrip(",;")
             if rhs:
                 out.append(rhs)

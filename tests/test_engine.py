@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,9 +23,11 @@ from icsr.engine import (
     budget_report,
     run,
 )
-from icsr.expr import ParseError, canonicalize, complexity, parse
+from icsr.expr import ParseError, Skeleton, canonicalize, complexity, parse
 from icsr.fit import fit
-from icsr.llm import BackendError, ReplayBackend, SamplingParams, TemperatureSchedule
+from icsr.llm import (BackendError, LiveBackend, ReplayBackend, SamplingParams,
+                       TemperatureSchedule)
+from test_llm import FakeSession, _ok
 
 
 def parabola(n=20):
@@ -283,6 +286,12 @@ REPEATING_REPLY = "\n".join([
 OVERSIZED_LINE = "+".join(["x*c"] * 600)
 
 
+def _bound(entry):
+    """A line entry's skeleton with the line's values bound, as it is fitted."""
+    _, skeleton, values = entry
+    return replace(skeleton, values=values)
+
+
 def test_each_distinct_template_is_parsed_and_canonicalized_once_per_run(monkeypatch):
     parsed, canonicalized, entries = [], [], {}
     real_parse, real_canonicalize = icsr.engine.parse, icsr.engine.canonicalize
@@ -317,7 +326,9 @@ def test_each_distinct_template_is_parsed_and_canonicalized_once_per_run(monkeyp
     ])
     assert len(canonicalized) == 4
     assert entries["2.5*x"][1].key == entries["0.5*x"][1].key == entries["c*x"][1].key
-    assert [entries[raw][1].hints for raw in ("2.5*x", "0.5*x", "c*x")] == [
+    # one template skeleton; each line's numbers are bound only to fit it
+    assert entries["2.5*x"][1] is entries["0.5*x"][1] is entries["c*x"][1]
+    assert [_bound(entries[raw]).hints for raw in ("2.5*x", "0.5*x", "c*x")] == [
         (2.5,), (0.5,), (None,)]
     outcomes = [o for c in record.calls for o in c.outcomes]
     oversized = [o for o in outcomes if o["raw"] == OVERSIZED_LINE]
@@ -325,6 +336,48 @@ def test_each_distinct_template_is_parsed_and_canonicalized_once_per_run(monkeyp
     assert oversized[0] == oversized[1]
     assert oversized[0]["status"] == "parse_error"
     assert "tokens" in oversized[0]["detail"]
+
+
+@pytest.mark.parametrize("mode, schedule", [
+    (MODE_SEED_ONLY, None),
+    (MODE_FULL, TemperatureSchedule(mode="linear", start=0.9, end=0.3, total_iterations=3)),
+], ids=["seed-only", "linear"])
+def test_a_run_builds_what_it_sends_and_binds_what_it_fits_once(monkeypatch, mode, schedule):
+    built, bound = [], []
+    real_post_init, real_init = SamplingParams.__post_init__, Skeleton.__init__
+    real_canonicalize = icsr.engine.canonicalize
+
+    def counting_post_init(params):
+        built.append(params.temperature)
+        real_post_init(params)
+
+    def counting_init(skeleton, **fields):
+        bound.append(fields["key"])
+        real_init(skeleton, **fields)
+
+    def canonicalize_uncounted(tree, dim):
+        skeleton = real_canonicalize(tree, dim)
+        assert bound.pop() == skeleton.key  # a template's skeleton, not a copy
+        return skeleton
+
+    monkeypatch.setattr(SamplingParams, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Skeleton, "__init__", counting_init)
+    monkeypatch.setattr(icsr.engine, "canonicalize", canonicalize_uncounted)
+    script = [REPEATING_REPLY, "f1(x) = 2*x\nf2(x) = c*x + 1", REPEATING_REPLY,
+              "f1(x) = 2*sin(x)\nf2(x) = 3*x + 4", REPEATING_REPLY]
+    cfg = config(n_seed_calls=2, max_iterations=3, mode=mode, schedule=schedule,
+                 sampling=SamplingParams(temperature=0.9))
+    built.clear()
+    record = run(parabola(), cfg, ReplayBackend(script))
+    sent = [c.temperature for c in record.calls]
+    assert len(sent) == (2 if mode == MODE_SEED_ONLY else 5)
+    # one SamplingParams per distinct temperature; the config's own serves
+    # its temperature
+    assert sorted(built) == sorted(set(sent) - {0.9})
+    # a copy with a line's numbers bound, once per key that is fitted
+    fitted = [o["key"] for c in record.calls for o in c.outcomes if "restarts" in o]
+    assert bound == fitted
+    assert len(fitted) == (3 if mode == MODE_SEED_ONLY else 4)
 
 
 def test_repeated_lines_log_the_outcomes_of_first_sight():
@@ -497,7 +550,7 @@ def test_property_template_path_matches_the_literal_tree(form, dim, fillings):
             assert got == want
             continue
         assert (got[0], got[1].key) == (want[0], want[1].key)
-        assert [h if h is None else h.hex() for h in got[1].hints] == \
+        assert [h if h is None else h.hex() for h in _bound(got).hints] == \
             [h if h is None else h.hex() for h in want[1].hints]
 
 
@@ -615,6 +668,38 @@ def test_run_log_one_json_document_per_call(tmp_path):
             "error", "usage", "latency", "outcomes",
         }
     assert json.loads(lines[1])["phase"] == "loop"
+
+
+def _assert_lines_are_their_sorted_encoding(log_path, calls):
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == calls
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+    return [json.loads(line) for line in lines]
+
+
+# a live server's usage can nest, with its keys in any order
+NESTED_USAGE = {"total_tokens": 3, "prompt_tokens_details": {"cached_tokens": 0, "audio_tokens": 0},
+                "per_choice": [{"tokens": 1, "index": 0}], "completion_tokens": 2}
+
+
+def test_run_log_lines_have_their_keys_sorted_at_every_level(tmp_path):
+    # every outcome status, and two calls the exhausted script fails
+    reply = REPEATING_REPLY.replace("f8(x) = sin(x)", "f8(x) = c*log(-x)")
+    script = [reply, "f1(x) = c*log(-x)\nf2(x) = x + c", reply]
+    replayed = tmp_path / "replayed.jsonl"
+    run(parabola(), config(n_seed_calls=2, max_iterations=3), ReplayBackend(script), replayed)
+    docs = _assert_lines_are_their_sorted_encoding(replayed, 5)
+    statuses = {o["status"] for doc in docs for o in doc["outcomes"]}
+    assert statuses == OUTCOME_STATUSES
+    assert [doc["error"] is None for doc in docs] == [True, True, True, False, False]
+
+    session = FakeSession([_ok(text, usage=NESTED_USAGE) for text in script])
+    backend = LiveBackend("http://host/v1", api_key="k", session=session, sleep=lambda _: None)
+    live = tmp_path / "live.jsonl"
+    run(parabola(), config(n_seed_calls=2, max_iterations=1), backend, live)
+    docs = _assert_lines_are_their_sorted_encoding(live, 3)
+    assert [doc["usage"] for doc in docs] == [NESTED_USAGE] * 3
 
 
 def test_summary_shape_and_best_fields():

@@ -123,6 +123,64 @@ def test_parse_scientific_literals():
     assert vals[0] == pytest.approx(0.001 + 250.0)
 
 
+# The tokenizer as a loop that matches one token at a time, which the
+# one-scan tokenizer and splitter replaced.
+_PER_TOKEN_RE = re.compile(r"""
+    (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<pow>\*\*|\^)
+  | (?P<op>[+\-*/])
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<ws>\s+)
+""", re.VERBOSE)
+
+
+def _per_token_tokenize(text):
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _PER_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
+        if m.lastgroup != "ws":
+            tokens.append(("op", "^") if m.lastgroup == "pow" else (m.lastgroup, m.group()))
+        pos = m.end()
+    return tokens
+
+
+def _per_token_split(text):
+    tokens = _per_token_tokenize(text)
+    values = tuple(float(v) if k == "num" else math.nan
+                   for k, v in tokens if k == "num" or v == "c")
+    return " ".join("c" if k == "num" else v for k, v in tokens), values
+
+
+def _outcome(f, text):
+    try:
+        return f(text)
+    except ParseError as exc:
+        return "ParseError: " + str(exc)
+
+
+_SPLIT_PIECES = st.sampled_from([
+    "0", "7", "42", ".", "e", "E", "e-", "E+", "**", "* *", "^", "*", "/", "+", "-", "(", ")",
+    "c", "x", "x1", "x_2", "sin", "cOs", "_k", "c2", "xe5",
+    " ", "\t", "\u00a0", "\u2003", "\u3000", "\x1c",
+    "1e", ".5", "5.", "1e999", "x.", "ln(", "$", ",", "=", "\u00e9", "\u00b2", "\u0663",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SPLIT_PIECES, max_size=16).map("".join))
+def test_property_one_scan_splits_as_the_per_token_loop(text):
+    def split(f):
+        got = _outcome(f, text)
+        return got if isinstance(got, str) else (got[0], [v.hex() for v in got[1]])
+
+    assert split(icsr.expr.split_literals) == split(_per_token_split)
+    assert _outcome(icsr.expr._tokenize, text) == _outcome(_per_token_tokenize, text)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -776,3 +834,43 @@ def test_jacobian_is_zero_where_the_coefficient_does_not_move_the_value(text):
     assert np.isfinite(values).all()
     assert partials[0, 0] == 0.0
     assert np.isfinite(partials[0, 1]) and partials[0, 1] != 0.0
+
+
+def _relabel(tree, perm):
+    """tree with coefficient i read as coefficient perm[i]."""
+    if tree.kind == "coef":
+        return coef(perm[tree.index])
+    return replace(tree, args=tuple(_relabel(a, perm) for a in tree.args))
+
+
+def _coefficients_read(tree):
+    if tree.kind == "coef":
+        return {tree.index}
+    return set().union(*(_coefficients_read(a) for a in tree.args))
+
+
+# four columns: the trees read coefficients 0..2 at most, never 3
+_SPECIAL_ROWS_4 = np.hstack([_SPECIAL_ROWS, [[0.5], [np.nan], [np.inf], [-2.0]]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multi_coef_exprs(), st.permutations([0, 1, 2]), st.integers(1, 12),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_property_jacobian_columns_follow_their_coefficients(tree, perm, n, k, seed):
+    rng = np.random.default_rng(seed)
+    C = np.vstack([rng.uniform(-5, 5, (k, 4)), _SPECIAL_ROWS_4])
+    X = rng.uniform(-5, 5, (n, 2))
+    values, partials = evaluate_batch(tree, C, X, jacobian=True)
+    # a coefficient the tree does not read has partial exactly 0 wherever
+    # the value is defined; of either sign, as 0 times a negative factor
+    # is -0.0
+    defined = np.isfinite(values)
+    for j in set(range(4)) - _coefficients_read(tree):
+        assert (partials[:, j][defined] == 0.0).all()
+    # relabelling the coefficients permutes the columns, bit for bit
+    C2 = C.copy()
+    C2[:, list(perm)] = C[:, :3]
+    values2, partials2 = evaluate_batch(_relabel(tree, perm), C2, X, jacobian=True)
+    assert values2.tobytes() == values.tobytes()
+    assert partials2[:, list(perm)].tobytes() == partials[:, :3].tobytes()
+    assert partials2[:, 3].tobytes() == partials[:, 3].tobytes()

@@ -3,6 +3,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icsr.dataset import Dataset
 from icsr.prompts import (
@@ -297,3 +298,45 @@ def test_extract_is_pure_and_order_preserving():
     assert first == second == ["c*x", "c - x", "x^c"]
     rewrapped = "\n".join(f"f{i+1}(x) = {rhs}" for i, rhs in enumerate(first))
     assert extract_candidates(rewrapped) == first
+
+
+# The scraper's pattern before its rhs ran to the end of the line: a lazy
+# rhs, then whitespace, one backtick and whitespace.
+_LAZY_CANDIDATE_RE = re.compile(
+    r"^\s*(?:[-*>•]\s*|\d+[.)]\s*)?`?\s*(?:Function\s*:\s*)?"
+    r"f\d*\s*\([^)]*\)\s*=\s*(?P<rhs>.+?)\s*`?\s*$",
+    re.IGNORECASE,
+)
+
+
+def _lazy_extract(text):
+    out = []
+    for line in text.splitlines():
+        m = _LAZY_CANDIDATE_RE.match(line)
+        if m:
+            rhs = m.group("rhs").strip().rstrip("`").strip().rstrip(",;")
+            if rhs:
+                out.append(rhs)
+                if len(out) >= MAX_CANDIDATES_PER_RESPONSE:
+                    break
+    return out
+
+
+_TAIL = st.lists(st.sampled_from(["`", "``", " ", "\t", "\u00a0", "\u3000", ",", ";"]),
+                max_size=6).map("".join)
+_LINE = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["", "- ", "* ", "3. ", "12) ", ">", "\u2022 ", "`", " `", "x "]),
+    st.sampled_from(["f1(x) = ", "F(x1, x2)=", "f(x) =", "Function: f2(x) = ", "f(x = ", ""]),
+    st.lists(st.sampled_from(["c*x", "x^2", "(", ")", "=", "f", "2", " ", "`", ","]),
+             max_size=5).map("".join),
+    _TAIL, _TAIL,
+)
+_SCRAPED = st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\u2028", "\x0c"])),
+                    max_size=10).map(lambda lines: "".join(a + b for a, b in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCRAPED)
+def test_property_scraper_trims_as_the_lazy_pattern(text):
+    assert extract_candidates(text) == _lazy_extract(text)
