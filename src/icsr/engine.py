@@ -4,10 +4,11 @@ random-guessing baseline.
 A run is a sequential state machine around one backend.  Every backend
 call is logged as one JSON-lines document; candidates are deduplicated
 by canonical skeleton so each functional form is fitted exactly once per
-run, no matter how often the model re-proposes it.  The front-end work is
-memoised per run as well: each literal-free template (a line with 'c' for
-its numbers) is parsed and canonicalized once, a line's numbers are bound
-only to fit its skeleton, and each prompt's frame is filled once.
+run, no matter how often the model re-proposes it.  The front end is
+memoised per process, within bounds: each line and each literal-free
+template (a line with 'c' for its numbers) is parsed and canonicalized
+once, a line's numbers are bound only to fit its skeleton, and each
+prompt's frame is filled once.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,6 +210,40 @@ class RunRecord:
         }
 
 
+# enough entries for a perfbench round's distinct lines and templates;
+# model output is untrusted, so a longer text is parsed but not kept
+_MEMO_LINES, _MEMO_TEMPLATES, _MEMO_TEXT = 8192, 1024, 256
+
+
+def _memoised(memo, text: str, dim: int):
+    return (memo if len(text) <= _MEMO_TEXT else memo.__wrapped__)(text, dim)
+
+
+@lru_cache(maxsize=_MEMO_LINES)
+def parse_line(raw: str, dim: int) -> tuple | str:
+    """(complexity, template Skeleton, values) for a candidate line from
+    its template's entry, or the message of its ParseError (a key that
+    breaks parse's caps is one too).  The values are bound only to fit."""
+    try:
+        template, values = split_literals(raw)
+        entry = _memoised(parse_template, template, dim)
+        if entry is None:
+            parse(raw, dim)  # fails as the template did
+        return entry if isinstance(entry, str) else (*entry, values)
+    except ParseError as exc:
+        return str(exc)
+
+
+@lru_cache(maxsize=_MEMO_TEMPLATES)
+def parse_template(template: str, dim: int) -> tuple | str | None:
+    tree = None
+    try:
+        tree = parse(template, dim)
+        return complexity(tree), canonicalize(tree, dim)
+    except ParseError as exc:  # past parse: a key over its caps, whatever the literals
+        return None if tree is None else str(exc)
+
+
 class _Run:
     def __init__(self, dataset: Dataset, config: EngineConfig, backend, log):
         self.dataset = dataset
@@ -216,11 +252,6 @@ class _Run:
         self.log = log
         self.rng = np.random.default_rng(config.seed)
         self.cache: dict[str, Candidate | None] = {}
-        # raw line -> (complexity, template Skeleton, values), or its
-        # ParseError message
-        self.lines: dict[str, tuple | str] = {}
-        # template -> its entry, or None if it does not parse; see parse_line
-        self.templates: dict[str, tuple | str | None] = {}
         self.points = display_points(dataset)
         self.trajectory = Trajectory(config.top_k)
         self.record = RunRecord(config=config, dataset=dataset)
@@ -248,35 +279,6 @@ class _Run:
 
     # -- candidate pipeline ------------------------------------------------
 
-    def parse_line(self, raw: str) -> tuple | str:
-        """(complexity, template Skeleton, values) for a candidate line, or
-        the message of its ParseError (a key that breaks parse's caps is
-        one too): once per distinct line, from its template's entry.  The
-        line's values are bound to the skeleton only if it is fitted."""
-        entry = self.lines.get(raw)
-        if entry is None:
-            try:
-                template, values = split_literals(raw)
-                if template not in self.templates:
-                    self.templates[template] = self.parse_template(template)
-                entry = self.templates[template]
-                if entry is None:
-                    parse(raw, self.dataset.dim)  # fails as the template did
-                elif not isinstance(entry, str):
-                    entry = (*entry, values)
-            except ParseError as exc:
-                entry = str(exc)
-            self.lines[raw] = entry
-        return entry
-
-    def parse_template(self, template: str) -> tuple | str | None:
-        tree = None
-        try:
-            tree = parse(template, self.dataset.dim)
-            return complexity(tree), canonicalize(tree, self.dataset.dim)
-        except ParseError as exc:  # past parse: a key over its caps, whatever the literals
-            return None if tree is None else str(exc)
-
     def process_response(self, rec: CallRecord):
         # each outcome's keys in sorted order; see CallRecord.to_doc
         accepted = 0
@@ -284,7 +286,7 @@ class _Run:
             if accepted >= self.config.functions_per_call:
                 rec.outcomes.append({"raw": raw, "status": "discarded_over_cap"})
                 continue
-            entry = self.parse_line(raw)
+            entry = _memoised(parse_line, raw, self.dataset.dim)
             if isinstance(entry, str):
                 rec.outcomes.append({"detail": entry, "raw": raw, "status": "parse_error"})
                 continue
@@ -396,9 +398,7 @@ def budget_report(record: RunRecord) -> BudgetCounters:
     calls = len(record.calls)
     if calls > max_calls:
         raise RuntimeError(f"{calls} calls exceeds budget {max_calls}")
-    parsed = 0
-    fitted = 0
-    restarts = 0
+    parsed = fitted = restarts = 0
     for call in record.calls:
         for outcome in call.outcomes:
             if outcome.get("status") in ("scored", "invalid_fit", "duplicate"):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import icsr.engine
 from icsr.bench import (
     REFERENCE_COMPLEXITY,
     SUITE_NAMES,
@@ -534,6 +535,45 @@ def test_run_suite_with_erf_matches_serial_when_workers_load_scipy(tmp_path, fre
     winners = [json.loads(v)["best"]["skeleton"] for k, v in serial.items()
                if k.endswith("summary.json")]
     assert len(winners) == 6 and all("erf" in w for w in winners)
+
+
+_MEMO_GRID = """\
+from icsr.bench import run_suite
+from icsr.engine import EngineConfig
+from icsr.llm import ReplayBackend
+
+# lines that repeat across calls, seeds and equations: literal variants of
+# one template, a parse error, forms that parse in one dimensionality
+# only, and a line longer than the front-end memos keep
+A = "f1(x) = c*x + c\\nf2(x) = 2.5*x*x\\nf3(x) = c*(\\nf4(x) = c*x2\\nf5(x) = c*x1 + c*x2"
+B = ("f1(x) = 0.5*x*x + c\\nf2(x) = c*x + c\\nf3(x) = c*" + "*".join(["x"] * 130)
+     + "\\nf4(x) = c*sin(x1) + c*x2*x2")
+replies = {"nguyen1": [A, B, A, "f1(x) = x^3 + x^2 + x"],
+           "nguyen9": [A, B, A, "f1(x1, x2) = sin(x1) + sin(x2^2)"]}
+
+
+def grid(out, jobs):
+    run_suite(list(replies), EngineConfig(n_seed_calls=2, max_iterations=2), [1, 2],
+              lambda spec, seed: ReplayBackend(replies[spec.name]), jobs=jobs, out_dir=out)
+"""
+
+
+def test_a_warm_memo_changes_no_output_byte(tmp_path, fresh_python):
+    fresh_python(_MEMO_GRID + f"grid({str(tmp_path / 'cold')!r}, 1)\n")
+    grid = {}
+    exec(_MEMO_GRID, grid)
+    # twice in this process, then in workers forked with the memo warm
+    for name, jobs in (("warm", 1), ("warmer", 1), ("forked", 2)):
+        hits = icsr.engine.parse_line.cache_info().hits
+        grid["grid"](str(tmp_path / name), jobs)
+        assert jobs > 1 or icsr.engine.parse_line.cache_info().hits > hits
+    cold = _tree_bytes(tmp_path / "cold")
+    assert len(cold) == 2 + 2 * 2 * 2  # reports + summary.json, runlog.jsonl per cell
+    for name in ("warm", "warmer", "forked"):
+        assert _tree_bytes(tmp_path / name) == cold
+    statuses = {o["status"] for k, v in cold.items() if k.endswith("runlog.jsonl")
+                for line in v.decode("utf-8").splitlines() for o in json.loads(line)["outcomes"]}
+    assert statuses == {"scored", "duplicate", "parse_error"}
 
 
 def test_run_suite_parallel_matches_serial(tmp_path):

@@ -292,10 +292,16 @@ def _bound(entry):
     return replace(skeleton, values=values)
 
 
-def test_each_distinct_template_is_parsed_and_canonicalized_once_per_run(monkeypatch):
-    parsed, canonicalized, entries = [], [], {}
+def _clear_memos():
+    icsr.engine.parse_line.cache_clear()
+    icsr.engine.parse_template.cache_clear()
+
+
+def _counting(monkeypatch):
+    """The texts parse is given and the trees canonicalize is given, as
+    the engine calls them."""
+    parsed, canonicalized = [], []
     real_parse, real_canonicalize = icsr.engine.parse, icsr.engine.canonicalize
-    real_parse_line = icsr.engine._Run.parse_line
 
     def counting_parse(text, dim):
         parsed.append(text)
@@ -305,37 +311,82 @@ def test_each_distinct_template_is_parsed_and_canonicalized_once_per_run(monkeyp
         canonicalized.append(tree)
         return real_canonicalize(tree, dim)
 
-    def recording_parse_line(state, raw):
-        entries[raw] = real_parse_line(state, raw)
-        return entries[raw]
-
     monkeypatch.setattr(icsr.engine, "parse", counting_parse)
     monkeypatch.setattr(icsr.engine, "canonicalize", counting_canonicalize)
-    monkeypatch.setattr(icsr.engine._Run, "parse_line", recording_parse_line)
+    return parsed, canonicalized
+
+
+def test_each_distinct_template_is_parsed_and_canonicalized_once_per_process(monkeypatch):
+    _clear_memos()
+    parsed, canonicalized = _counting(monkeypatch)
     reply = REPEATING_REPLY.replace("f7(x) = exp(x)", f"f7(x) = {OVERSIZED_LINE}")
     # 2.5*x, 0.5*x and c*x differ only in their literals: one template
     script = [reply, "f1(x) = x\nf2(x) = c*(\nf3(x) = 0.5*x", reply,
               "f1(x) = x\nf2(x) = c*x + c\nf3(x) = c*x"]
-    record = run(parabola(), config(n_seed_calls=2, max_iterations=2), ReplayBackend(script))
-    assert [c.phase for c in record.calls] == ["seed", "seed", "loop", "loop"]
+    # two runs in one process: the second finds every kept line memoised
+    records = [run(parabola(), config(n_seed_calls=2, max_iterations=2), ReplayBackend(script))
+               for _ in range(2)]
+    assert [c.phase for c in records[0].calls] == ["seed", "seed", "loop", "loop"]
     # a template that does not parse leaves the message to its line, as
-    # the message may quote a literal
+    # the message may quote a literal; the oversized line is longer than
+    # the memos keep, so it and its template are parsed at each of its
+    # four occurrences, two a run
     assert sorted(parsed) == sorted([
-        "c * x + c", "c * (", "c*(", "c * x", " + ".join(["x * c"] * 600), OVERSIZED_LINE,
-        "sin ( x )", "x",
+        "c * x + c", "c * (", "c*(", "c * x", "sin ( x )", "x",
+        *[" + ".join(["x * c"] * 600), OVERSIZED_LINE] * 4,
     ])
     assert len(canonicalized) == 4
+    entries = {raw: icsr.engine.parse_line(raw, 1) for raw in ("2.5*x", "0.5*x", "c*x")}
+    assert len(parsed) == 6 + 8  # read back from the memo, unparsed
     assert entries["2.5*x"][1].key == entries["0.5*x"][1].key == entries["c*x"][1].key
     # one template skeleton; each line's numbers are bound only to fit it
     assert entries["2.5*x"][1] is entries["0.5*x"][1] is entries["c*x"][1]
     assert [_bound(entries[raw]).hints for raw in ("2.5*x", "0.5*x", "c*x")] == [
         (2.5,), (0.5,), (None,)]
-    outcomes = [o for c in record.calls for o in c.outcomes]
-    oversized = [o for o in outcomes if o["raw"] == OVERSIZED_LINE]
+    outcomes = [[o for c in record.calls for o in c.outcomes] for record in records]
+    assert outcomes[0] == outcomes[1]
+    oversized = [o for o in outcomes[0] if o["raw"] == OVERSIZED_LINE]
     assert len(oversized) == 2
     assert oversized[0] == oversized[1]
     assert oversized[0]["status"] == "parse_error"
     assert "tokens" in oversized[0]["detail"]
+
+
+def test_memo_keys_carry_the_dimensionality():
+    _clear_memos()
+    reply = "f1(x) = c*x\nf2(x) = c*x2"
+    flat = run(parabola(), config(n_seed_calls=1, max_iterations=0), ReplayBackend([reply]))
+    x = np.linspace(0.5, 2.0, 20)
+    plane = Dataset(np.column_stack([x, x[::-1]]), 3.0 * x[::-1], name="plane")
+    wide = run(plane, config(n_seed_calls=1, max_iterations=0), ReplayBackend([reply]))
+    # x2 is no 1-D variable and x no 2-D one: each line's and template's
+    # entry holds for its dimensionality only
+    assert [o["status"] for o in flat.calls[0].outcomes] == ["scored", "parse_error"]
+    assert [o["status"] for o in wide.calls[0].outcomes] == ["parse_error", "scored"]
+    assert wide.best.skeleton.key == "c*x2"
+
+
+# a valid line longer than the memos keep, whose template is longer still
+LONG_LINE = "c*" + "*".join(["x"] * 130)
+
+
+def test_a_line_over_the_memo_text_bound_is_parsed_each_time_and_not_kept(monkeypatch):
+    assert len(LONG_LINE) > icsr.engine._MEMO_TEXT
+    _clear_memos()
+    parsed, canonicalized = _counting(monkeypatch)
+    script = [f"f1(x) = c*x\nf2(x) = {LONG_LINE}\nf3(x) = {LONG_LINE}"]
+    records = [run(parabola(), config(n_seed_calls=1, max_iterations=0), ReplayBackend(script))
+               for _ in range(2)]
+    outcomes = [[o for c in record.calls for o in c.outcomes] for record in records]
+    assert outcomes[0] == outcomes[1]
+    assert [o["status"] for o in outcomes[0]] == ["scored", "scored", "duplicate"]
+    key = _literal_tree_entry(LONG_LINE, 1)[1].key
+    assert outcomes[0][1]["key"] == outcomes[0][2]["key"] == key
+    # the long line's template is parsed and canonicalized at each of its
+    # four occurrences; only c*x and its template are kept
+    assert len(parsed) == len(canonicalized) == 1 + 4
+    assert icsr.engine.parse_line.cache_info().currsize == 1
+    assert icsr.engine.parse_template.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("mode, schedule", [
@@ -540,12 +591,11 @@ def _literal_tree_entry(raw, dim):
 # tokens the template must keep apart: "* *" is not "**"
 @example("x* *{}", 1, [["2.5"] * 12])
 def test_property_template_path_matches_the_literal_tree(form, dim, fillings):
-    x = np.linspace(0.5, 2.0, 4)
-    state = icsr.engine._Run(Dataset(np.column_stack([x, x])[:, :dim], x), config(), None, None)
+    _clear_memos()
     # every special value at every slot, then mixes: most are template hits
     lines = [form.format(*[v] * 12) for v in SLOT_VALUES] + [form.format(*f) for f in fillings]
     for raw in lines:
-        got, want = state.parse_line(raw), _literal_tree_entry(raw, dim)
+        got, want = icsr.engine.parse_line(raw, dim), _literal_tree_entry(raw, dim)
         if isinstance(want, str):
             assert got == want
             continue
