@@ -22,7 +22,7 @@ import numpy as np
 from . import bench
 from .bench import atomic_write_text, csv_text, write_summary
 from .dataset import Dataset
-from .engine import EngineConfig, NoValidSeedsError, run
+from .engine import MODES, EngineConfig, NoValidSeedsError, run
 from .expr import lower, parse, variable_names
 from .fit import FitConfig
 from .llm import (
@@ -455,7 +455,7 @@ def _add_engine_flags(p: argparse.ArgumentParser):
                    help="max refinement iterations")
     p.add_argument("--ns", dest="engine.n_seed_calls", type=int, help="number of seed calls")
     p.add_argument("--topk", dest="engine.top_k", type=int, help="trajectory size")
-    p.add_argument("--mode", dest="engine.mode", choices=["full", "seed-only", "random"])
+    p.add_argument("--mode", dest="engine.mode", choices=MODES)
     p.add_argument("--out", dest="output.dir", help="output directory")
 
 

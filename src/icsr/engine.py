@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .dataset import Dataset
-from .expr import (ParseError, canonicalize, complexity, evaluate_batch, parse, render,
-                   split_literals)
+from .expr import (MEMO_TEXT, ParseError, canonicalize, complexity, evaluate_batch, parse,
+                   render, split_literals)
 from .fit import FitConfig, FitResult, fit
 from .llm import (
     BackendError,
@@ -41,10 +41,8 @@ from .prompts import (
 from .score import ScoreConfig, Scores, fitness, nmse, r_squared
 from .validate import integer, of_type, real
 
-MODE_FULL = "full"
-MODE_SEED_ONLY = "seed-only"
-MODE_RANDOM = "random"
-_MODE_ALIASES = {"random-guessing": MODE_RANDOM}
+MODES = ("full", "seed-only", "random")
+MODE_FULL, MODE_SEED_ONLY, MODE_RANDOM = MODES
 
 
 class NoValidSeedsError(RuntimeError):
@@ -77,10 +75,8 @@ class EngineConfig:
             integer(self, key, low)
         real(self, "early_stop_r2")
         of_type(self, "model", str, "a string")
-        mode = _MODE_ALIASES.get(self.mode, self.mode)
-        if mode not in (MODE_FULL, MODE_SEED_ONLY, MODE_RANDOM):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
 
 
 @dataclass(frozen=True)
@@ -210,13 +206,13 @@ class RunRecord:
         }
 
 
-# enough entries for a perfbench round's distinct lines and templates;
-# model output is untrusted, so a longer text is parsed but not kept
-_MEMO_LINES, _MEMO_TEMPLATES, _MEMO_TEXT = 8192, 1024, 256
+# enough entries for a perfbench round's distinct lines and templates; a
+# text over MEMO_TEXT characters is parsed but not kept
+_MEMO_LINES, _MEMO_TEMPLATES = 8192, 1024
 
 
 def _memoised(memo, text: str, dim: int):
-    return (memo if len(text) <= _MEMO_TEXT else memo.__wrapped__)(text, dim)
+    return (memo if len(text) <= MEMO_TEXT else memo.__wrapped__)(text, dim)
 
 
 @lru_cache(maxsize=_MEMO_LINES)

@@ -27,14 +27,53 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-BINARY_OPS = ("+", "-", "*", "/", "^")
-UNARY_OPS = (
-    "sqrt", "exp", "log", "abs",
-    "sin", "cos", "tan",
-    "sinh", "cosh", "tanh",
-    "erf", "neg",
-)
-_FUNCTIONS = frozenset(op for op in UNARY_OPS if op != "neg")
+
+def _erf(v):
+    from scipy.special import erf  # a third of a second to import: only on use
+    return erf(v)
+
+
+def _chain(t, factor):
+    """t * factor, but 0 wherever t is: where a coefficient does not move a
+    function's input it does not move its output, even at a point where
+    the derivative is infinite (sqrt(c*x) at x = 0)."""
+    out = t * factor
+    np.copyto(out, 0.0, where=t == 0.0)
+    return out
+
+
+# Each op once: its numpy function and its tangent.  A unary op's tangent
+# is the value's, from its input's tangent t, its input u and its value v;
+# a binary op has one per operand, from that operand's t, a, b and v.  A
+# factor that can be non-finite where the value is defined goes through
+# _chain, so it stays in the columns of the coefficients that move its
+# input; the fitter treats those as frozen there.
+_UNARY = {
+    "sqrt": (np.sqrt, lambda t, u, v: _chain(t, 0.5 / v)),
+    "exp": (np.exp, lambda t, u, v: t * v),
+    "log": (np.log, lambda t, u, v: t / u),
+    "abs": (np.abs, lambda t, u, v: t * np.sign(u)),
+    "sin": (np.sin, lambda t, u, v: t * np.cos(u)),
+    "cos": (np.cos, lambda t, u, v: t * -np.sin(u)),
+    "tan": (np.tan, lambda t, u, v: t * (1.0 + v * v)),
+    "sinh": (np.sinh, lambda t, u, v: t * np.cosh(u)),
+    "cosh": (np.cosh, lambda t, u, v: t * np.sinh(u)),
+    "tanh": (np.tanh, lambda t, u, v: t * (1.0 - v * v)),
+    "erf": (_erf, lambda t, u, v: t * ((2.0 / math.sqrt(math.pi)) * np.exp(-u * u))),
+    "neg": (np.negative, lambda t, u, v: -t),
+}
+_BINARY = {
+    "+": (np.add, (lambda t, a, b, v: t, lambda t, a, b, v: t)),
+    "-": (np.subtract, (lambda t, a, b, v: t, lambda t, a, b, v: -t)),
+    "*": (np.multiply, (lambda t, a, b, v: t * b, lambda t, a, b, v: t * a)),
+    # d(a/b) = da/b - (a/b) db/b; a/b/b can overflow where a/b is finite
+    "/": (np.divide, (lambda t, a, b, v: t / b, lambda t, a, b, v: _chain(t, -v / b))),
+    # a^b is flat in b where it is 0 (0^b for b > 0), though log(0) is -inf
+    "^": (np.power, (lambda t, a, b, v: _chain(t, b * np.power(a, b - 1.0)),
+                     lambda t, a, b, v: _chain(t, np.where(v == 0.0, 0.0, v * np.log(a))))),
+}
+BINARY_OPS, UNARY_OPS = tuple(_BINARY), tuple(_UNARY)
+_FUNCTIONS = frozenset(UNARY_OPS) - {"neg"}  # neg is written as a sign
 
 
 class ParseError(ValueError):
@@ -290,29 +329,6 @@ def parse(text: str, dimensionality: int = 1) -> Expr:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _erf(v):
-    from scipy.special import erf  # a third of a second to import: only on use
-    return erf(v)
-
-
-_UNARY_FUNCS = {
-    "sqrt": np.sqrt,
-    "exp": np.exp,
-    "log": np.log,
-    "abs": np.abs,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "erf": _erf,
-    "neg": np.negative,
-}
-
-_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-
-
 class Plan(NamedTuple):
     """A tree lowered to post-order steps; see lower."""
 
@@ -344,14 +360,14 @@ def lower(expr: Expr) -> Plan:
             used[e.kind] = max(used[e.kind], e.index + 1)
             steps.append((e.kind, e.index))
             return 1 if e.kind == "coef" else 2
-        if e.op in _ARITHMETIC:
+        if e.kind == "bin" and e.op != "^":
             shape = walk(e.args[0]) | walk(e.args[1])
-            steps.append(("arith", _ARITHMETIC[e.op]))
+            steps.append(("arith", _BINARY[e.op]))
             return shape
         for a in e.args:
             if walk(a) != 3:
                 steps.append(("dense", None))
-        steps.append(("^", None) if e.op == "^" else ("un", _UNARY_FUNCS[e.op]))
+        steps.append(("^", _BINARY["^"]) if e.op == "^" else ("un", _UNARY[e.op]))
         return 3
 
     if walk(expr) != 3:
@@ -364,47 +380,9 @@ def _finite(values):
     return values if finite.all() else np.where(finite, values, np.nan)
 
 
-def _chain(t, factor):
-    """t * factor, but 0 wherever t is: where a coefficient does not move a
-    function's input it does not move its output, even at a point where
-    the derivative is infinite (sqrt(c*x) at x = 0)."""
-    out = t * factor
-    np.copyto(out, 0.0, where=t == 0.0)
-    return out
-
-
-# Each op's tangent from its input's tangent t, its input u and its value
-# v; a binary op has one per operand, from that operand's t, a, b and v.
-# A factor that can be non-finite where the value is defined goes through
-# _chain, so it stays in the columns of the coefficients that move its
-# input; the fitter treats those as frozen there.
-_TANGENTS = {
-    np.sqrt: lambda t, u, v: _chain(t, 0.5 / v),
-    np.exp: lambda t, u, v: t * v,
-    np.log: lambda t, u, v: t / u,
-    np.abs: lambda t, u, v: t * np.sign(u),
-    np.sin: lambda t, u, v: t * np.cos(u),
-    np.cos: lambda t, u, v: t * -np.sin(u),
-    np.tan: lambda t, u, v: t * (1.0 + v * v),
-    np.sinh: lambda t, u, v: t * np.cosh(u),
-    np.cosh: lambda t, u, v: t * np.sinh(u),
-    np.tanh: lambda t, u, v: t * (1.0 - v * v),
-    _erf: lambda t, u, v: t * ((2.0 / math.sqrt(math.pi)) * np.exp(-u * u)),
-    np.negative: lambda t, u, v: -t,
-    np.add: (lambda t, a, b, v: t, lambda t, a, b, v: t),
-    np.subtract: (lambda t, a, b, v: t, lambda t, a, b, v: -t),
-    np.multiply: (lambda t, a, b, v: t * b, lambda t, a, b, v: t * a),
-    # d(a/b) = da/b - (a/b) db/b; a/b/b can overflow where a/b is finite
-    np.divide: (lambda t, a, b, v: t / b, lambda t, a, b, v: _chain(t, -v / b)),
-    # a^b is flat in b where it is 0 (0^b for b > 0), though log(0) is -inf
-    "^": (lambda t, a, b, v: _chain(t, b * np.power(a, b - 1.0)),
-          lambda t, a, b, v: _chain(t, np.where(v == 0.0, 0.0, v * np.log(a)))),
-}
-
-
-def _binary_tangent(op, a, b, v, ta, tb):
+def _binary_tangent(tangents, a, b, v, ta, tb):
     """The sum of one term per operand whose tangent is not None."""
-    da, db = _TANGENTS[op]
+    da, db = tangents
     if ta is None or tb is None:
         return db(tb, a, b, v) if ta is None else da(ta, a, b, v)
     return da(ta, a, b, v) + db(tb, a, b, v)
@@ -422,8 +400,9 @@ def _run(steps, rows: np.ndarray, X: np.ndarray, jacobian: bool = False):
     for kind, arg in steps:
         if kind == "arith":
             (b, tb), (a, ta) = pop(), pop()
-            v = _finite(arg(a, b))
-            push((v, None if ta is tb is None else _binary_tangent(arg, a, b, v, ta, tb)))
+            fn, tangents = arg
+            v = _finite(fn(a, b))
+            push((v, None if ta is tb is None else _binary_tangent(tangents, a, b, v, ta, tb)))
         elif kind == "coef":
             push((rows[:, arg:arg + 1], None if units is None else units[arg]))
         elif kind == "var":
@@ -433,18 +412,20 @@ def _run(steps, rows: np.ndarray, X: np.ndarray, jacobian: bool = False):
             push((np.full((k, n), a), ta))
         elif kind == "un":
             u, tu = pop()
-            v = _finite(arg(u))
-            push((v, None if tu is None else _TANGENTS[arg](tu, u, v)))
+            fn, tangent = arg
+            v = _finite(fn(u))
+            push((v, None if tu is None else tangent(tu, u, v)))
         elif kind == "lit":
             push((arg, None))
         else:
             # nan^0 and 1^nan are 1: ^ is the one op that launders NaN,
             # so it alone checks its inputs
             (b, tb), (a, ta) = pop(), pop()
-            out = np.power(a, b)
+            fn, tangents = arg
+            out = fn(a, b)
             bad = ~np.isfinite(out) | np.isnan(a) | np.isnan(b)
             v = np.where(bad, np.nan, out) if bad.any() else out
-            push((v, None if ta is tb is None else _binary_tangent("^", a, b, v, ta, tb)))
+            push((v, None if ta is tb is None else _binary_tangent(tangents, a, b, v, ta, tb)))
     # a leaf root (an inf literal, say) is the one result not yet sanitized
     v, t = pop()
     return _finite(v), t
@@ -691,6 +672,10 @@ class _Canonicalizer:
 
 # Templates that differ only in operand order share a key, and so do the
 # runs of a grid, so a process parses a key once while it is memoised here.
+# Model output is untrusted, so no memo of text (this one, the engine's
+# lines and templates) keeps one over MEMO_TEXT characters: it is parsed
+# again at each occurrence.
+MEMO_TEXT = 256
 _parse_key = lru_cache(maxsize=1024)(parse)
 
 
@@ -708,7 +693,7 @@ def canonicalize(expr: Expr, dimensionality: int = 1) -> Skeleton:
     c = _Canonicalizer(variable_names(dimensionality))
     (key, _), slots, *_ = c.rewrite(expr)
     return Skeleton(
-        expr=_parse_key(key, dimensionality),
+        expr=(_parse_key if len(key) <= MEMO_TEXT else parse)(key, dimensionality),
         key=key,
         origins=tuple(c.origins[i] for i in slots),
         values=(math.nan,) * c.placeholders,

@@ -304,6 +304,22 @@ def test_ood_candidate_undefined_on_grid_scores_negative_infinity():
     assert point.negative
 
 
+def test_ood_of_a_run_suite_candidate_is_that_of_its_tree_and_coefficients():
+    # run_suite cells hold a Candidate; icsr ood passes (tree, coefficients)
+    def factory(spec, seed):
+        return ReplayBackend(["f1(x) = c*x^3 + c*x"])
+
+    spec = get_benchmark("nguyen1")
+    (cell,) = run_suite(["nguyen1"], EngineConfig(n_seed_calls=1, max_iterations=0), [1],
+                        factory).cells
+    assert isinstance(cell.candidate, icsr.engine.Candidate)
+    pair = (cell.candidate.skeleton.expr, cell.candidate.fit.coefficients)
+    points = evaluate_ood(cell.candidate, spec, [0.0, 1.0])
+    assert points == evaluate_ood(pair, spec, [0.0, 1.0])
+    inside, outside = points  # a partial fit that diverges out of domain
+    assert 0.0 < inside.raw_r2 < 1.0 and outside.negative
+
+
 def test_ood_rejects_negative_extension():
     with pytest.raises(ValueError):
         evaluate_ood((parse("x", 1), []), linear_spec(), [-0.5])

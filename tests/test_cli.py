@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -700,3 +701,93 @@ def test_ood_and_report_check_out_before_computing(tmp_path, monkeypatch, capsys
     for command in ("ood", "report"):
         assert main([command, "--runs", str(runs), "--out", out]) == EXIT_CONFIG
         assert out in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Exit paths
+# ---------------------------------------------------------------------------
+
+_REPLAY = {"r.json": '["f1(x) = c*x"]'}
+
+# name -> (files written in the working directory, argv, what stderr names)
+_CONFIG_ERRORS = {
+    "config-root-not-an-object": (
+        {"c.json": "[1]"}, ["run", "--benchmark", "nguyen1", "--config", "c.json"],
+        "config root must be a JSON object"),
+    "section-not-an-object": (
+        {"c.json": '{"engine": 3}'}, ["run", "--benchmark", "nguyen1", "--config", "c.json"],
+        "config section 'engine' must be an object"),
+    "mode-alias": (
+        {**_REPLAY, "c.json": '{"engine": {"mode": "random-guessing"}}'},
+        ["run", "--benchmark", "nguyen1", "--config", "c.json", "--replay-file", "r.json"],
+        "unknown mode 'random-guessing'"),
+    "unknown-backend-kind": (
+        {"c.json": '{"backend": {"kind": "smoke"}}'},
+        ["run", "--benchmark", "nguyen1", "--config", "c.json"],
+        "unknown backend kind 'smoke'"),
+    "replay-without-file": (
+        {}, ["run", "--benchmark", "nguyen1"], "replay backend needs --replay-file"),
+    "live-without-endpoint": (
+        {}, ["run", "--benchmark", "nguyen1", "--backend", "live"],
+        "live backend needs --endpoint"),
+    "empty-data-file": (
+        {**_REPLAY, "d.csv": ""}, ["run", "--data", "d.csv", "--replay-file", "r.json"],
+        "data file is empty"),
+    "non-numeric-data-row": (
+        {**_REPLAY, "d.csv": "x,y\n1,2\nabc,3\n"},
+        ["run", "--data", "d.csv", "--replay-file", "r.json"],
+        "bad numeric row in data file: ['abc', '3']"),
+    "bench-without-suite": (
+        _REPLAY, ["bench", "--replay-file", "r.json"], "--suite is required"),
+    "unknown-suite-token": (
+        _REPLAY, ["bench", "--suite", "nguyen1,bogus", "--replay-file", "r.json"],
+        "unknown benchmark 'bogus'"),
+    "empty-extensions": (
+        {"b/runs/stray.txt": ""}, ["ood", "--runs", "b", "--extensions", ","],
+        "empty extensions list"),
+    "no-stored-candidates": (
+        {"b/runs/stray.txt": ""}, ["ood", "--runs", "b"], "no stored candidates under b"),
+}
+
+
+@pytest.mark.parametrize("files,argv,message", _CONFIG_ERRORS.values(), ids=list(_CONFIG_ERRORS))
+def test_config_and_input_errors_exit_2_naming_the_problem(
+        tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bench_out").exists()
+
+
+def test_a_benchmark_that_cannot_be_sampled_exits_1(tmp_path, monkeypatch, capsys):
+    # the ground truth is undefined on all of nguyen1's train range
+    spec = replace(get_benchmark("nguyen1"), expression="sqrt(x - 5)")
+    monkeypatch.setattr("icsr.bench.get_benchmark", lambda name: spec)
+    replay = write_json(tmp_path / "replay.json", ["f1(x) = c*x"])
+    code = main(["run", "--benchmark", "nguyen1", "--replay-file", replay,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert "error: nguyen1/train: resampling did not converge" in err
+    assert "Traceback" not in err
+
+
+def test_ood_skips_entries_that_hold_no_stored_candidate(tmp_path, capsys):
+    out = _r1_bench_out(tmp_path)
+    assert main(["ood", "--runs", str(out), "--out", str(tmp_path / "clean")]) == EXIT_OK
+    runs = out / "runs"
+    summary = (runs / "R1" / "seed1" / "summary.json").read_text(encoding="utf-8")
+    (runs / "stray.txt").write_text("", encoding="utf-8")
+    (runs / "nguyen99" / "seed1").mkdir(parents=True)
+    (runs / "nguyen99" / "seed1" / "summary.json").write_text(summary, encoding="utf-8")
+    (runs / "R1" / "seed2").mkdir()
+    (runs / "R2" / "seed1").mkdir(parents=True)
+    write_json(runs / "R2" / "seed1" / "summary.json", {**json.loads(summary), "best": None})
+    assert main(["ood", "--runs", str(out), "--out", str(tmp_path / "strays")]) == EXIT_OK
+    assert ((tmp_path / "strays" / "ood.csv").read_text(encoding="utf-8")
+            == (tmp_path / "clean" / "ood.csv").read_text(encoding="utf-8"))

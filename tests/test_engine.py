@@ -50,8 +50,10 @@ def test_config_validation():
         EngineConfig(n_seed_calls=0)
     with pytest.raises(ValueError):
         EngineConfig(top_k=0)
-    with pytest.raises(ValueError):
-        EngineConfig(mode="annealing")
+    # one spelling per mode: random-guessing is no alias of random
+    for mode in ("annealing", "random-guessing"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            EngineConfig(mode=mode)
     # counts are non-bool ints, early_stop_r2 a finite number, model a string
     for key, bad in (("n_seed_calls", 2.5), ("max_iterations", -1), ("top_k", True),
                      ("functions_per_call", "5"), ("seed", -1), ("seed", "abc"),
@@ -61,10 +63,6 @@ def test_config_validation():
             EngineConfig(**{key: bad})
     edge = EngineConfig(n_seed_calls=np.int64(1), max_iterations=0, seed=0, early_stop_r2=2)
     assert (edge.n_seed_calls, edge.max_iterations, edge.early_stop_r2) == (1, 0, 2)
-
-
-def test_config_mode_alias():
-    assert EngineConfig(mode="random-guessing").mode == MODE_RANDOM
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +369,7 @@ LONG_LINE = "c*" + "*".join(["x"] * 130)
 
 
 def test_a_line_over_the_memo_text_bound_is_parsed_each_time_and_not_kept(monkeypatch):
-    assert len(LONG_LINE) > icsr.engine._MEMO_TEXT
+    assert len(LONG_LINE) > icsr.expr.MEMO_TEXT
     _clear_memos()
     parsed, canonicalized = _counting(monkeypatch)
     script = [f"f1(x) = c*x\nf2(x) = {LONG_LINE}\nf3(x) = {LONG_LINE}"]
@@ -514,7 +512,7 @@ def test_random_mode_uses_full_budget_without_feedback():
 def test_run_delegates_random_mode():
     backend = ReplayBackend(["f1(x) = c"] * 5)
     record = run(
-        parabola(), config(n_seed_calls=2, max_iterations=3, mode="random-guessing"),
+        parabola(), config(n_seed_calls=2, max_iterations=3, mode="random"),
         backend,
     )
     assert record.summary()["mode"] == MODE_RANDOM

@@ -414,6 +414,20 @@ def test_canonicalize_skeleton_key_reparses_to_same_key():
         assert again.key == sk.key
 
 
+def test_a_key_over_the_memo_text_bound_is_parsed_but_not_kept():
+    memo = icsr.expr._parse_key
+    memo.cache_clear()
+    short = canonicalize(parse("x*c", 1), 1)
+    assert memo.cache_info().currsize == 1
+    tree = parse("c*" + "*".join(["x"] * 130), 1)
+    long = canonicalize(tree, 1)
+    assert memo.cache_info().currsize == 1
+    assert len(long.key) > icsr.expr.MEMO_TEXT
+    assert long.expr == parse(long.key, 1)
+    assert canonicalize(tree, 1) == long
+    assert canonicalize(parse("c*x", 1), 1).expr is short.expr
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
