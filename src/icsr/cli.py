@@ -405,7 +405,7 @@ def _report_from_results(paths) -> bench.EvalReport:
             results = os.path.join(path, "results.csv")
         for row in _read(results, "results file", lambda fh: list(csv.DictReader(fh))):
             try:
-                if row["benchmark"] not in bench.REFERENCE_COMPLEXITY:
+                if row["benchmark"] not in bench.SUITE_NAMES:
                     raise ValueError(f"unknown family {row['benchmark']!r}")
                 cells.append(bench.RunCell(
                     family=row["benchmark"],

@@ -32,6 +32,7 @@ from .llm import (
     TemperatureSchedule,
 )
 from .prompts import (
+    MAX_CANDIDATES_PER_RESPONSE,
     build_loop_prompt,
     build_random_prompt,
     build_seed_prompt,
@@ -73,6 +74,10 @@ class EngineConfig:
         for key, low in (("n_seed_calls", 1), ("max_iterations", 0), ("top_k", 1),
                          ("functions_per_call", 1), ("seed", 0)):
             integer(self, key, low)
+        if self.functions_per_call > MAX_CANDIDATES_PER_RESPONSE:
+            # the scraper keeps no more lines than that from one reply
+            raise ValueError(f"functions_per_call must be at most {MAX_CANDIDATES_PER_RESPONSE},"
+                             f" got {self.functions_per_call!r}")
         real(self, "early_stop_r2")
         of_type(self, "model", str, "a string")
         if self.mode not in MODES:

@@ -258,6 +258,22 @@ def test_ood_bounds_empty_intersection():
     assert points[0].skipped
 
 
+def test_ood_bounds_clip_to_the_validity_high():
+    # test range [-1, 1]: extension 1 grows it to [-3, 3], cut at 1.5
+    spec = linear_spec(validity_high=(1.5,))
+    assert ood_bounds(spec, 1.0) == ([-3.0], [1.5])
+    assert ood_bounds(spec, 0.0) == ([-1.0], [1.0])
+
+
+def test_ood_skips_an_extension_with_fewer_than_two_defined_truths():
+    # sqrt(x - 1) is defined only at x = 1, the grid's right end
+    spec = linear_spec(expression="sqrt(x - 1)")
+    point, = evaluate_ood((parse("x", 1), []), spec, [0.0])
+    assert point.skipped
+    assert (point.raw_r2, point.clamped_r2, point.n_points) == (None, None, 0)
+    assert point.n_undefined_truth == spec.test.num - 1
+
+
 def test_ood_oracle_stays_perfect_everywhere():
     spec = get_benchmark("nguyen3")
     candidate = (spec.ground_truth(), [])

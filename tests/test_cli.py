@@ -185,6 +185,18 @@ def test_run_adhoc_csv_dataset(tmp_path, capsys):
     assert (out / "predictions.csv").exists()
 
 
+def test_run_data_csv_skips_blank_rows(tmp_path, capsys):
+    data = tmp_path / "gaps.csv"
+    data.write_text("x,y\n1,2\n\n2,4\n3,6\n\n", encoding="utf-8")
+    replay = write_json(tmp_path / "replay.json", ["f1(x) = c*x"])
+    out = tmp_path / "out"
+    code = main(["run", "--data", str(data), "--replay-file", replay,
+                 "--ns", "1", "--iterations", "0", "--out", str(out)])
+    assert code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["dataset"]["n"] == 3
+
+
 def test_run_data_csv_validation(tmp_path, monkeypatch, capsys):
     def no_call(*args, **kwargs):
         raise AssertionError("a model call was made")
@@ -271,6 +283,7 @@ def test_run_bad_fit_config_exits_2(tmp_path, capsys, text, key):
     ('{"engine": {"top_k": 2.5}}', "top_k"),
     ('{"schedule": {"mode": "linear", "start": "a"}}', "start"),
     ('{"engine": {"functions_per_call": true}}', "functions_per_call"),
+    ('{"engine": {"functions_per_call": 9}}', "functions_per_call"),
     ('{"sampling": {"max_new_tokens": 2.5}}', "max_new_tokens"),
     ('{"engine": {"model": 5}}', "model"),
     ('{"score": {"lam": true}}', "lam"),
@@ -654,6 +667,17 @@ def test_report_rejects_malformed_results(tmp_path, capsys):
 
 def test_ood_missing_runs_dir(tmp_path, capsys):
     assert main(["ood", "--runs", str(tmp_path / "nope")]) == EXIT_CONFIG
+
+
+def test_report_notes_missing_cells_on_stderr(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("benchmark,equation,seed,r2,complexity,status\n"
+                       "r,R1,1,1.0,5,ok\nr,R1,2,,,no_valid_seeds\nr,R2,1,,,backend_error\n",
+                       encoding="utf-8")
+    assert main(["report", "--runs", str(results), "--out", str(tmp_path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "note: 2 missing cells\n"
+    assert captured.out == (tmp_path / "report.csv").read_text(encoding="utf-8")
 
 
 def test_report_requires_rows(tmp_path, capsys):

@@ -56,7 +56,8 @@ def test_config_validation():
             EngineConfig(mode=mode)
     # counts are non-bool ints, early_stop_r2 a finite number, model a string
     for key, bad in (("n_seed_calls", 2.5), ("max_iterations", -1), ("top_k", True),
-                     ("functions_per_call", "5"), ("seed", -1), ("seed", "abc"),
+                     ("functions_per_call", "5"), ("functions_per_call", 9),
+                     ("seed", -1), ("seed", "abc"),
                      ("early_stop_r2", "x"), ("early_stop_r2", float("nan")),
                      ("model", 5), ("model", None)):
         with pytest.raises(ValueError, match=key):

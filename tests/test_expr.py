@@ -220,6 +220,12 @@ def test_evaluate_erf():
     assert out[1] == pytest.approx(erf(-1.2))
 
 
+def test_the_package_root_loads_no_submodule_and_not_numpy(fresh_python):
+    out = fresh_python("import icsr\n"
+                       "print([m for m in sys.modules if m == 'numpy' or m.startswith('icsr.')])\n")
+    assert out == "[]\n"
+
+
 def test_import_loads_neither_scipy_nor_requests_until_erf(fresh_python):
     # a fresh interpreter: this module imports scipy.special itself
     out = fresh_python(

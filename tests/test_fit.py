@@ -6,8 +6,10 @@ import pytest
 import icsr.fit as fit_module
 from icsr.bench import get_benchmark, sample
 from icsr.dataset import Dataset
+from icsr.engine import EngineConfig, NoValidSeedsError, run
 from icsr.expr import canonicalize, evaluate_batch, lower, parse
 from icsr.fit import FitConfig, FitResult, fit
+from icsr.llm import ReplayBackend
 
 
 def _dataset(expr_text, coeffs, x, name="synthetic"):
@@ -506,4 +508,24 @@ def test_icsr_fit_is_the_submodule():
     assert isinstance(fit_module, types.ModuleType)
     assert icsr.fit is fit_module
     assert fit_module.fit is fit
-    assert (icsr.FitConfig, icsr.FitResult) == (FitConfig, FitResult)
+
+
+def test_no_restart_ending_finite_is_an_invalid_fit(monkeypatch):
+    real = fit_module._levenberg_marquardt
+
+    def nonfinite(plan, starts, X, y, config):
+        c, defined, sses, iterations, stops, frozen = real(plan, starts, X, y, config)
+        return np.full_like(c, np.nan), defined, [np.inf] * len(sses), iterations, stops, frozen
+
+    monkeypatch.setattr(fit_module, "_levenberg_marquardt", nonfinite)
+    x = np.linspace(0.5, 2.0, 12)
+    ds = _dataset("2.5*x", [], x)
+    res = fit(canonicalize(parse("c*x", 1)), ds, FitConfig(restarts=3))
+    assert (res.valid, res.best_restart, res.sse, res.converged) == (False, -1, np.inf, False)
+    assert np.isnan(res.coefficients).all() and res.coefficients.shape == (1,)
+    assert res.restart_sses == (np.inf,) * 3
+
+    with pytest.raises(NoValidSeedsError) as exc_info:
+        run(ds, EngineConfig(n_seed_calls=1, max_iterations=0), ReplayBackend(["f1(x) = c*x"]))
+    outcome, = exc_info.value.record.calls[0].outcomes
+    assert (outcome["raw"], outcome["status"]) == ("c*x", "invalid_fit")
