@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import shutil
 import zlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -330,7 +331,6 @@ class RunCell:
     complexity: int | None = None
     error: str | None = None
     candidate: Candidate | None = None
-    summary: dict | None = None
 
 
 @dataclass
@@ -424,12 +424,24 @@ def score_winner(record: RunRecord, grid: Dataset, trim_fraction: float):
     return summary, pred
 
 
+def cell_dir(out_dir, equation: str, seed: int) -> str:
+    """The directory of one grid cell's files under a grid's output
+    directory: runs/<equation>/seed<N>."""
+    return os.path.join(out_dir, "runs", equation, f"seed{seed}")
+
+
 def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineConfig,
-             seed: int, backend, log_path) -> RunCell:
+             seed: int, backend, directory) -> RunCell:
+    """One cell.  With a directory (cleared when the cell started) its
+    run log goes there, and its summary.json is written as soon as the
+    cell succeeds, so a grid cut short keeps every finished winner."""
     cell = RunCell(family=spec.family, equation=spec.name, seed=seed, status="failed")
+    log_path = None if directory is None else os.path.join(directory, "runlog.jsonl")
     try:
         record = engine_mod.run(train, replace(config, seed=seed), backend, log_path)
         summary, _ = score_winner(record, test, config.score.trim_fraction)
+        if directory is not None:
+            write_summary(directory, summary)
     except (NoValidSeedsError, BackendError) as exc:
         cell.error = str(exc)
         return cell
@@ -440,7 +452,6 @@ def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineC
     cell.r2 = summary["evaluation"]["test_r2_trimmed"]
     cell.complexity = record.best.scores.complexity
     cell.candidate = record.best
-    cell.summary = summary
     return cell
 
 
@@ -466,7 +477,9 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     Train and test data are sampled once per equation and shared across
     seeds.
     Failed runs become 'failed' cells; aggregation skips them and
-    reports the count.
+    reports the count.  Under out_dir, each cell's cell_dir is cleared
+    when the cell starts and holds its own run log and summary.json;
+    results.csv, written once the grid ends, is the list of its cells.
 
     jobs > 1 runs the cells in at most min(jobs, cells) worker processes
     forked from the caller (the fork start method, so Linux or macOS):
@@ -480,18 +493,16 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     tests = {s.name: sample(s, "test") for s in specs}
     tasks = [(spec, seed) for spec in specs for seed in seeds]
 
-    def log_path_for(spec, seed):
-        if out_dir is None:
-            return None
-        d = os.path.join(out_dir, "runs", spec.name, f"seed{seed}")
-        os.makedirs(d, exist_ok=True)
-        return os.path.join(d, "runlog.jsonl")
-
     def execute(task):
         spec, seed = task
+        directory = None
+        if out_dir is not None:
+            directory = cell_dir(out_dir, spec.name, seed)
+            shutil.rmtree(directory, ignore_errors=True)
+            os.makedirs(directory)  # raises if rmtree left anything behind
         backend = backend_factory(spec, seed)
         return _run_one(spec, trains[spec.name], tests[spec.name], config, seed,
-                        backend, log_path_for(spec, seed))
+                        backend, directory)
 
     if jobs > 1 and tasks:
         import multiprocessing
@@ -515,10 +526,6 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
 
     report = EvalReport(cells=cells)
     if out_dir is not None:
-        for cell in cells:
-            if cell.summary is not None:
-                write_summary(os.path.join(out_dir, "runs", cell.equation,
-                                           f"seed{cell.seed}"), cell.summary)
         atomic_write_text(os.path.join(out_dir, "results.csv"), results_csv(report))
         atomic_write_text(os.path.join(out_dir, "summary.csv"), summary_csv(report))
     return report

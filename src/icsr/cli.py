@@ -332,37 +332,23 @@ def cmd_bench(args) -> int:
 
 
 def _cells_from_run_dir(runs_dir) -> list:
-    """(spec, (tree, coefficients)) for each winning candidate stored in
-    the summary.json files under a bench output directory."""
+    """(spec, (tree, coefficients)) for each ok cell that a bench output
+    directory's results.csv lists, from that cell's summary.json."""
     cells = []
-    root = os.path.join(runs_dir, "runs")
-    if not os.path.isdir(root):
-        raise ConfigError(f"no runs/ directory under {runs_dir}")
-    for equation in sorted(os.listdir(root)):
-        eq_dir = os.path.join(root, equation)
-        if not os.path.isdir(eq_dir):
-            continue
+    for cell in _report_from_results([os.path.join(runs_dir, "results.csv")]).ok_cells():
+        spec = bench.get_benchmark(cell.equation)
+        path = os.path.join(bench.cell_dir(runs_dir, cell.equation, cell.seed), "summary.json")
+        summary = _read(path, "stored summary")
         try:
-            spec = bench.get_benchmark(equation)
-        except KeyError:
-            continue
-        for seed_name in sorted(os.listdir(eq_dir)):
-            path = os.path.join(eq_dir, seed_name, "summary.json")
-            if not os.path.isfile(path):
-                continue
-            summary = _read(path, "stored summary")
-            try:
-                best = summary.get("best")
-                if not best:
-                    continue
-                tree = parse(best["skeleton"], spec.dim)
-                coeffs = np.asarray(best["coefficients"], dtype=float)
-                m = lower(tree).num_coefficients
-                if coeffs.shape != (m,):
-                    raise ValueError(f"{coeffs.size} coefficients for {m} placeholders")
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad stored candidate in {path}: {exc}") from exc
-            cells.append((spec, (tree, coeffs)))
+            best = summary["best"]
+            tree = parse(best["skeleton"], spec.dim)
+            coeffs = np.asarray(best["coefficients"], dtype=float)
+            m = lower(tree).num_coefficients
+            if coeffs.shape != (m,):
+                raise ValueError(f"{coeffs.size} coefficients for {m} placeholders")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad stored candidate in {path}: {exc}") from exc
+        cells.append((spec, (tree, coeffs)))
     return cells
 
 
@@ -405,11 +391,16 @@ def _report_from_results(paths) -> bench.EvalReport:
             results = os.path.join(path, "results.csv")
         for row in _read(results, "results file", lambda fh: list(csv.DictReader(fh))):
             try:
-                if row["benchmark"] not in bench.SUITE_NAMES:
-                    raise ValueError(f"unknown family {row['benchmark']!r}")
+                if None in row or None in row.values():
+                    raise ValueError("the row and the header differ in length")
+                spec = bench.get_benchmark(row["equation"])
+                if spec.family != row["benchmark"]:
+                    raise ValueError(f"{spec.name} is not in family {row['benchmark']!r}")
+                if row["status"] == "ok" and not (row["r2"] and row["complexity"]):
+                    raise ValueError("an ok row needs its r2 and complexity")
                 cells.append(bench.RunCell(
                     family=row["benchmark"],
-                    equation=row["equation"],
+                    equation=spec.name,
                     seed=int(row["seed"]),
                     status=row["status"],
                     r2=float(row["r2"]) if row["r2"] else None,

@@ -14,6 +14,7 @@ from icsr.bench import (
     RunCell,
     SamplerSpec,
     SamplingError,
+    cell_dir,
     dataset_seed,
     equispaced_grid,
     evaluate_ood,
@@ -529,6 +530,38 @@ def test_run_suite_records_unexpected_exception_as_failed_cell(tmp_path):
     assert by_name["R2"].status == "ok"
     text = (tmp_path / "results.csv").read_text(encoding="utf-8")
     assert "r,R1,1,,,failed" in text
+
+
+def test_a_grid_cut_short_keeps_every_finished_winner(tmp_path):
+    def factory(spec, seed):
+        if spec.name == "R2":
+            raise KeyboardInterrupt
+        return _oracle_factory(spec, seed)
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(["R1", "R2"], cfg, [1], factory, out_dir=str(tmp_path / "cut"))
+    run_suite(["R1"], cfg, [1], factory, out_dir=str(tmp_path / "whole"))
+    kept = os.path.join(cell_dir(tmp_path / "cut", "R1", 1), "summary.json")
+    whole = os.path.join(cell_dir(tmp_path / "whole", "R1", 1), "summary.json")
+    with open(kept, "rb") as a, open(whole, "rb") as b:
+        assert a.read() == b.read()
+    assert not (tmp_path / "cut" / "results.csv").exists()
+
+
+def test_a_cell_starts_from_an_empty_directory(tmp_path):
+    stale = tmp_path / "runs" / "R1" / "seed1"
+    stale.mkdir(parents=True)
+    (stale / "summary.json").write_text("{}", encoding="utf-8")
+    (stale / "notes.txt").write_text("", encoding="utf-8")
+
+    def factory(spec, seed):
+        return ReplayBackend(["no functions here"])
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    (cell,) = run_suite(["R1"], cfg, [1], factory, out_dir=str(tmp_path)).cells
+    assert cell.status == "failed"
+    assert sorted(p.name for p in stale.iterdir()) == ["runlog.jsonl"]
 
 
 def _tree_bytes(root):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from icsr.bench import get_benchmark, sample
 from icsr.cli import (
@@ -769,8 +770,12 @@ _CONFIG_ERRORS = {
     "empty-extensions": (
         {"b/runs/stray.txt": ""}, ["ood", "--runs", "b", "--extensions", ","],
         "empty extensions list"),
+    "no-results-csv": (
+        {"b/runs/stray.txt": ""}, ["ood", "--runs", "b"],
+        "cannot read results file b/results.csv"),
     "no-stored-candidates": (
-        {"b/runs/stray.txt": ""}, ["ood", "--runs", "b"], "no stored candidates under b"),
+        {"b/results.csv": "benchmark,equation,seed,r2,complexity,status\nr,R1,1,,,failed\n"},
+        ["ood", "--runs", "b"], "no stored candidates under b"),
 }
 
 
@@ -802,6 +807,7 @@ def test_a_benchmark_that_cannot_be_sampled_exits_1(tmp_path, monkeypatch, capsy
 
 
 def test_ood_skips_entries_that_hold_no_stored_candidate(tmp_path, capsys):
+    # results.csv lists the cells: a directory it does not list is not read
     out = _r1_bench_out(tmp_path)
     assert main(["ood", "--runs", str(out), "--out", str(tmp_path / "clean")]) == EXIT_OK
     runs = out / "runs"
@@ -815,3 +821,91 @@ def test_ood_skips_entries_that_hold_no_stored_candidate(tmp_path, capsys):
     assert main(["ood", "--runs", str(out), "--out", str(tmp_path / "strays")]) == EXIT_OK
     assert ((tmp_path / "strays" / "ood.csv").read_text(encoding="utf-8")
             == (tmp_path / "clean" / "ood.csv").read_text(encoding="utf-8"))
+    # but a listed ok cell without a winner is an error, not a skip
+    with open(out / "results.csv", "a", encoding="utf-8") as fh:
+        fh.write("r,R2,1,1,5,ok\n")
+    capsys.readouterr()
+    assert main(["ood", "--runs", str(out), "--out", str(tmp_path / "null")]) == EXIT_CONFIG
+    assert f"bad stored candidate in {runs / 'R2' / 'seed1' / 'summary.json'}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "null").exists()
+
+
+def _nguyen1_grid(tmp_path, out, seeds, reply):
+    replay = write_json(tmp_path / "replay.json", {"nguyen1": [reply]})
+    return main(["bench", "--suite", "nguyen1", "--seeds", seeds, "--replay-file", replay,
+                 "--ns", "1", "--iterations", "0", "--out", str(out)])
+
+
+def test_ood_after_a_rerun_into_a_used_out_counts_only_the_rerun_cells(tmp_path, capsys):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert _nguyen1_grid(tmp_path, fresh, "1", "f1(x) = x^3 + x^2 + x") == EXIT_OK
+    assert _nguyen1_grid(tmp_path, reused, "1,2", "f1(x) = c*x") == EXIT_OK
+    assert _nguyen1_grid(tmp_path, reused, "1", "f1(x) = x^3 + x^2 + x") == EXIT_OK
+    for out in (fresh, reused):
+        assert main(["ood", "--runs", str(out)]) == EXIT_OK
+    assert (reused / "ood.csv").read_bytes() == (fresh / "ood.csv").read_bytes()
+
+
+def test_a_failed_rerun_leaves_no_stored_candidate_for_ood(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _nguyen1_grid(tmp_path, out, "1,2", "f1(x) = x^3 + x^2 + x") == EXIT_OK
+    assert _nguyen1_grid(tmp_path, out, "1", "no functions here") == EXIT_FAILURE
+    assert not (out / "runs" / "nguyen1" / "seed1" / "summary.json").exists()
+    capsys.readouterr()
+    assert main(["ood", "--runs", str(out)]) == EXIT_CONFIG
+    assert f"no stored candidates under {out}" in capsys.readouterr().err
+    assert not (out / "ood.csv").exists()
+
+
+_HEADER = "benchmark,equation,seed,r2,complexity,status"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("r,R1,1,,5,ok", "an ok row needs its r2 and complexity"),
+    ("r,R1,1,1,,ok", "an ok row needs its r2 and complexity"),
+    ("r,R1,1,1,5", "the row and the header differ in length"),
+    ("r,R1,1,1,5,ok,7", "the row and the header differ in length"),
+    ("r,nguyen99,1,1,5,ok", "unknown benchmark 'nguyen99'"),
+    ("nguyen,R1,1,1,5,ok", "R1 is not in family 'nguyen'"),
+], ids=["no-r2", "no-complexity", "too-few-fields", "too-many-fields",
+        "unknown-equation", "equation-outside-family"])
+def test_report_and_ood_reject_a_bad_results_row(tmp_path, capsys, row, message):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    results = runs / "results.csv"
+    results.write_text(f"{_HEADER}\n{row}\n", encoding="utf-8")
+    for argv in (["report", "--runs", str(results)], ["ood", "--runs", str(runs)]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad row in {results}" in err
+        assert message in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def r1_runs(tmp_path_factory):
+    return _r1_bench_out(tmp_path_factory.mktemp("r1"))
+
+
+_RESULTS_TEXT = st.tuples(
+    st.sampled_from([_HEADER, _HEADER, "status,r2,seed,complexity,equation,benchmark", "", "r2"]),
+    st.lists(st.one_of(
+        st.sampled_from(["r,R1,1,1,5,ok", "r,R1,2,1,5,ok", "r,R1,1,,,failed",
+                         "r,r1,1,nan,inf,ok", "ok,1,1,5,R1,r", ""]),
+        st.sampled_from(["r,R1,1,,5,ok", "r,R1,1,1,5", "r,R1,1,1,5,ok,", "r,R9,1,1,5,ok",
+                         "nguyen,R1,1,1,5,ok", 'r,R1,"1\n",1,5,ok', ","]),
+        st.text(max_size=40)), max_size=4),
+).map(lambda parts: "\n".join([parts[0], *parts[1]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RESULTS_TEXT)
+@example(f"{_HEADER}\nr,R1,1,1,5,ok\nr,R1,1,,5,ok")
+@example(f"{_HEADER}\nr,R1,1,1,5\n")
+def test_any_results_csv_text_exits_0_or_2(r1_runs, text):
+    (r1_runs / "results.csv").write_text(text, encoding="utf-8")
+    out = str(r1_runs / "out")
+    assert main(["report", "--runs", str(r1_runs), "--out", out]) in (EXIT_OK, EXIT_CONFIG)
+    assert main(["ood", "--runs", str(r1_runs), "--out", out]) in (EXIT_OK, EXIT_CONFIG)
