@@ -431,16 +431,23 @@ def cell_dir(out_dir, equation: str, seed: int) -> str:
 
 
 def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineConfig,
-             seed: int, backend, directory) -> RunCell:
-    """One cell.  With a directory (cleared when the cell started) its
-    run log goes there, and its summary.json is written as soon as the
-    cell succeeds, so a grid cut short keeps every finished winner."""
+             seed: int, backend_factory, out_dir) -> RunCell:
+    """One cell.  Under out_dir its cell_dir is cleared first, its run log
+    goes there, and its summary.json is written as soon as the cell
+    succeeds, so a grid cut short keeps every finished winner.  Any
+    Exception, the factory's included, makes it a 'failed' cell."""
     cell = RunCell(family=spec.family, equation=spec.name, seed=seed, status="failed")
-    log_path = None if directory is None else os.path.join(directory, "runlog.jsonl")
     try:
-        record = engine_mod.run(train, replace(config, seed=seed), backend, log_path)
+        log_path = None
+        if out_dir is not None:
+            directory = cell_dir(out_dir, spec.name, seed)
+            shutil.rmtree(directory, ignore_errors=True)
+            os.makedirs(directory)  # raises if rmtree left anything behind
+            log_path = os.path.join(directory, "runlog.jsonl")
+        record = engine_mod.run(train, replace(config, seed=seed), backend_factory(spec, seed),
+                                log_path)
         summary, _ = score_winner(record, test, config.score.trim_fraction)
-        if directory is not None:
+        if out_dir is not None:
             write_summary(directory, summary)
     except (NoValidSeedsError, BackendError) as exc:
         cell.error = str(exc)
@@ -495,14 +502,8 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
 
     def execute(task):
         spec, seed = task
-        directory = None
-        if out_dir is not None:
-            directory = cell_dir(out_dir, spec.name, seed)
-            shutil.rmtree(directory, ignore_errors=True)
-            os.makedirs(directory)  # raises if rmtree left anything behind
-        backend = backend_factory(spec, seed)
         return _run_one(spec, trains[spec.name], tests[spec.name], config, seed,
-                        backend, directory)
+                        backend_factory, out_dir)
 
     if jobs > 1 and tasks:
         import multiprocessing

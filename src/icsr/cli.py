@@ -48,6 +48,8 @@ class ConfigError(ValueError):
 
 def _string(obj, key: str):
     of_type(obj, key, str, "a string")
+    if "\0" in getattr(obj, key):
+        raise ValueError(f"{key} must not contain a NUL byte, got {getattr(obj, key)!r}")
 
 
 # section -> its config dataclass, whose fields (bar the nested sections)

@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dataset import Dataset
+# evaluate_batch is unused here but kept: perfbench's tracer patches icsr.engine.evaluate_batch
 from .expr import (MEMO_TEXT, ParseError, canonicalize, complexity, evaluate_batch, parse,
                    render, split_literals)
 from .fit import FitConfig, FitResult, fit
@@ -307,8 +308,7 @@ class _Run:
             restarts = len(result.restart_sses)
             nmse_value = math.inf
             if result.valid:
-                pred = evaluate_batch(skeleton.expr, result.coefficients, self.dataset.X)
-                nmse_value = nmse(pred, self.dataset.y, self.config.score.eps)
+                nmse_value = nmse(result.predictions, self.dataset.y, self.config.score.eps)
             # finite predictions whose squared miss overflows are no fit either
             if not math.isfinite(nmse_value):
                 self.cache[key] = None
@@ -316,8 +316,8 @@ class _Run:
                                      "restarts": restarts, "status": "invalid_fit"})
                 continue
             r, err = fitness(nmse_value, comp, self.config.score)
-            scores = Scores(nmse=nmse_value, fitness=r, error=err,
-                            r2_train=r_squared(pred, self.dataset.y), complexity=comp)
+            scores = Scores(nmse=nmse_value, fitness=r, error=err, complexity=comp,
+                            r2_train=r_squared(result.predictions, self.dataset.y))
             candidate = Candidate(raw=raw, skeleton=skeleton, fit=result, scores=scores,
                                   origin=f"{rec.phase}:{rec.index}")
             self.cache[key] = candidate

@@ -86,20 +86,19 @@ class FitConfig:
 class FitResult:
     """Outcome of fitting one skeleton on one dataset.
 
-    coefficients/sse describe the best restart (minimum final SSE).
-    valid means the fitted expression is defined and finite on every
-    training point, which is the gate scoring relies on.  restart_sses
-    keeps the per-restart final SSEs for budget accounting and tests;
-    iterations holds each restart's LM iteration count and stops why it
-    stopped (gtol, xtol, ftol, stall, cap or mu_overflow), in the same
-    order.  converged means some restart met gtol, xtol or ftol.  frozen
+    coefficients/sse describe the best restart (minimum final SSE) and
+    predictions its values at the n training points, from the fitter's
+    last evaluation (all NaN when no restart ends finite).  valid means
+    every prediction is finite, the gate scoring relies on.  restart_sses,
+    iterations and stops hold each restart's final SSE, LM iteration count
+    and stop reason (gtol, xtol, ftol, stall, cap or mu_overflow).  frozen
     counts the Jacobian columns pinned on a definedness cliff, summed over
     every Jacobian each restart adopted (its start and each accepted step).
     """
 
     coefficients: np.ndarray
     sse: float
-    converged: bool
+    predictions: np.ndarray
     valid: bool
     best_restart: int
     restart_sses: tuple
@@ -109,26 +108,26 @@ class FitResult:
 
 
 def _probe(plan: Plan, points: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Residuals, definedness mask, masked Jacobian of the prediction and
-    the number of frozen columns at each row of points, from one
+    """Residuals, predictions, masked Jacobian of the prediction and the
+    number of frozen columns at each row of points, from one
     evaluate_batch pass that carries the exact partials.  Shapes: (k, n),
     (k, n) and (k, m, n), and a list of k ints."""
     pred, jac = evaluate_batch(plan, points, X, jacobian=True)
-    defined = np.isfinite(pred)
     res = y - pred
     # false where the prediction is undefined (NaN), y - pred overflowed or
     # the residual is clipped: there it does not move with the coefficients
     moves = np.abs(res) < _RESIDUAL_CAP
     finite = np.isfinite(jac)
     if moves.all() and finite.all():
-        return res, defined, jac, [0] * len(points)
+        return res, pred, jac, [0] * len(points)
     np.copyto(res, PENALTY, where=~np.isfinite(res))
     np.minimum(res, _RESIDUAL_CAP, out=res)
     np.maximum(res, -_RESIDUAL_CAP, out=res)
     # on a cliff: a partial that is not finite where the prediction is defined
+    defined = np.isfinite(pred)
     frozen = (~finite & defined[:, None]).any(axis=2)
     jac = np.where(moves[:, None] & ~frozen[:, :, None], jac, 0.0)
-    return res, defined, jac, frozen.sum(axis=1).tolist()
+    return res, pred, jac, frozen.sum(axis=1).tolist()
 
 
 def _normal_equations(res, jac):
@@ -164,14 +163,14 @@ def _levenberg_marquardt(plan, starts, X, y, config):
 
     Each step solves every live restart's damped normal equations in one
     stacked solve, then probes all their trial points with one _probe
-    call.  Returns the final coefficients and definedness masks as (k, m)
-    and (k, n) arrays, per-restart sse, iteration count and stop reason
+    call.  Returns the final coefficients and predictions as (k, m) and
+    (k, n) arrays, per-restart sse, iteration count and stop reason
     lists, and the number of Jacobian columns frozen on a cliff, summed
     over the Jacobians the restarts adopted."""
     k, m = starts.shape
     eye = np.eye(m)
     c = starts.astype(float)
-    res, defined, jac, frozen = _probe(plan, c, X, y)
+    res, pred, jac, frozen = _probe(plan, c, X, y)
     normal, sse = _normal_equations(res, jac)
     frozen = sum(frozen)
     stops = ["gtol" if _flat(r, config.gtol) else None for r in normal[:, :m, m].tolist()]
@@ -180,8 +179,8 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     iterations = [0] * k
     # each restart's SSE before and after its last _STALL_WINDOW accepted steps
     recent = [deque([s], maxlen=_STALL_WINDOW + 1) for s in sse]
-    final_c, final_defined = np.empty_like(c), np.empty_like(defined)
-    rows = list(range(k))  # the restart on each row of c, defined and normal
+    final_c, final_pred = np.empty_like(c), np.empty_like(pred)
+    rows = list(range(k))  # the restart on each row of c, pred and normal
     while True:
         for t, i in enumerate(rows):
             if stops[i] is None and iterations[i] >= config.max_iterations:
@@ -190,11 +189,11 @@ def _levenberg_marquardt(plan, starts, X, y, config):
         if len(keep) < len(rows):
             for t, i in enumerate(rows):
                 if stops[i] is not None:
-                    final_c[i], final_defined[i] = c[t], defined[t]
+                    final_c[i], final_pred[i] = c[t], pred[t]
             if not keep:
                 break
             rows = [rows[t] for t in keep]
-            c, defined, normal = c[keep], defined[keep], normal[keep]
+            c, pred, normal = c[keep], pred[keep], normal[keep]
         damping = [mu[i] for i in rows]
         rhs = normal[:, :m, m]
         deltas = _solve(normal[:, :m, :m] + np.multiply.outer(damping, eye), rhs)
@@ -218,7 +217,7 @@ def _levenberg_marquardt(plan, starts, X, y, config):
             still[stepping] = True
             deltas = np.where(still, deltas, 0.0)
         trials = c + deltas
-        trial_res, trial_defined, trial_jac, trial_frozen = _probe(plan, trials, X, y)
+        trial_res, trial_pred, trial_jac, trial_frozen = _probe(plan, trials, X, y)
         trial_normal, trial_sse = _normal_equations(trial_res, trial_jac)
         gradients = trial_normal[:, :m, m].tolist()
         taken = [False] * len(rows)
@@ -249,13 +248,13 @@ def _levenberg_marquardt(plan, starts, X, y, config):
                 mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu[i] = 2.0
         if all(taken):
-            c, defined, normal = trials, trial_defined, trial_normal
+            c, pred, normal = trials, trial_pred, trial_normal
         elif any(taken):
             taken = np.array(taken)[:, None]
             np.copyto(c, trials, where=taken)
-            np.copyto(defined, trial_defined, where=taken)
+            np.copyto(pred, trial_pred, where=taken)
             np.copyto(normal, trial_normal, where=taken[:, :, None])
-    return final_c, final_defined, sse, iterations, stops, frozen
+    return final_c, final_pred, sse, iterations, stops, frozen
 
 
 @np.errstate(all="ignore")  # overflow in an SSE or a step is handled as inf
@@ -282,7 +281,7 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
         return FitResult(
             coefficients=np.empty(0),
             sse=sse,
-            converged=True,
+            predictions=pred,
             valid=valid,
             best_restart=0,
             restart_sses=(),
@@ -300,14 +299,14 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             ]
         else:
             starts[restart] = rng.standard_normal(m)
-    c, defined, sses, iterations, stops, frozen = _levenberg_marquardt(
+    c, pred, sses, iterations, stops, frozen = _levenberg_marquardt(
         lower(skeleton.expr), starts, X, y, config)
     finite = [r for r, sse in enumerate(sses) if np.all(np.isfinite(c[r])) and sse < np.inf]
     if not finite:
         return FitResult(
             coefficients=np.full(m, np.nan),
             sse=float("inf"),
-            converged=False,
+            predictions=np.full(len(y), np.nan),
             valid=False,
             best_restart=-1,
             restart_sses=tuple(sses),
@@ -319,8 +318,8 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
     return FitResult(
         coefficients=c[best],
         sse=sses[best],
-        converged=any(s in ("gtol", "xtol", "ftol") for s in stops),
-        valid=bool(np.all(defined[best])),
+        predictions=pred[best].copy(),
+        valid=bool(np.all(np.isfinite(pred[best]))),
         best_restart=best,
         restart_sses=tuple(sses),
         iterations=tuple(iterations),

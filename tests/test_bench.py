@@ -676,17 +676,23 @@ def test_run_suite_parallel_matches_serial(tmp_path):
     assert 1 <= len(worker_pids) <= 2
 
 
-def test_run_suite_worker_failures_become_failed_cells(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_raising_factory_fails_its_cell_alone(tmp_path, jobs):
     def raising(spec, seed):
         if spec.name == "R2":
             raise KeyError("no script for R2")
         return ReplayBackend([oracle_response(spec)])
 
     cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
-    report = run_suite(["R1", "R2", "R3"], cfg, [1], raising, jobs=2,
-                       out_dir=str(tmp_path / "raising"))
+    out = tmp_path / "raising"
+    report = run_suite(["R1", "R2", "R3"], cfg, [1], raising, jobs=jobs, out_dir=str(out))
     assert [c.status for c in report.cells] == ["ok", "failed", "ok"]
     assert report.cells[1].error == "KeyError: 'no script for R2'"
+    assert "r,R2,1,,,failed" in (out / "results.csv").read_text(encoding="utf-8")
+
+
+def test_run_suite_worker_failures_become_failed_cells(tmp_path):
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
 
     def dying(spec, seed):
         if spec.name == "R2":

@@ -773,6 +773,19 @@ _CONFIG_ERRORS = {
     "no-results-csv": (
         {"b/runs/stray.txt": ""}, ["ood", "--runs", "b"],
         "cannot read results file b/results.csv"),
+    "nul-in-output-dir-run": (
+        {**_REPLAY, "c.json": '{"output": {"dir": "a\\u0000b"}}'},
+        ["run", "--benchmark", "nguyen1", "--replay-file", "r.json", "--config", "c.json"],
+        "config section 'output': dir must not contain a NUL byte"),
+    "nul-in-output-dir-bench": (
+        {**_REPLAY, "c.json": '{"output": {"dir": "a\\u0000b"}}'},
+        ["bench", "--suite", "nguyen1", "--seeds", "1", "--replay-file", "r.json",
+         "--config", "c.json"],
+        "config section 'output': dir must not contain a NUL byte"),
+    "nul-in-data-path": (
+        {**_REPLAY, "c.json": '{"benchmark": {"data": "d\\u0000.csv"}}'},
+        ["run", "--replay-file", "r.json", "--config", "c.json"],
+        "config section 'benchmark': data must not contain a NUL byte"),
     "no-stored-candidates": (
         {"b/results.csv": "benchmark,equation,seed,r2,complexity,status\nr,R1,1,,,failed\n"},
         ["ood", "--runs", "b"], "no stored candidates under b"),

@@ -23,7 +23,7 @@ from icsr.engine import (
     budget_report,
     run,
 )
-from icsr.expr import ParseError, Skeleton, canonicalize, complexity, parse
+from icsr.expr import ParseError, Skeleton, canonicalize, complexity, evaluate_batch, parse
 from icsr.fit import fit
 from icsr.llm import (BackendError, LiveBackend, ReplayBackend, SamplingParams,
                        TemperatureSchedule)
@@ -638,6 +638,10 @@ def test_fuzzed_responses_end_in_documented_outcomes(responses, dim, template_re
     assert {o["status"] for o in outcomes} <= OUTCOME_STATUSES
     assert budget_report(record).calls_issued == len(record.calls) <= 2
     json.dumps(record.summary())
+    if record.best is not None:
+        # the winner was scored on the fitter's predictions: a fresh evaluation's bits
+        fresh = evaluate_batch(record.best.skeleton.expr, record.best.fit.coefficients, X)
+        assert record.best.fit.predictions.tobytes() == fresh.tobytes()
 
 
 # ---------------------------------------------------------------------------

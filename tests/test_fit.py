@@ -12,6 +12,17 @@ from icsr.fit import FitConfig, FitResult, fit
 from icsr.llm import ReplayBackend
 
 
+def _converged(res):
+    return any(s in ("gtol", "xtol", "ftol") for s in res.stops)
+
+
+def _assert_fresh_predictions(res, tree, X):
+    # the fitter's own predictions are a fresh evaluation's, bit for bit
+    fresh = evaluate_batch(tree, res.coefficients, X)
+    assert res.predictions.shape == (len(X),)
+    assert res.predictions.tobytes() == fresh.tobytes()
+
+
 def _dataset(expr_text, coeffs, x, name="synthetic"):
     tree = parse(expr_text, 1)
     y = evaluate_batch(tree, coeffs, x.reshape(-1, 1))
@@ -23,7 +34,7 @@ def test_recovers_sine_offset():
     ds = _dataset("c*sin(x) + c", [0.4, 2.7], x)
     sk = canonicalize(parse("c*sin(x) + c", 1))
     res = fit(sk, ds, rng=np.random.default_rng(0))
-    assert res.valid and res.converged
+    assert res.valid and _converged(res)
     # canonical slot order: offset first, sine multiplier second
     np.testing.assert_allclose(res.coefficients, [2.7, 0.4], rtol=1e-6)
     assert res.sse < 1e-12
@@ -86,10 +97,11 @@ def test_no_slot_skeleton_evaluates_directly():
     assert sk.num_slots == 0
     ds = Dataset(x.reshape(-1, 1), x**2)
     res = fit(sk, ds, rng=np.random.default_rng(0))
-    assert res.valid and res.converged
+    assert res.valid
     assert res.sse == 0.0
-    assert res.restart_sses == ()
+    assert res.restart_sses == res.stops == ()
     assert res.coefficients.shape == (0,)
+    _assert_fresh_predictions(res, sk.expr, ds.X)
 
 
 def test_no_slot_skeleton_undefined_everywhere_is_invalid():
@@ -227,42 +239,42 @@ def _golden_cases():
 
 _GOLDEN_CONFIG = {"mu_overflow": FitConfig(xtol=0.0)}
 
-# name: (coefficients, sse, restart_sses, iterations, converged)
+# name: (coefficients, sse, restart_sses, iterations)
 _GOLDEN = {
     "warm_hints": (
         ["0x1.9c6ff4b432cf9p-3", "0x1.b2d93acee9cdfp+0", "-0x1.9a1991d938185p-1"],
         "0x1.00113c49ceb77p-9",
         ["0x1.00113c49ceb77p-9", "0x1.b5f8484317877p+1", "0x1.00113c49cebb0p-9",
          "0x1.00113c49ceb80p-9", "0x1.00113c49ceb9ep-9"],
-        (5, 200, 14, 6, 12), True,
+        (5, 200, 14, 6, 12),
     ),
     "penalty_region": (
         ["-0x1.5e83c6ab7f808p-67"],
         "0x1.5e83c6ab7f808p-67",
         ["0x1.d1a94a2000002p+39", "0x1.d1a94a2000000p+39", "0x1.d1a94a2000000p+39",
          "0x1.5e83c6ab7f808p-67", "0x1.d1a94a2000004p+39"],
-        (2, 4, 2, 82, 3), True,
+        (2, 4, 2, 82, 3),
     ),
     "pow_cliff": (
         ["0x1.4d799b830da5fp+0", "0x1.0000000000000p+1"],
         "0x1.f27e88a026036p-6",
         ["0x1.f27e88a026036p-6", "0x1.5d3ef798000b8p+43", "0x1.5d3ef79800008p+43",
          "0x1.5d3ef79802f6dp+43", "0x1.5d3ef79800059p+43"],
-        (3, 9, 5, 10, 8), True,
+        (3, 9, 5, 10, 8),
     ),
     "two_d": (
         ["0x1.333333343d83ap-2", "-0x1.ccccccd0f786dp-1", "-0x1.6666665f156ecp+0"],
         "0x1.f64e624354900p-62",
         ["0x1.2cf65a2a1fd60p-60", "0x1.f64e624354900p-62", "0x1.652d8108221e5p-52",
          "0x1.4b222b96a4494p-58", "0x1.4391b2c830268p-56"],
-        (11, 5, 6, 5, 7), True,
+        (11, 5, 6, 5, 7),
     ),
     "iteration_cap": (
         ["0x1.d311ecd2263b9p+4", "0x1.80e7f298fb64fp+5"],
         "0x1.66b7aa0fd8db5p+30",
         ["0x1.687f29cd73b3ap+30", "0x1.66b7aa0fd8db5p+30", "0x1.676473ed261e7p+30",
          "0x1.683e826f03268p+30", "0x1.6890bb960c4dbp+30"],
-        (200, 200, 200, 200, 200), False,
+        (200, 200, 200, 200, 200),
     ),
     "singular_solve": (
         ["-0x1.2822264d01b13p+1", "-0x1.58bb307733006p-9",
@@ -270,14 +282,14 @@ _GOLDEN = {
         "0x1.5d7871c55adafp+7",
         ["0x1.76b3015770710p+7", "0x1.6ef28ee29b26bp+7", "0x1.6fc59d6c72cc7p+7",
          "0x1.671d121a2ee27p+7", "0x1.5d7871c55adafp+7"],
-        (24, 45, 15, 21, 23), True,
+        (24, 45, 15, 21, 23),
     ),
     "mu_overflow": (
         ["-0x1.a6fa212826f90p-2", "0x1.022955d1d6950p+0"],
         "0x1.e79c0020787a9p+531",
         ["0x1.e79c0020787afp+531", "0x1.e79c0020787a9p+531", "0x1.e79c0020787afp+531",
          "0x1.e79c0020787b0p+531", "0x1.e79c0020787abp+531"],
-        (4, 35, 3, 5, 7), True,
+        (4, 35, 3, 5, 7),
     ),
 }
 
@@ -288,14 +300,14 @@ _GOLDEN_STALL = {
         "0x1.00113c49ceb77p-9",
         ["0x1.00113c49ceb77p-9", "0x1.b613bad51866ep+1", "0x1.00113c49cebb0p-9",
          "0x1.00113c49ceb80p-9", "0x1.00113c49ceb9ep-9"],
-        (5, 143, 14, 6, 12), True,
+        (5, 143, 14, 6, 12),
     ),
     "iteration_cap": (
         ["0x1.ba1be109decb2p+4", "0x1.80df955c94019p+5"],
         "0x1.66d160edd9e52p+30",
         ["0x1.688c0ae25d849p+30", "0x1.66d160edd9e52p+30", "0x1.6764cff78bfd0p+30",
          "0x1.6892bca77d6c5p+30", "0x1.6891059168183p+30"],
-        (26, 29, 27, 18, 21), False,
+        (26, 29, 27, 18, 21),
     ),
     "singular_solve": (
         ["-0x1.2822264d01b13p+1", "-0x1.58bb307733006p-9",
@@ -303,7 +315,7 @@ _GOLDEN_STALL = {
         "0x1.5d7871c55adafp+7",
         ["0x1.76b3015770710p+7", "0x1.6ef29671e0743p+7", "0x1.6fc59d6c72cc7p+7",
          "0x1.671d121a2f47ep+7", "0x1.5d7871c55adafp+7"],
-        (24, 40, 15, 20, 23), True,
+        (24, 40, 15, 20, 23),
     ),
 }
 
@@ -321,12 +333,11 @@ _GOLDEN_STOPS = {
 
 
 def _assert_golden(res, golden):
-    coefficients, sse, restart_sses, iterations, converged = golden
+    coefficients, sse, restart_sses, iterations = golden
     assert [float(v).hex() for v in res.coefficients] == coefficients
     assert float(res.sse).hex() == sse
     assert [float(v).hex() for v in res.restart_sses] == restart_sses
     assert res.iterations == iterations
-    assert res.converged is converged
 
 
 @pytest.mark.parametrize("name,tree,dataset,seed", list(_golden_cases()),
@@ -334,18 +345,22 @@ def _assert_golden(res, golden):
 def test_golden_fit_values_are_bit_exact(monkeypatch, name, tree, dataset, seed):
     monkeypatch.setattr(fit_module, "_STALL_RTOL", 0.0)
     config = _GOLDEN_CONFIG.get(name, FitConfig())
-    res = fit(canonicalize(tree, dataset.dim), dataset, config, rng=np.random.default_rng(seed))
+    skeleton = canonicalize(tree, dataset.dim)
+    res = fit(skeleton, dataset, config, rng=np.random.default_rng(seed))
     _assert_golden(res, _GOLDEN[name])
     assert res.stops == _GOLDEN_STOPS[name][0]
+    _assert_fresh_predictions(res, skeleton.expr, dataset.X)
 
 
 @pytest.mark.parametrize("name,tree,dataset,seed", list(_golden_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_golden_fit_values_with_the_stall_stop(name, tree, dataset, seed):
     config = _GOLDEN_CONFIG.get(name, FitConfig())
-    res = fit(canonicalize(tree, dataset.dim), dataset, config, rng=np.random.default_rng(seed))
+    skeleton = canonicalize(tree, dataset.dim)
+    res = fit(skeleton, dataset, config, rng=np.random.default_rng(seed))
     _assert_golden(res, _GOLDEN_STALL.get(name, _GOLDEN[name]))
     assert res.stops == _GOLDEN_STOPS[name][1]
+    _assert_fresh_predictions(res, skeleton.expr, dataset.X)
 
 
 def test_singular_solve_golden_still_takes_the_linalg_error_branch(monkeypatch):
@@ -434,7 +449,7 @@ def test_cap_exit_is_still_reachable_with_the_stall_stop():
               sample(get_benchmark("nguyen2"), "train"), FitConfig(restarts=1),
               rng=np.random.default_rng(4))
     assert res.stops == ("cap",) and res.iterations == (200,)
-    assert res.valid and not res.converged
+    assert res.valid and not _converged(res)
 
 
 def test_exponent_on_definedness_cliff_stays_pinned():
@@ -459,8 +474,8 @@ def test_only_the_exponent_column_freezes_over_negative_x():
     exponent = sk.hints.index(2.0)
     start = np.array([[0.4, 0.4, 0.4]])
     start[0, exponent] = 2.0
-    _, defined, jac, frozen = fit_module._probe(lower(sk.expr), start, ds.X, ds.y)
-    assert defined.all() and frozen == [1]
+    _, pred, jac, frozen = fit_module._probe(lower(sk.expr), start, ds.X, ds.y)
+    assert np.isfinite(pred).all() and frozen == [1]
     assert not jac[0, exponent].any()
     others = np.delete(jac[0], exponent, axis=0)
     assert np.isfinite(others).all() and np.abs(others).min(axis=1).min() > 0
@@ -514,15 +529,16 @@ def test_no_restart_ending_finite_is_an_invalid_fit(monkeypatch):
     real = fit_module._levenberg_marquardt
 
     def nonfinite(plan, starts, X, y, config):
-        c, defined, sses, iterations, stops, frozen = real(plan, starts, X, y, config)
-        return np.full_like(c, np.nan), defined, [np.inf] * len(sses), iterations, stops, frozen
+        c, pred, sses, iterations, stops, frozen = real(plan, starts, X, y, config)
+        return np.full_like(c, np.nan), pred, [np.inf] * len(sses), iterations, stops, frozen
 
     monkeypatch.setattr(fit_module, "_levenberg_marquardt", nonfinite)
     x = np.linspace(0.5, 2.0, 12)
     ds = _dataset("2.5*x", [], x)
     res = fit(canonicalize(parse("c*x", 1)), ds, FitConfig(restarts=3))
-    assert (res.valid, res.best_restart, res.sse, res.converged) == (False, -1, np.inf, False)
+    assert (res.valid, res.best_restart, res.sse) == (False, -1, np.inf)
     assert np.isnan(res.coefficients).all() and res.coefficients.shape == (1,)
+    assert np.isnan(res.predictions).all() and res.predictions.shape == (12,)
     assert res.restart_sses == (np.inf,) * 3
 
     with pytest.raises(NoValidSeedsError) as exc_info:
