@@ -435,30 +435,38 @@ def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineC
     """One cell.  Under out_dir its cell_dir is cleared first, its run log
     goes there, and its summary.json is written as soon as the cell
     succeeds, so a grid cut short keeps every finished winner.  Any
-    Exception, the factory's included, makes it a 'failed' cell."""
+    Exception, the factory's included, makes it a 'failed' cell, which
+    writes its error to failed.json there, if it can, so the directory
+    tells a failed cell from an unfinished one."""
     cell = RunCell(family=spec.family, equation=spec.name, seed=seed, status="failed")
+    directory = None if out_dir is None else cell_dir(out_dir, spec.name, seed)
     try:
         log_path = None
-        if out_dir is not None:
-            directory = cell_dir(out_dir, spec.name, seed)
+        if directory is not None:
             shutil.rmtree(directory, ignore_errors=True)
             os.makedirs(directory)  # raises if rmtree left anything behind
             log_path = os.path.join(directory, "runlog.jsonl")
         record = engine_mod.run(train, replace(config, seed=seed), backend_factory(spec, seed),
                                 log_path)
         summary, _ = score_winner(record, test, config.score.trim_fraction)
-        if out_dir is not None:
+        if directory is not None:
             write_summary(directory, summary)
     except (NoValidSeedsError, BackendError) as exc:
         cell.error = str(exc)
-        return cell
     except Exception as exc:  # one broken cell must not abort the grid
         cell.error = f"{type(exc).__name__}: {exc}"
+    else:
+        cell.status = "ok"
+        cell.r2 = summary["evaluation"]["test_r2_trimmed"]
+        cell.complexity = record.best.scores.complexity
+        cell.candidate = record.best
         return cell
-    cell.status = "ok"
-    cell.r2 = summary["evaluation"]["test_r2_trimmed"]
-    cell.complexity = record.best.scores.complexity
-    cell.candidate = record.best
+    if directory is not None:
+        try:
+            atomic_write_text(os.path.join(directory, "failed.json"),
+                              json.dumps({"error": cell.error}) + "\n")
+        except OSError:  # the directory itself could not be made
+            pass
     return cell
 
 

@@ -335,6 +335,7 @@ class Plan(NamedTuple):
     steps: tuple
     num_coefficients: int
     dimensionality: int
+    affine: bool
 
 
 def lower(expr: Expr) -> Plan:
@@ -346,33 +347,48 @@ def lower(expr: Expr) -> Plan:
     of unary functions and ^, and the result, out to a fresh C-contiguous
     (k, n) array: numpy's SIMD transcendental loops run only on
     contiguous data and can differ from the strided loop in the last bit.
+
+    The plan is affine when it is affine in all its coefficients at once
+    (c*(c + x) is not): + - and neg keep that, * only when a factor reads
+    no coefficient, / only when the divisor reads none, and any other op
+    must read none.  Its partials then do not depend on the coefficients.
     """
     steps = []
     used = {"coef": 0, "var": 0}
+    affine = True
 
     def walk(e: Expr) -> int:
         """Appends e's steps; returns 1 if its value varies over the
-        coefficient rows, plus 2 if over the points (3: dense)."""
+        coefficient rows, plus 2 if over the points (3: dense), plus 4 if
+        it reads a coefficient."""
+        nonlocal affine
         if e.kind == "lit":
             steps.append(("lit", e.value))
             return 0
         if e.kind in used:
             used[e.kind] = max(used[e.kind], e.index + 1)
             steps.append((e.kind, e.index))
-            return 1 if e.kind == "coef" else 2
+            return 5 if e.kind == "coef" else 2
         if e.kind == "bin" and e.op != "^":
-            shape = walk(e.args[0]) | walk(e.args[1])
+            a, b = walk(e.args[0]), walk(e.args[1])
+            if (a & b if e.op == "*" else b if e.op == "/" else 0) & 4:
+                affine = False
             steps.append(("arith", _BINARY[e.op]))
-            return shape
+            return a | b
+        reads = 0
         for a in e.args:
-            if walk(a) != 3:
+            shape = walk(a)
+            reads |= shape & 4
+            if shape & 3 != 3:
                 steps.append(("dense", None))
+        if reads and e.op != "neg":
+            affine = False
         steps.append(("^", _BINARY["^"]) if e.op == "^" else ("un", _UNARY[e.op]))
-        return 3
+        return 3 | reads
 
-    if walk(expr) != 3:
+    if walk(expr) & 3 != 3:
         steps.append(("dense", None))
-    return Plan(tuple(steps), used["coef"], used["var"])
+    return Plan(tuple(steps), used["coef"], used["var"], affine)
 
 
 def _finite(values):

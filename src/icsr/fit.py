@@ -1,19 +1,27 @@
 """Multi-start nonlinear least squares for skeleton coefficients.
 
-The optimizer is a plain Levenberg-Marquardt loop over exact Jacobians:
-one evaluate_batch pass over the tree's plan, lowered once per fit,
-carries each value together with its partials in every coefficient
-(forward-mode differentiation), so a trial point costs one row of
-evaluation.  All restarts run in lockstep: each step solves every live
-restart's damped normal equations in one stacked solve, then evaluates
-all their trial points, with their Jacobians, as the rows of one pass.
-J^T J, J^T r and r.r come from one stacked matmul, and the per-restart
-tests run on Python floats.  A restart that stops (converged, out of
-iterations, or with its damping overflowed) drops out of later batches.
-Every row of a stacked numpy call gets the bits it would get alone, so a
-restart's result does not depend on which restarts run beside it.  At
-20-200 points a step costs numpy calls, not arithmetic, so each does as
-few as it can.
+A skeleton that is affine in all its coefficients at once (Plan.affine:
+c*sin(x) + c, say) is fitted without LM.  One pass at c = 0 gives its
+value there and its partials, which do not depend on c; each restart
+then takes one undamped Gauss-Newton step from its start, exact for such
+a model, all of them in one multi-right-hand-side lstsq.  Its starts are
+drawn as LM's would be, so the rng stream of a run does not depend on
+which fits were affine.
+
+Any other skeleton goes through a plain Levenberg-Marquardt loop over
+exact Jacobians: one evaluate_batch pass over the tree's plan, lowered
+once per fit, carries each value together with its partials in every
+coefficient (forward-mode differentiation), so a trial point costs one
+row of evaluation.  All restarts run in lockstep: each step solves every
+live restart's damped normal equations in one stacked solve, then
+evaluates all their trial points, with their Jacobians, as the rows of
+one pass.  J^T J, J^T r and r.r come from one stacked matmul, and the
+per-restart tests run on Python floats.  A restart that stops (converged,
+out of iterations, or with its damping overflowed) drops out of later
+batches.  Every row of a stacked numpy call gets the bits it would get
+alone, so a restart's result does not depend on which restarts run
+beside it.  At 20-200 points a step costs numpy calls, not arithmetic,
+so each does as few as it can.
 
 A restart stops when its gradient is flat (gtol), its step is tiny
 (xtol) or an accepted step barely lowers the SSE (ftol); when it runs
@@ -90,8 +98,10 @@ class FitResult:
     predictions its values at the n training points, from the fitter's
     last evaluation (all NaN when no restart ends finite).  valid means
     every prediction is finite, the gate scoring relies on.  restart_sses,
-    iterations and stops hold each restart's final SSE, LM iteration count
-    and stop reason (gtol, xtol, ftol, stall, cap or mu_overflow).  frozen
+    iterations and stops hold each restart's final SSE, iteration count
+    and stop reason: gtol, xtol, ftol, stall, cap or mu_overflow from LM;
+    for an affine skeleton lstsq (1 iteration), or undefined (0, SSE inf)
+    where the form is undefined at a training point for every c.  frozen
     counts the Jacobian columns pinned on a definedness cliff, summed over
     every Jacobian each restart adopted (its start and each accepted step).
     """
@@ -107,6 +117,14 @@ class FitResult:
     frozen: int
 
 
+def _penalize(res):
+    """Put PENALTY in place of every non-finite residual and clip the rest
+    to the cap, in place."""
+    np.copyto(res, PENALTY, where=~np.isfinite(res))
+    np.minimum(res, _RESIDUAL_CAP, out=res)
+    np.maximum(res, -_RESIDUAL_CAP, out=res)
+
+
 def _probe(plan: Plan, points: np.ndarray, X: np.ndarray, y: np.ndarray):
     """Residuals, predictions, masked Jacobian of the prediction and the
     number of frozen columns at each row of points, from one
@@ -120,9 +138,7 @@ def _probe(plan: Plan, points: np.ndarray, X: np.ndarray, y: np.ndarray):
     finite = np.isfinite(jac)
     if moves.all() and finite.all():
         return res, pred, jac, [0] * len(points)
-    np.copyto(res, PENALTY, where=~np.isfinite(res))
-    np.minimum(res, _RESIDUAL_CAP, out=res)
-    np.maximum(res, -_RESIDUAL_CAP, out=res)
+    _penalize(res)
     # on a cliff: a partial that is not finite where the prediction is defined
     defined = np.isfinite(pred)
     frozen = (~finite & defined[:, None]).any(axis=2)
@@ -257,6 +273,24 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     return final_c, final_pred, sse, iterations, stops, frozen
 
 
+def _least_squares(plan, starts, X, y):
+    """_levenberg_marquardt's results for an affine plan (see the module
+    docstring).  Where its value at 0 or a partial is not finite, it is
+    undefined for every c: every restart stops 'undefined'.  A start whose
+    residual overflows takes no step."""
+    k, m = starts.shape
+    offset, basis = evaluate_batch(plan, np.zeros(m), X, jacobian=True)
+    if not (np.isfinite(offset).all() and np.isfinite(basis).all()):
+        return starts, np.full((k, len(y)), np.nan), [math.inf] * k, [0] * k, ["undefined"] * k, 0
+    res = y - offset - starts @ basis
+    res[~np.isfinite(res).all(axis=1)] = 0.0
+    c = starts + np.linalg.lstsq(basis.T, res.T, rcond=None)[0].T
+    pred = evaluate_batch(plan, c, X)
+    res = y - pred
+    _penalize(res)
+    return c, pred, (res * res).sum(axis=1).tolist(), [1] * k, ["lstsq"] * k, 0
+
+
 @np.errstate(all="ignore")  # overflow in an SSE or a step is handled as inf
 def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
         rng: np.random.Generator | None = None) -> FitResult:
@@ -299,8 +333,10 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
             ]
         else:
             starts[restart] = rng.standard_normal(m)
-    c, pred, sses, iterations, stops, frozen = _levenberg_marquardt(
-        lower(skeleton.expr), starts, X, y, config)
+    plan = lower(skeleton.expr)
+    c, pred, sses, iterations, stops, frozen = (
+        _least_squares(plan, starts, X, y) if plan.affine
+        else _levenberg_marquardt(plan, starts, X, y, config))
     finite = [r for r, sse in enumerate(sses) if np.all(np.isfinite(c[r])) and sse < np.inf]
     if not finite:
         return FitResult(

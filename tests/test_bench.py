@@ -478,6 +478,8 @@ def test_run_suite_records_failures(tmp_path):
     assert by_name["R2"].error
     text = (tmp_path / "results.csv").read_text(encoding="utf-8")
     assert "r,R2,1,,,failed" in text
+    failed = tmp_path / "runs" / "R2" / "seed1" / "failed.json"
+    assert json.loads(failed.read_text(encoding="utf-8")) == {"error": by_name["R2"].error}
 
 
 def test_run_suite_deeply_nested_reply_is_a_parse_error(tmp_path):
@@ -561,7 +563,8 @@ def test_a_cell_starts_from_an_empty_directory(tmp_path):
     cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
     (cell,) = run_suite(["R1"], cfg, [1], factory, out_dir=str(tmp_path)).cells
     assert cell.status == "failed"
-    assert sorted(p.name for p in stale.iterdir()) == ["runlog.jsonl"]
+    # the stale files are gone; the failed cell wrote its log and its error
+    assert sorted(p.name for p in stale.iterdir()) == ["failed.json", "runlog.jsonl"]
 
 
 def _tree_bytes(root):
@@ -689,6 +692,14 @@ def test_a_raising_factory_fails_its_cell_alone(tmp_path, jobs):
     assert [c.status for c in report.cells] == ["ok", "failed", "ok"]
     assert report.cells[1].error == "KeyError: 'no script for R2'"
     assert "r,R2,1,,,failed" in (out / "results.csv").read_text(encoding="utf-8")
+    # the failed cell's directory says so, in whichever process ran it
+    runs = out / "runs"
+    assert sorted(p.name for p in (runs / "R2" / "seed1").iterdir()) == ["failed.json"]
+    assert json.loads((runs / "R2" / "seed1" / "failed.json").read_text(encoding="utf-8")) == {
+        "error": "KeyError: 'no script for R2'"}
+    for ok in ("R1", "R3"):
+        assert sorted(p.name for p in (runs / ok / "seed1").iterdir()) == [
+            "runlog.jsonl", "summary.json"]
 
 
 def test_run_suite_worker_failures_become_failed_cells(tmp_path):

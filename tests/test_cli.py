@@ -865,6 +865,9 @@ def test_a_failed_rerun_leaves_no_stored_candidate_for_ood(tmp_path, capsys):
     assert _nguyen1_grid(tmp_path, out, "1,2", "f1(x) = x^3 + x^2 + x") == EXIT_OK
     assert _nguyen1_grid(tmp_path, out, "1", "no functions here") == EXIT_FAILURE
     assert not (out / "runs" / "nguyen1" / "seed1" / "summary.json").exists()
+    # the failed cell says so, and ood reads none of it
+    assert "error" in json.loads(
+        (out / "runs" / "nguyen1" / "seed1" / "failed.json").read_text(encoding="utf-8"))
     capsys.readouterr()
     assert main(["ood", "--runs", str(out)]) == EXIT_CONFIG
     assert f"no stored candidates under {out}" in capsys.readouterr().err

@@ -256,10 +256,11 @@ def test_parse_errors_do_not_consume_the_acceptance_cap():
 
 
 def test_a_fit_whose_training_nmse_overflows_is_invalid(tmp_path):
-    # the fitted predictions are finite, but their squared miss overflows
+    # the fitted predictions are finite, but their squared miss overflows;
+    # the form is not affine, since lstsq would scale an affine one down
     x = np.linspace(-1.0, 2.0, 12)
     ds = Dataset(x.reshape(-1, 1), x**2 + x, name="overflow")
-    overflowing = "c*exp(x*x*x*x*x*x*x*x + x*x*x*x*x*x*x)"
+    overflowing = "exp(x*x*x*x*x*x*x*x + x*x*x*x*x*x*x + c)"
     log_path = tmp_path / "runlog.jsonl"
     record = run(ds, config(n_seed_calls=1, max_iterations=0), ReplayBackend(
         [f"f1(x) = {overflowing}\nf2(x) = {overflowing.replace('c', '2')}\nf3(x) = c*x"]),

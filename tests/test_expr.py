@@ -894,3 +894,74 @@ def test_property_jacobian_columns_follow_their_coefficients(tree, perm, n, k, s
     assert values2.tobytes() == values.tobytes()
     assert partials2[:, list(perm)].tobytes() == partials[:, :3].tobytes()
     assert partials2[:, 3].tobytes() == partials[:, 3].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Affine plans
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text,affine", [
+    ("c*(c + x)", False), ("c*exp(c*x)", False), ("x/c", False), ("x^c", False),
+    ("c/x", True), ("(c + x)*x", True), ("-c*x", True), ("c + c*sin(x)*x", True),
+])
+def test_a_plan_is_affine_in_all_its_coefficients_at_once(text, affine):
+    # c*(c + x) is affine in each coefficient alone, but not in both
+    assert lower(parse(text, 1)).affine is affine
+
+
+@st.composite
+def _affine_leaning_exprs(draw):
+    """Chains of + - * / and neg over coefficients, variables, literals and
+    coefficient-free functions, some undefined at negative inputs, each
+    step joining the tree so far with a new leaf: most are affine."""
+    leaves = st.one_of(
+        st.sampled_from([coef(0), coef(1), coef(2)]),
+        st.sampled_from([var(0), var(1), un_("log", var(1)), un_("sqrt", var(0)),
+                         bin_("/", lit(1.0), var(0))]),
+        st.floats(min_value=-4.0, max_value=4.0,
+                  allow_nan=False, allow_infinity=False).map(lit),
+    )
+    tree = draw(leaves)
+    for op in draw(st.lists(st.sampled_from(["+", "-", "*", "/", "neg"]), min_size=1,
+                            max_size=8)):
+        if op == "neg":
+            tree = un_(op, tree)
+        else:
+            tree = bin_(op, *draw(st.permutations([tree, draw(leaves)])))
+    return tree
+
+
+def _magnitude_tree(tree):
+    """An affine tree with - read as +, neg dropped and every
+    coefficient-free subtree under abs: at |c| it bounds the size of every
+    intermediate of tree at c, and so the rounding of its value."""
+    if tree.kind == "coef":
+        return tree
+    if not _coefficients_read(tree):
+        return un_("abs", tree)
+    if tree.op == "neg":
+        return _magnitude_tree(tree.args[0])
+    a, b = (_magnitude_tree(t) for t in tree.args)
+    return bin_("+" if tree.op == "-" else tree.op, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_affine_leaning_exprs(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_property_an_affine_plan_is_its_value_at_0_plus_its_partials(tree, n, seed):
+    plan = lower(tree)
+    if not plan.affine:
+        return
+    rng = np.random.default_rng(seed)
+    C = rng.uniform(-5, 5, (2, 3))
+    X = rng.uniform(-5, 5, (n, 2))
+    offset, basis = evaluate_batch(plan, np.zeros(3), X, jacobian=True)
+    values, partials = evaluate_batch(plan, C, X, jacobian=True)
+    # the partials do not depend on the coefficients, bit for bit
+    assert partials[0].tobytes() == partials[1].tobytes() == basis.tobytes()
+    finite = np.isfinite(values)
+    miss = np.abs(values - (offset + C @ basis))
+    bound = evaluate_batch(_magnitude_tree(tree), np.abs(C), X)
+    assert (miss[finite] <= 1e-9 * bound[finite]).all()
+    # a point whose value at 0 or whose partial is not finite is undefined
+    undefined = ~(np.isfinite(offset) & np.isfinite(basis).all(axis=0))
+    assert np.isnan(values[:, undefined]).all()

@@ -34,7 +34,8 @@ def test_recovers_sine_offset():
     ds = _dataset("c*sin(x) + c", [0.4, 2.7], x)
     sk = canonicalize(parse("c*sin(x) + c", 1))
     res = fit(sk, ds, rng=np.random.default_rng(0))
-    assert res.valid and _converged(res)
+    # an affine skeleton: one exact least-squares step per restart, no LM
+    assert res.valid and res.stops == ("lstsq",) * 5
     # canonical slot order: offset first, sine multiplier second
     np.testing.assert_allclose(res.coefficients, [2.7, 0.4], rtol=1e-6)
     assert res.sse < 1e-12
@@ -68,6 +69,11 @@ def test_matches_closed_form_linear_least_squares():
     A = np.column_stack([np.ones_like(x), x])
     expected, *_ = np.linalg.lstsq(A, y, rcond=None)
     np.testing.assert_allclose(res.coefficients, expected, rtol=1e-7)
+    # an affine skeleton: one exact least-squares step per restart, no LM
+    assert res.valid and res.frozen == 0
+    assert res.stops == ("lstsq",) * 5 and res.iterations == (1,) * 5
+    np.testing.assert_allclose(res.restart_sses, res.sse, rtol=1e-12)
+    _assert_fresh_predictions(res, sk.expr, ds.X)
 
 
 def test_warm_start_from_literal_hints_wins_restart_zero():
@@ -132,6 +138,10 @@ def test_always_undefined_skeleton_reports_invalid():
     res = fit(sk, ds, rng=np.random.default_rng(2))
     assert not res.valid
     assert res.sse >= 1e12
+    # affine, and undefined where its value at 0 is: so for every c
+    assert res.stops == ("undefined",) * 5 and res.iterations == (0,) * 5
+    assert res.restart_sses == (np.inf,) * 5 and res.frozen == 0
+    assert res.best_restart == -1 and np.isnan(res.coefficients).all()
 
 
 def test_reports_one_sse_per_restart_and_picks_the_minimum():
@@ -165,6 +175,51 @@ def test_single_restart_config():
     assert len(res.restart_sses) == 1
     assert res.best_restart == 0
     assert res.valid
+
+
+def test_each_affine_restart_steps_from_its_own_start():
+    # the two columns of c*x + c*x are equal, so the data fix only the sum of
+    # the coefficients; each restart keeps its own start's difference
+    sk = canonicalize(parse("c*x + c*x", 1))
+    assert sk.num_slots == 2
+    x = np.linspace(0.5, 2.0, 12)
+    ds = Dataset(x.reshape(-1, 1), 3.0 * x)
+    starts = np.random.default_rng(0).standard_normal((5, 2))
+    c, pred, sses, iterations, stops, frozen = fit_module._least_squares(
+        lower(sk.expr), starts, ds.X, ds.y)
+    np.testing.assert_allclose(c.sum(axis=1), 3.0, rtol=1e-12)
+    np.testing.assert_allclose(c[:, 0] - c[:, 1], starts[:, 0] - starts[:, 1], rtol=1e-12)
+    assert (iterations, stops, frozen) == ([1] * 5, ["lstsq"] * 5, 0)
+    assert max(sses) < 1e-20
+
+
+def test_an_affine_start_whose_residual_overflows_takes_no_step():
+    # the hint 1e300 times x near 1e10 overflows: restart 0 stays at its
+    # start, undefined there, and the others fit
+    x = np.linspace(1e10, 2e10, 12)
+    ds = Dataset(x.reshape(-1, 1), 2.0 + 3.0 * x)
+    sk = canonicalize(parse("2 + 1e300*x", 1))
+    assert sk.hints == (2.0, 1e300)
+    res = fit(sk, ds, rng=np.random.default_rng(0))
+    assert res.stops == ("lstsq",) * 5 and res.best_restart != 0 and res.valid
+    assert res.restart_sses[0] == 12 * fit_module.PENALTY**2
+    np.testing.assert_allclose(res.predictions, ds.y, rtol=1e-12)
+
+
+def test_an_affine_fit_draws_the_starts_an_lm_fit_draws():
+    # the same slots and hints, one form affine and one not: both draw the
+    # same starts, so every later fit of a run sees the same rng stream
+    x = np.linspace(0.5, 2.0, 12)
+    ds = Dataset(x.reshape(-1, 1), 1.5 + 2.0 * x)
+    affine, curved = canonicalize(parse("1.5 + c*x", 1)), canonicalize(parse("1.5 + x^c", 1))
+    assert affine.hints == curved.hints == (1.5, None)
+    states, stops = [], []
+    for sk in (affine, curved):
+        rng = np.random.default_rng(3)
+        stops.append(fit(sk, ds, rng=rng).stops)
+        states.append(rng.bit_generator.state)
+    assert stops[0] == ("lstsq",) * 5 and "lstsq" not in stops[1]
+    assert states[0] == states[1] != np.random.default_rng(3).bit_generator.state
 
 
 def test_fit_config_validation():
@@ -332,6 +387,15 @@ _GOLDEN_STOPS = {
 }
 
 
+def _fit_by_lm(monkeypatch, skeleton, dataset, config, seed):
+    """fit, with the plan taken through LM even when it is affine, so LM
+    runs on the starts fit draws.  mu_overflow's c*x + c is affine, and
+    fit would solve it by lstsq."""
+    lower = fit_module.lower
+    monkeypatch.setattr(fit_module, "lower", lambda e: lower(e)._replace(affine=False))
+    return fit(skeleton, dataset, config, rng=np.random.default_rng(seed))
+
+
 def _assert_golden(res, golden):
     coefficients, sse, restart_sses, iterations = golden
     assert [float(v).hex() for v in res.coefficients] == coefficients
@@ -346,7 +410,7 @@ def test_golden_fit_values_are_bit_exact(monkeypatch, name, tree, dataset, seed)
     monkeypatch.setattr(fit_module, "_STALL_RTOL", 0.0)
     config = _GOLDEN_CONFIG.get(name, FitConfig())
     skeleton = canonicalize(tree, dataset.dim)
-    res = fit(skeleton, dataset, config, rng=np.random.default_rng(seed))
+    res = _fit_by_lm(monkeypatch, skeleton, dataset, config, seed)
     _assert_golden(res, _GOLDEN[name])
     assert res.stops == _GOLDEN_STOPS[name][0]
     _assert_fresh_predictions(res, skeleton.expr, dataset.X)
@@ -354,10 +418,10 @@ def test_golden_fit_values_are_bit_exact(monkeypatch, name, tree, dataset, seed)
 
 @pytest.mark.parametrize("name,tree,dataset,seed", list(_golden_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
-def test_golden_fit_values_with_the_stall_stop(name, tree, dataset, seed):
+def test_golden_fit_values_with_the_stall_stop(monkeypatch, name, tree, dataset, seed):
     config = _GOLDEN_CONFIG.get(name, FitConfig())
     skeleton = canonicalize(tree, dataset.dim)
-    res = fit(skeleton, dataset, config, rng=np.random.default_rng(seed))
+    res = _fit_by_lm(monkeypatch, skeleton, dataset, config, seed)
     _assert_golden(res, _GOLDEN_STALL.get(name, _GOLDEN[name]))
     assert res.stops == _GOLDEN_STOPS[name][1]
     _assert_fresh_predictions(res, skeleton.expr, dataset.X)
@@ -533,15 +597,16 @@ def test_no_restart_ending_finite_is_an_invalid_fit(monkeypatch):
         return np.full_like(c, np.nan), pred, [np.inf] * len(sses), iterations, stops, frozen
 
     monkeypatch.setattr(fit_module, "_levenberg_marquardt", nonfinite)
+    # c*x^c is not affine, so fit takes it through LM
     x = np.linspace(0.5, 2.0, 12)
     ds = _dataset("2.5*x", [], x)
-    res = fit(canonicalize(parse("c*x", 1)), ds, FitConfig(restarts=3))
+    res = fit(canonicalize(parse("c*x^c", 1)), ds, FitConfig(restarts=3))
     assert (res.valid, res.best_restart, res.sse) == (False, -1, np.inf)
-    assert np.isnan(res.coefficients).all() and res.coefficients.shape == (1,)
+    assert np.isnan(res.coefficients).all() and res.coefficients.shape == (2,)
     assert np.isnan(res.predictions).all() and res.predictions.shape == (12,)
     assert res.restart_sses == (np.inf,) * 3
 
     with pytest.raises(NoValidSeedsError) as exc_info:
-        run(ds, EngineConfig(n_seed_calls=1, max_iterations=0), ReplayBackend(["f1(x) = c*x"]))
+        run(ds, EngineConfig(n_seed_calls=1, max_iterations=0), ReplayBackend(["f1(x) = c*x^c"]))
     outcome, = exc_info.value.record.calls[0].outcomes
-    assert (outcome["raw"], outcome["status"]) == ("c*x", "invalid_fit")
+    assert (outcome["raw"], outcome["status"]) == ("c*x^c", "invalid_fit")
