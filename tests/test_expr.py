@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import icsr.expr
 from icsr.expr import (
@@ -947,6 +947,8 @@ def _magnitude_tree(tree):
 
 @settings(max_examples=300, deadline=None)
 @given(_affine_leaning_exprs(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+# a division by a literal 0 leaves inf and nan in the partials
+@example(tree=bin_("/", bin_("+", coef(0), coef(1)), lit(0.0)), n=1, seed=0)
 def test_property_an_affine_plan_is_its_value_at_0_plus_its_partials(tree, n, seed):
     plan = lower(tree)
     if not plan.affine:
@@ -959,7 +961,10 @@ def test_property_an_affine_plan_is_its_value_at_0_plus_its_partials(tree, n, se
     # the partials do not depend on the coefficients, bit for bit
     assert partials[0].tobytes() == partials[1].tobytes() == basis.tobytes()
     finite = np.isfinite(values)
-    miss = np.abs(values - (offset + C @ basis))
+    # at an undefined point the reference meets inf and nan; those points
+    # are left out of the bound below and checked as nan after it
+    with np.errstate(all="ignore"):
+        miss = np.abs(values - (offset + C @ basis))
     bound = evaluate_batch(_magnitude_tree(tree), np.abs(C), X)
     assert (miss[finite] <= 1e-9 * bound[finite]).all()
     # a point whose value at 0 or whose partial is not finite is undefined
