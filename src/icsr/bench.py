@@ -340,6 +340,7 @@ class EvalReport:
     def ok_cells(self) -> list:
         return [c for c in self.cells if c.status == "ok"]
 
+    @np.errstate(invalid="ignore")  # a mean or spread over -inf and +inf is nan
     def family_rows(self) -> list[dict]:
         """Table-style aggregation: per seed, average trimmed R2 (and
         complexity) over the family's equations; then mean and standard

@@ -308,7 +308,7 @@ class _Run:
             restarts = len(result.restart_sses)
             nmse_value = math.inf
             if result.valid:
-                nmse_value = nmse(result.predictions, self.dataset.y, self.config.score.eps)
+                nmse_value = nmse(result.predictions, self.dataset.y)
             # finite predictions whose squared miss overflows are no fit either
             if not math.isfinite(nmse_value):
                 self.cache[key] = None

@@ -24,16 +24,17 @@ beside it.  At 20-200 points a step costs numpy calls, not arithmetic,
 so each does as few as it can.
 
 A restart stops when its gradient is flat (gtol), its step is tiny
-(xtol) or an accepted step barely lowers the SSE (ftol); when it runs
-out of iterations (cap) or its damping overflows (mu_overflow); or when
-it has stalled: its last _STALL_WINDOW accepted steps together lowered
-the SSE by no more than _STALL_RTOL of where they started.  The stall
-test ends the restarts of wrong forms that drift along an asymptote
-whose infimum lies at infinity (c*sinh(c*x) walking off to +/-383 and
--/+0.001, say), where every step still gains a sliver and the
-one-step ftol test never fires.  It only ends a restart early, so a
-stalled restart holds exactly the state the same number of iterations
-gives without it, and it does not count as converged.
+(xtol) or an accepted step barely lowers the SSE (ftol), by the module
+constants _GTOL, _XTOL and _FTOL; when it runs out of iterations (cap)
+or its damping overflows (mu_overflow); or when it has stalled: its last
+_STALL_WINDOW accepted steps together lowered the SSE by no more than
+_STALL_RTOL of where they started.  The stall test ends the restarts of
+wrong forms that drift along an asymptote whose infimum lies at infinity
+(c*sinh(c*x) walking off to +/-383 and -/+0.001, say), where every step
+still gains a sliver and the one-step ftol test never fires.  It only
+ends a restart early, so a stalled restart holds exactly the state the
+same number of iterations gives without it, and it does not count as
+converged.
 
 Undefined predictions contribute a large constant penalty residual
 instead of poisoning the solve, which lets restarts wander through
@@ -60,9 +61,13 @@ import numpy as np
 
 from .dataset import Dataset
 from .expr import Plan, Skeleton, evaluate_batch, lower
-from .validate import integer, of_type, real
+from .validate import integer
 
 PENALTY = 1.0e6
+# LM's stopping thresholds (see the docstring)
+_GTOL = 1e-8
+_XTOL = 1e-10
+_FTOL = 1e-12
 # A restart whose last _STALL_WINDOW accepted steps lowered its SSE by at
 # most _STALL_RTOL of the SSE before them has stalled (see the docstring).
 _STALL_WINDOW = 10
@@ -77,17 +82,10 @@ _RESIDUAL_CAP = 1.0e100
 class FitConfig:
     restarts: int = 5
     max_iterations: int = 200
-    warm_start: bool = True
-    gtol: float = 1e-8
-    xtol: float = 1e-10
-    ftol: float = 1e-12
 
     def __post_init__(self):
         for key in ("restarts", "max_iterations"):
             integer(self, key, 1)
-        for key in ("gtol", "xtol", "ftol"):
-            real(self, key, lambda v: v >= 0, "a finite number >= 0")
-        of_type(self, "warm_start", bool, "true or false")
 
 
 @dataclass(frozen=True)
@@ -169,9 +167,9 @@ def _solve(A, b):
         return x
 
 
-def _flat(gradient, gtol):
-    """Whether every entry of a gradient (a list) is within gtol; not if one is NaN."""
-    return all(abs(v) <= gtol for v in gradient)
+def _flat(gradient):
+    """Whether every entry of a gradient (a list) is within _GTOL; not if one is NaN."""
+    return all(abs(v) <= _GTOL for v in gradient)
 
 
 def _levenberg_marquardt(plan, starts, X, y, config):
@@ -189,7 +187,7 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     res, pred, jac, frozen = _probe(plan, c, X, y)
     normal, sse = _normal_equations(res, jac)
     frozen = sum(frozen)
-    stops = ["gtol" if _flat(r, config.gtol) else None for r in normal[:, :m, m].tolist()]
+    stops = ["gtol" if _flat(r) else None for r in normal[:, :m, m].tolist()]
     mu = [1e-3 * max(max(A.diagonal().tolist()), 1e-12) for A in normal[:, :m, :m]]
     nu = [2.0] * k
     iterations = [0] * k
@@ -222,7 +220,7 @@ def _levenberg_marquardt(plan, starts, X, y, config):
             if not math.isfinite(lengths[t]):
                 mu[i] *= nu[i]
                 nu[i] *= 2.0
-            elif math.sqrt(lengths[t]) <= config.xtol * (math.sqrt(sizes[t]) + config.xtol):
+            elif math.sqrt(lengths[t]) <= _XTOL * (math.sqrt(sizes[t]) + _XTOL):
                 stops[i] = "xtol"
             else:
                 stepping.append(t)
@@ -250,9 +248,9 @@ def _levenberg_marquardt(plan, starts, X, y, config):
             rho = min(actual / predicted, 1.0)  # same 1/3 below; a huge rho overflows ** 3
             taken[t] = True
             frozen += trial_frozen[t]
-            if abs(actual) <= config.ftol * max(sse[i], 1e-300):
+            if abs(actual) <= _FTOL * max(sse[i], 1e-300):
                 stops[i] = "ftol"
-            elif _flat(gradients[t], config.gtol):
+            elif _flat(gradients[t]):
                 stops[i] = "gtol"
             sse[i] = trial_sse[t]
             window = recent[i]
@@ -326,7 +324,7 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
 
     starts = np.empty((config.restarts, m))
     for restart in range(config.restarts):
-        if restart == 0 and config.warm_start:
+        if restart == 0:
             starts[restart] = [
                 hint if hint is not None else float(rng.standard_normal())
                 for hint in skeleton.hints
@@ -338,24 +336,17 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
         _least_squares(plan, starts, X, y) if plan.affine
         else _levenberg_marquardt(plan, starts, X, y, config))
     finite = [r for r, sse in enumerate(sses) if np.all(np.isfinite(c[r])) and sse < np.inf]
-    if not finite:
-        return FitResult(
-            coefficients=np.full(m, np.nan),
-            sse=float("inf"),
-            predictions=np.full(len(y), np.nan),
-            valid=False,
-            best_restart=-1,
-            restart_sses=tuple(sses),
-            iterations=tuple(iterations),
-            stops=tuple(stops),
-            frozen=frozen,
-        )
-    best = min(finite, key=sses.__getitem__)
+    if finite:
+        best = min(finite, key=sses.__getitem__)
+        coefficients, sse, predictions = c[best], sses[best], pred[best].copy()
+    else:
+        best, sse = -1, float("inf")
+        coefficients, predictions = np.full(m, np.nan), np.full(len(y), np.nan)
     return FitResult(
-        coefficients=c[best],
-        sse=sses[best],
-        predictions=pred[best].copy(),
-        valid=bool(np.all(np.isfinite(pred[best]))),
+        coefficients=coefficients,
+        sse=sse,
+        predictions=predictions,
+        valid=bool(np.all(np.isfinite(predictions))),
         best_restart=best,
         restart_sses=tuple(sses),
         iterations=tuple(iterations),

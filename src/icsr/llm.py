@@ -84,7 +84,7 @@ class CompletionResponse:
 
 class ReplayBackend:
     """Returns scripted responses in order and fails loudly when the
-    script runs dry.  Requests are recorded for inspection."""
+    script runs dry."""
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -92,14 +92,12 @@ class ReplayBackend:
             if not isinstance(r, str):
                 raise ValueError(f"replay script entry {i} is not a string")
         self.cursor = 0
-        self.calls: list[CompletionRequest] = []
 
     @property
     def remaining(self) -> int:
         return len(self.responses) - self.cursor
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        self.calls.append(request)
         if self.cursor >= len(self.responses):
             raise ReplayExhaustedError(
                 f"replay script exhausted after {len(self.responses)} responses"

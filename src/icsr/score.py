@@ -15,20 +15,17 @@ class ScoreConfig:
     """Knobs for fitness and trimming.
 
     lam weights the complexity reward, max_len is the soft length scale
-    the reward decays over, eps keeps the normalization finite for
-    all-zero targets, and trim_fraction is the share of worst predictions
-    dropped by the trimmed R-squared used in evaluation.
+    the reward decays over, and trim_fraction is the share of worst
+    predictions dropped by the trimmed R-squared used in evaluation.
     """
 
     lam: float = 0.05
     max_len: float = 30.0
-    eps: float = 1e-9
     trim_fraction: float = 0.05
 
     def __post_init__(self):
         real(self, "lam", lambda v: v >= 0, "a finite number >= 0")
-        for key in ("max_len", "eps"):
-            real(self, key, lambda v: v > 0, "a finite number > 0")
+        real(self, "max_len", lambda v: v > 0, "a finite number > 0")
         real(self, "trim_fraction", lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
@@ -47,7 +44,8 @@ class Scores:
 def nmse(predictions, targets, eps: float = 1e-9) -> float:
     """Squared error normalized by the target's raw power term.
 
-    sum((y - yhat)^2) / (sum(y^2) + eps).  Predictions must be finite;
+    sum((y - yhat)^2) / (sum(y^2) + eps), where eps keeps it finite for
+    all-zero targets.  Predictions must be finite;
     undefined predictions are the caller's problem (the fitter rejects
     them before scoring).
     """

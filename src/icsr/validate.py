@@ -7,8 +7,8 @@ field and the value."""
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 
 
 def integer(obj, key: str, low: int):
@@ -19,10 +19,11 @@ def integer(obj, key: str, low: int):
 
 
 def real(obj, key: str, ok=lambda v: True, what: str = "a finite number"):
-    """obj.key must be a finite non-bool real number for which ok holds."""
+    """obj.key must be a finite non-bool real number for which ok holds.
+    An integer too large for a float is not finite."""
     value = getattr(obj, key)
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or not ok(value)):
+            or not abs(value) <= sys.float_info.max or not ok(value)):
         raise ValueError(f"{key} must be {what}, got {value!r}")
 
 

@@ -17,7 +17,9 @@ from icsr.cli import (
     build_engine_config,
     load_config,
     main,
+    make_backend_factory,
 )
+from icsr.engine import EngineConfig
 from icsr.expr import parse
 from icsr.llm import API_KEY_ENV, BackendError, CompletionResponse
 
@@ -112,6 +114,101 @@ def test_main_reports_config_errors_with_exit_2(tmp_path, capsys):
                  "--replay-file", "unused.json"])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+# keys no longer accepted: the fitter's stopping thresholds and warm-start
+# switch, and nmse's eps, are constants
+_REMOVED_KEYS = {"fit": ["gtol", "xtol", "ftol", "warm_start"], "score": ["eps"]}
+# every key of every section, with a good value (the removed keys with the
+# value their constant has)
+_GOOD_CONFIG = {
+    "engine": {"n_seed_calls": 2, "max_iterations": 0, "top_k": 5, "functions_per_call": 5,
+               "early_stop_r2": 0.99999, "seed": 3, "mode": "random", "model": "m"},
+    "sampling": {"temperature": 0.7, "top_p": 0.9, "top_k": 60, "num_beams": 1,
+                 "max_new_tokens": 512},
+    "schedule": {"mode": "linear", "start": 1.0, "end": 0.4, "total_iterations": 50},
+    "fit": {"restarts": 2, "max_iterations": 200,
+            "gtol": 1e-8, "xtol": 1e-10, "ftol": 1e-12, "warm_start": True},
+    "score": {"lam": 0.05, "max_len": 30, "trim_fraction": 0.05, "eps": 1e-9},
+    "backend": {"kind": "replay", "endpoint": "http://127.0.0.1:9/v1", "replay_file": "list.json",
+                "timeout": 1.0, "max_attempts": 3, "backoff": 0.0,
+                "include_sampling_extras": False},
+    "benchmark": {"suite": "nguyen", "equation": "nguyen1", "data": "d.csv"},
+    "output": {"dir": "out"},
+}
+# replay files in the fuzz directory, by name: a script, keyed scripts with
+# and without the run's equation, entries that are not strings, broken JSON
+_REPLAY_FILES = {"list.json": '["f1(x) = c*x"]', "keyed.json": '{"nguyen1": ["f1(x) = c*x"]}',
+                 "other.json": '{"nguyen2": ["f1(x) = c*x"]}', "numbers.json": "[1, 2]",
+                 "broken.json": "{nope"}
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+_PLAUSIBLE = st.sampled_from([0, 1, 2, 5, 0.5, 1e-9, -1, 2.5, 10**400, float("nan"),
+                              float("inf"), True, False, None, "", "x", "linear", "live",
+                              "replay", "full", [], {}, [1, 2]])
+
+
+@st.composite
+def _config_documents(draw):
+    """A JSON document: mostly an object of known sections and keys, with
+    good, plausible or arbitrary values; sometimes an unknown section or
+    key, a section that is not an object, or any JSON value at all."""
+    doc = {}
+    for section in draw(st.lists(st.sampled_from([*_GOOD_CONFIG] * 2 + ["seeds", "bogus"]),
+                                 max_size=4, unique=True)):
+        good = _GOOD_CONFIG.get(section)
+        if good is None or draw(st.integers(0, 9)) == 0:
+            doc[section] = draw(st.one_of(st.lists(st.integers(-1, 9), max_size=3),
+                                          _PLAUSIBLE, _JSON))
+            continue
+        keys = draw(st.lists(st.sampled_from([*good] * 3 + ["bogus"]), max_size=4, unique=True))
+        doc[section] = {key: draw(st.sampled_from([*_REPLAY_FILES, "missing.json", ""])
+                                  if key == "replay_file"
+                                  else st.one_of(st.just(good.get(key)), _PLAUSIBLE, _JSON))
+                        for key in keys}
+    return draw(st.one_of(st.just(doc), st.just(doc), st.just(doc), _JSON))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config_fuzz")
+    for name, text in _REPLAY_FILES.items():
+        (path / name).write_text(text, encoding="utf-8")
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_documents())
+@example({"fit": {"gtol": 1e-6}})
+@example({"score": {"eps": 1e-9, "lam": 0.05}})
+@example({"score": {"lam": 10**400}})
+@example({"backend": {"kind": "live", "endpoint": "http://127.0.0.1:9/v1", "timeout": 10**400}})
+@example({"sampling": {"temperature": float("nan")}, "seeds": [1, 2]})
+@example({"engine": {"seed": 3}, "fit": {"restarts": 2}, "backend": {"replay_file": "keyed.json"}})
+def test_any_config_document_gives_a_config_or_a_config_error(fuzz_dir, doc):
+    backend = doc.get("backend") if isinstance(doc, dict) else None
+    if isinstance(backend, dict) and isinstance(backend.get("replay_file"), str):
+        backend["replay_file"] = str(fuzz_dir / backend["replay_file"])
+    path = fuzz_dir / "c.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    removed = isinstance(doc, dict) and any(
+        isinstance(doc.get(section), dict) and set(doc[section]) & set(keys)
+        for section, keys in _REMOVED_KEYS.items())
+    try:
+        loaded = load_config(str(path))
+        config = build_engine_config(loaded)
+        # as with --replay-file list.json, which the file's own replay_file overrides
+        loaded["backend"] = {"replay_file": str(fuzz_dir / "list.json"),
+                             **loaded.get("backend", {})}
+        factory = make_backend_factory(loaded, ["nguyen1"])
+    except ConfigError:
+        return
+    assert not removed
+    assert isinstance(config, EngineConfig)
+    assert callable(factory("nguyen1", 1).complete)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +360,7 @@ def test_run_live_backend_needs_api_key(tmp_path, monkeypatch, capsys):
     ('{"fit": {"gtol": NaN}}', "gtol"),
     ('{"fit": {"ftol": -1}}', "ftol"),
     ('{"fit": {"xtol": null}}', "xtol"),
+    ('{"fit": {"gtol": 1e-6}}', "gtol"),
 ])
 def test_run_bad_fit_config_exits_2(tmp_path, capsys, text, key):
     cfg = tmp_path / "c.json"
@@ -920,6 +1018,7 @@ _RESULTS_TEXT = st.tuples(
 @given(_RESULTS_TEXT)
 @example(f"{_HEADER}\nr,R1,1,1,5,ok\nr,R1,1,,5,ok")
 @example(f"{_HEADER}\nr,R1,1,1,5\n")
+@example(f"{_HEADER}\nr,R1,2,1,5,ok\nr,r1,1,nan,inf,ok")
 def test_any_results_csv_text_exits_0_or_2(r1_runs, text):
     (r1_runs / "results.csv").write_text(text, encoding="utf-8")
     out = str(r1_runs / "out")

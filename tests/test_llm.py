@@ -106,6 +106,8 @@ def test_schedule_rejects_badly_typed_fields(key, bad):
 
 def test_replay_returns_in_order_and_records_requests():
     backend = ReplayBackend(["f(x) = x", "f(x) = x^2"])
+    replay, seen = backend.complete, []
+    backend.complete = lambda request: seen.append(request) or replay(request)
     assert backend.remaining == 2
     first = backend.complete(_request())
     second = backend.complete(_request())
@@ -113,8 +115,8 @@ def test_replay_returns_in_order_and_records_requests():
     assert first.text == "f(x) = x"
     assert second.text == "f(x) = x^2"
     assert backend.remaining == 0
-    assert len(backend.calls) == 2
-    assert backend.calls[0].model == "test-model"
+    assert len(seen) == 2
+    assert seen[0].model == "test-model"
 
 
 def test_replay_exhaustion_raises():
