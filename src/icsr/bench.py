@@ -14,6 +14,7 @@ import json
 import math
 import os
 import shutil
+import threading
 import zlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -25,7 +26,7 @@ from . import engine as engine_mod
 from .dataset import Dataset
 from .engine import Candidate, EngineConfig, NoValidSeedsError, RunRecord
 from .expr import Expr, complexity, evaluate_batch, parse
-from .llm import BackendError
+from .llm import BackendError, LiveBackend
 from .score import r_squared, r_squared_trimmed
 
 # Reported ground-truth complexity reference, keyed by every family (soft
@@ -431,6 +432,12 @@ def cell_dir(out_dir, equation: str, seed: int) -> str:
     return os.path.join(out_dir, "runs", equation, f"seed{seed}")
 
 
+def _failed_cell(task, error: str | None) -> RunCell:
+    spec, seed = task
+    return RunCell(family=spec.family, equation=spec.name, seed=seed, status="failed",
+                   error=error)
+
+
 def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineConfig,
              seed: int, backend_factory, out_dir) -> RunCell:
     """One cell.  Under out_dir its cell_dir is cleared first, its run log
@@ -439,7 +446,7 @@ def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineC
     Exception, the factory's included, makes it a 'failed' cell, which
     writes its error to failed.json there, if it can, so the directory
     tells a failed cell from an unfinished one."""
-    cell = RunCell(family=spec.family, equation=spec.name, seed=seed, status="failed")
+    cell = _failed_cell((spec, seed), None)
     directory = None if out_dir is None else cell_dir(out_dir, spec.name, seed)
     try:
         log_path = None
@@ -471,18 +478,101 @@ def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineC
     return cell
 
 
-# Set in each forked worker by _init_worker: (execute, tasks).
-_worker_job = None
+# Each forked worker keeps up to this many cells in flight, so that while
+# one cell's model call waits another computes.  It bounds each worker's
+# threads, and a grid's open requests to jobs x _CELLS_IN_FLIGHT.
+_CELLS_IN_FLIGHT = 16
 
 
-def _init_worker(execute, tasks):
-    global _worker_job
-    _worker_job = (execute, tasks)
+class _SlotFreeBackend:
+    """A live backend whose calls give its worker's compute slot up while
+    they wait, and take it back before the cell goes on."""
+
+    def __init__(self, backend, slot):
+        self.backend = backend
+        self.slot = slot
+
+    def complete(self, request):
+        self.slot.release()
+        try:
+            return self.backend.complete(request)
+        finally:
+            self.slot.acquire()
 
 
-def _execute_task(index: int) -> RunCell:
-    execute, tasks = _worker_job
-    return execute(tasks[index])
+def _worker(execute, tasks, backend_factory, counter, conn, threads: int):
+    """One forked worker's body: threads that each take the compute slot,
+    claim the next cell from the shared counter, run it and send it back
+    pickled over conn, until no cell is left.  Only a LiveBackend's calls
+    give the slot up, so one cell at a time runs engine or fit code (and
+    enters the process-wide memos), and a cell on any other backend runs
+    from start to end alone."""
+    slot = threading.Lock()
+
+    def factory(spec, seed):
+        backend = backend_factory(spec, seed)
+        return _SlotFreeBackend(backend, slot) if isinstance(backend, LiveBackend) else backend
+
+    def serve():
+        while True:
+            with slot:
+                with counter.get_lock():
+                    index = counter.value
+                    counter.value += 1
+                if index >= len(tasks):
+                    return
+                try:
+                    cell = execute(tasks[index], factory)
+                except BaseException as exc:  # SystemExit too: it ends this cell alone
+                    cell = _failed_cell(tasks[index], f"{type(exc).__name__}: {exc}")
+                try:
+                    conn.send((index, cell))
+                except Exception as exc:  # the cell could not be pickled
+                    conn.send((index, _failed_cell(tasks[index], f"{type(exc).__name__}: {exc}")))
+
+    pool = [threading.Thread(target=serve, daemon=True) for _ in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join()
+
+
+def _run_forked(execute, tasks, backend_factory, workers: int) -> list:
+    """The cells of tasks, in task order, run in `workers` forked
+    processes (see _worker).  A cell whose worker ended before sending it
+    back fails."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+    threads = min(math.ceil(len(tasks) / workers), _CELLS_IN_FLIGHT)
+    running = {}
+    cells = {}
+    try:
+        for _ in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker,
+                               args=(execute, tasks, backend_factory, counter, writer, threads))
+            proc.start()
+            writer.close()  # so the reader sees EOF once the worker is gone
+            running[reader] = proc
+        while running:
+            for reader in wait(list(running)):
+                try:
+                    index, cell = reader.recv()
+                except (EOFError, OSError):
+                    running.pop(reader).join()
+                    reader.close()
+                else:
+                    cells[index] = cell
+    finally:  # interrupted: no worker outlives the grid
+        for reader, proc in running.items():
+            proc.terminate()
+            proc.join()
+            reader.close()
+    lost = "BrokenProcessPool: a worker process ended before returning this cell"
+    return [cells.get(i) or _failed_cell(task, lost) for i, task in enumerate(tasks)]
 
 
 def run_suite(names, config: EngineConfig, seeds, backend_factory,
@@ -497,40 +587,29 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     when the cell starts and holds its own run log and summary.json;
     results.csv, written once the grid ends, is the list of its cells.
 
-    jobs > 1 runs the cells in at most min(jobs, cells) worker processes
-    forked from the caller (the fork start method, so Linux or macOS):
-    the factory and anything it closes over are inherited, not pickled,
-    and the factory runs in a worker, so state it mutates never reaches
-    the caller.  Each cell comes back pickled, in task order, so every
-    report is byte-identical to a serial run.  A cell whose worker
-    raises or dies becomes a 'failed' cell."""
+    jobs > 1 runs the cells in min(jobs, cells) worker processes forked
+    from the caller (the fork start method, so Linux or macOS): the
+    factory and anything it closes over are inherited, not pickled, and
+    the factory runs in a worker, so state it mutates never reaches the
+    caller.  Each worker claims cells one at a time and keeps up to
+    _CELLS_IN_FLIGHT of them in flight while their LiveBackend calls
+    wait, but runs engine or fit code for one cell at a time.  Each cell
+    comes back pickled as it finishes and is put in task order, so every
+    report is byte-identical to a serial run.  A cell that raises (even
+    SystemExit) or cannot be pickled, or whose worker dies, becomes a
+    'failed' cell; cells a dead worker never claimed run in the others."""
     specs = [get_benchmark(n) for n in names]
     trains = {s.name: sample(s, "train") for s in specs}
     tests = {s.name: sample(s, "test") for s in specs}
     tasks = [(spec, seed) for spec in specs for seed in seeds]
 
-    def execute(task):
+    def execute(task, factory=backend_factory):
         spec, seed = task
         return _run_one(spec, trains[spec.name], tests[spec.name], config, seed,
-                        backend_factory, out_dir)
+                        factory, out_dir)
 
     if jobs > 1 and tasks:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker,
-                                 initargs=(execute, tasks)) as pool:
-            futures = [pool.submit(_execute_task, i) for i in range(len(tasks))]
-            cells = []
-            for (spec, seed), future in zip(tasks, futures):
-                try:
-                    cells.append(future.result())
-                except Exception as exc:  # includes BrokenProcessPool
-                    cells.append(RunCell(family=spec.family, equation=spec.name,
-                                         seed=seed, status="failed",
-                                         error=f"{type(exc).__name__}: {exc}"))
+        cells = _run_forked(execute, tasks, backend_factory, min(jobs, len(tasks)))
     else:
         cells = [execute(t) for t in tasks]
 

@@ -474,7 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "equation name, or comma list")
     p_bench.add_argument("--seeds", help="comma-separated seed list, default 1-5")
     p_bench.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the grid (forked, at most one per cell)")
+                         help="worker processes for the grid (forked, at most one per "
+                              "cell); each computes one cell at a time and keeps up to 16 "
+                              "in flight while their live calls wait")
     p_bench.set_defaults(func=cmd_bench)
 
     p_ood = sub.add_parser("ood", help="evaluate stored candidates out of domain")

@@ -76,6 +76,9 @@ _STALL_RTOL = 1e-4
 # never feed inf into the normal equations; anything near the band is
 # garbage by many orders of magnitude anyway.
 _RESIDUAL_CAP = 1.0e100
+# Every restart's start is a row of one array, so a count from a config
+# file is capped well below what that array could ever allocate.
+_MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -84,8 +87,8 @@ class FitConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        for key in ("restarts", "max_iterations"):
-            integer(self, key, 1)
+        integer(self, "restarts", 1, _MAX_RESTARTS)
+        integer(self, "max_iterations", 1)
 
 
 @dataclass(frozen=True)

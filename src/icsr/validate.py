@@ -11,11 +11,13 @@ import numbers
 import sys
 
 
-def integer(obj, key: str, low: int):
-    """obj.key must be a non-bool integer >= low."""
+def integer(obj, key: str, low: int, high: int | None = None):
+    """obj.key must be a non-bool integer >= low, and <= high if given."""
     value = getattr(obj, key)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low
+            or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{key} must be an integer {bound}, got {value!r}")
 
 
 def real(obj, key: str, ok=lambda v: True, what: str = "a finite number"):

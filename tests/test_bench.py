@@ -1,10 +1,16 @@
 import json
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import icsr.bench
 import icsr.engine
 from icsr.bench import (
     REFERENCE_COMPLEXITY,
@@ -32,9 +38,10 @@ from icsr.bench import (
 )
 from icsr.engine import EngineConfig
 from icsr.expr import evaluate_batch, parse
-from icsr.llm import ReplayBackend
+from icsr.llm import LiveBackend, ReplayBackend
 
 from conftest import oracle_response
+from test_llm import FakeSession, _ok
 
 
 def linear_spec(**overrides):
@@ -722,3 +729,154 @@ def test_run_suite_worker_failures_become_failed_cells(tmp_path):
     text = (out / "results.csv").read_text(encoding="utf-8")
     assert "r,R2,1,,,failed" in text
     assert (out / "summary.csv").exists()
+
+
+def test_a_dead_worker_fails_only_the_cell_it_claimed(tmp_path):
+    def dying(spec, seed):
+        if (spec.name, seed) == ("R2", 1):
+            os._exit(1)
+        return ReplayBackend([oracle_response(spec)])
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(["R1", "R2", "R3"], cfg, [1, 2], dying, jobs=2,
+                       out_dir=str(tmp_path / "dying"))
+    assert multiprocessing.active_children() == []
+    # a replayed cell holds its worker from start to end, so the dead
+    # worker had claimed no other cell; the rest ran in the other worker
+    assert [(c.equation, c.seed, c.status) for c in report.cells] == [
+        ("R1", 1, "ok"), ("R1", 2, "ok"), ("R2", 1, "failed"),
+        ("R2", 2, "ok"), ("R3", 1, "ok"), ("R3", 2, "ok")]
+    assert report.cells[2].error.startswith("BrokenProcessPool: ")
+
+
+class _BarrierSession(FakeSession):
+    """A FakeSession whose first post waits at a barrier."""
+
+    def __init__(self, outcomes, barrier):
+        super().__init__(outcomes)
+        self.barrier = barrier
+
+    def post(self, *args, **kwargs):
+        if not self.requests:
+            self.barrier.wait()
+        return super().post(*args, **kwargs)
+
+
+def test_a_worker_keeps_cells_in_flight_while_their_calls_wait(tmp_path):
+    # the four cells' first calls meet at one barrier, so two workers
+    # must keep all four in flight, or the barrier times out
+    barrier = multiprocessing.get_context("fork").Barrier(4, timeout=10)
+
+    def factory(spec, seed):
+        return LiveBackend("http://cells.invalid/v1", api_key="test",
+                           session=_BarrierSession([_ok(oracle_response(spec))], barrier))
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(["R1", "R2"], cfg, [1, 2], factory, jobs=2,
+                       out_dir=str(tmp_path / "grid"))
+    assert multiprocessing.active_children() == []
+    assert [(c.status, c.error) for c in report.cells] == [("ok", None)] * 4
+    assert results_csv(report).count(",ok\n") == 4
+
+
+class _SlowSession(FakeSession):
+    def post(self, *args, **kwargs):
+        time.sleep(0.01)
+        return super().post(*args, **kwargs)
+
+
+def test_a_worker_runs_one_cell_at_a_time_between_its_calls(tmp_path, monkeypatch):
+    real_fit = icsr.engine.fit
+    lock = threading.Lock()
+    running = [0]
+
+    def lonely_fit(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            alone = running[0] == 1
+        try:
+            time.sleep(0.02)
+            assert alone, "two fits ran at once in one process"
+            return real_fit(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(icsr.engine, "fit", lonely_fit)
+    claims = tmp_path / "claims"
+    claims.mkdir()
+
+    def factory(spec, seed):
+        # "x" fails if the cell was claimed before, in any process
+        with open(claims / f"{spec.name}-{seed}", "x", encoding="utf-8"):
+            pass
+        replies = [oracle_response(spec), "f1(x) = c*x^2 + c", "f1(x) = c*x + c"]
+        return LiveBackend("http://cells.invalid/v1", api_key="test",
+                           session=_SlowSession([_ok(r) for r in replies]))
+
+    cfg = EngineConfig(n_seed_calls=3, max_iterations=0)
+    names = ["R1", "R2", "R3"]
+    # three workers, more than a 2-core machine has, switching threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_suite(names, cfg, [1, 2, 3, 4], factory, jobs=3,
+                           out_dir=str(tmp_path / "grid"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert multiprocessing.active_children() == []
+    assert [(c.status, c.error) for c in report.cells] == [("ok", None)] * 12
+    assert len(list(claims.iterdir())) == 12
+    # with the fits timed out of the way, the grid is the serial one
+    for p in claims.iterdir():
+        p.unlink()
+    serial = run_suite(names, cfg, [1, 2, 3, 4], factory, jobs=1,
+                       out_dir=str(tmp_path / "serial"))
+    assert results_csv(serial) == results_csv(report)
+
+
+def test_a_cell_raising_system_exit_in_a_worker_fails_alone(tmp_path):
+    def exiting(spec, seed):
+        if spec.name == "R2":
+            raise SystemExit(3)
+        return ReplayBackend([oracle_response(spec)])
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    out = tmp_path / "exiting"
+    report = run_suite(["R1", "R2", "R3"], cfg, [1], exiting, jobs=2, out_dir=str(out))
+    assert multiprocessing.active_children() == []
+    assert [(c.status, c.error) for c in report.cells] == [
+        ("ok", None), ("failed", "SystemExit: 3"), ("ok", None)]
+    assert "r,R2,1,,,failed" in (out / "results.csv").read_text(encoding="utf-8")
+    assert (out / "summary.csv").exists()
+
+
+def test_a_cell_that_cannot_be_pickled_back_fails_alone(tmp_path, monkeypatch):
+    run_one = icsr.bench._run_one
+
+    def unpicklable_r2(*args):
+        cell = run_one(*args)
+        if cell.equation == "R2":
+            cell.candidate = threading.Lock()
+        return cell
+
+    monkeypatch.setattr(icsr.bench, "_run_one", unpicklable_r2)
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(["R1", "R2", "R3"], cfg, [1], _oracle_factory, jobs=2)
+    assert multiprocessing.active_children() == []
+    assert [(c.status, c.error) for c in report.cells] == [
+        ("ok", None), ("failed", "TypeError: cannot pickle '_thread.lock' object"), ("ok", None)]
+
+
+def test_an_interrupted_grid_leaves_no_worker(monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def stuck(spec, seed):
+        time.sleep(30)
+
+    monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(["R1", "R2", "R3"], cfg, [1], stuck, jobs=2)
+    assert multiprocessing.active_children() == []

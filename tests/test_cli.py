@@ -361,11 +361,13 @@ def test_run_live_backend_needs_api_key(tmp_path, monkeypatch, capsys):
     ('{"fit": {"ftol": -1}}', "ftol"),
     ('{"fit": {"xtol": null}}', "xtol"),
     ('{"fit": {"gtol": 1e-6}}', "gtol"),
+    # a start per restart, in one array numpy could not allocate
+    ('{"fit": {"restarts": 1000000000000000}}', "restarts"),
 ])
 def test_run_bad_fit_config_exits_2(tmp_path, capsys, text, key):
     cfg = tmp_path / "c.json"
     cfg.write_text(text, encoding="utf-8")
-    replay = write_json(tmp_path / "replay.json", ["f1(x) = sqrt(x)"])
+    replay = write_json(tmp_path / "replay.json", ["f1(x) = c*sqrt(x)"])
     out = tmp_path / "out"
     code = main(["run", "--benchmark", "nguyen8", "--config", str(cfg),
                  "--replay-file", replay, "--ns", "1", "--iterations", "0", "--out", str(out)])
