@@ -8,6 +8,7 @@ method seed sees identical data.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import json
@@ -439,11 +440,12 @@ def _failed_cell(task, error: str | None) -> RunCell:
 
 
 def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineConfig,
-             seed: int, backend_factory, out_dir) -> RunCell:
-    """One cell.  Under out_dir its cell_dir is cleared first, its run log
-    goes there, and its summary.json is written as soon as the cell
-    succeeds, so a grid cut short keeps every finished winner.  Any
-    Exception, the factory's included, makes it a 'failed' cell, which
+             seed: int, backend_factory, out_dir, fit_memo: dict) -> RunCell:
+    """One cell, whose run reads and fills fit_memo (see engine.run).
+    Under out_dir its cell_dir is cleared first, its run log goes there,
+    and its summary.json is written as soon as the cell succeeds, so a
+    grid cut short keeps every finished winner.  Any Exception, the
+    factory's included, or SystemExit makes it a 'failed' cell, which
     writes its error to failed.json there, if it can, so the directory
     tells a failed cell from an unfinished one."""
     cell = _failed_cell((spec, seed), None)
@@ -455,13 +457,13 @@ def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineC
             os.makedirs(directory)  # raises if rmtree left anything behind
             log_path = os.path.join(directory, "runlog.jsonl")
         record = engine_mod.run(train, replace(config, seed=seed), backend_factory(spec, seed),
-                                log_path)
+                                log_path, fit_memo)
         summary, _ = score_winner(record, test, config.score.trim_fraction)
         if directory is not None:
             write_summary(directory, summary)
     except (NoValidSeedsError, BackendError) as exc:
         cell.error = str(exc)
-    except Exception as exc:  # one broken cell must not abort the grid
+    except (Exception, SystemExit) as exc:  # one broken cell must not abort the grid
         cell.error = f"{type(exc).__name__}: {exc}"
     else:
         cell.status = "ok"
@@ -500,14 +502,17 @@ class _SlotFreeBackend:
             self.slot.acquire()
 
 
-def _worker(execute, tasks, backend_factory, counter, conn, threads: int):
+def _worker(execute, tasks, n_seeds: int, backend_factory, counter, conn, threads: int):
     """One forked worker's body: threads that each take the compute slot,
-    claim the next cell from the shared counter, run it and send it back
-    pickled over conn, until no cell is left.  Only a LiveBackend's calls
+    run the next queued cell and send it back pickled over conn.  A thread
+    that finds the queue empty first claims the next equation (`n_seeds`
+    consecutive tasks) from the shared counter and queues its cells with
+    one fit memo, until no equation is left.  Only a LiveBackend's calls
     give the slot up, so one cell at a time runs engine or fit code (and
-    enters the process-wide memos), and a cell on any other backend runs
-    from start to end alone."""
+    enters the memos), and a cell on any other backend runs from start
+    to end alone."""
     slot = threading.Lock()
+    queue = collections.deque()  # (task index, its equation's fit memo)
 
     def factory(spec, seed):
         backend = backend_factory(spec, seed)
@@ -516,14 +521,18 @@ def _worker(execute, tasks, backend_factory, counter, conn, threads: int):
     def serve():
         while True:
             with slot:
-                with counter.get_lock():
-                    index = counter.value
-                    counter.value += 1
-                if index >= len(tasks):
-                    return
+                if not queue:
+                    with counter.get_lock():
+                        first = counter.value * n_seeds
+                        counter.value += 1
+                    if first >= len(tasks):
+                        return
+                    memo = {}
+                    queue.extend((index, memo) for index in range(first, first + n_seeds))
+                index, memo = queue.popleft()
                 try:
-                    cell = execute(tasks[index], factory)
-                except BaseException as exc:  # SystemExit too: it ends this cell alone
+                    cell = execute(tasks[index], memo, factory)
+                except BaseException as exc:  # KeyboardInterrupt too: it ends this cell alone
                     cell = _failed_cell(tasks[index], f"{type(exc).__name__}: {exc}")
                 try:
                     conn.send((index, cell))
@@ -537,10 +546,10 @@ def _worker(execute, tasks, backend_factory, counter, conn, threads: int):
         t.join()
 
 
-def _run_forked(execute, tasks, backend_factory, workers: int) -> list:
+def _run_forked(execute, tasks, n_seeds: int, backend_factory, workers: int) -> list:
     """The cells of tasks, in task order, run in `workers` forked
-    processes (see _worker).  A cell whose worker ended before sending it
-    back fails."""
+    processes (see _worker) that claim `n_seeds` consecutive tasks at a
+    time.  A cell whose worker ended before sending it back fails."""
     import multiprocessing
     from multiprocessing.connection import wait
 
@@ -553,7 +562,8 @@ def _run_forked(execute, tasks, backend_factory, workers: int) -> list:
         for _ in range(workers):
             reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_worker,
-                               args=(execute, tasks, backend_factory, counter, writer, threads))
+                               args=(execute, tasks, n_seeds, backend_factory, counter, writer,
+                                     threads))
             proc.start()
             writer.close()  # so the reader sees EOF once the worker is gone
             running[reader] = proc
@@ -581,37 +591,43 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
 
     backend_factory(spec, seed) must return a fresh backend per run.
     Train and test data are sampled once per equation and shared across
-    seeds.
-    Failed runs become 'failed' cells; aggregation skips them and
-    reports the count.  Under out_dir, each cell's cell_dir is cleared
-    when the cell starts and holds its own run log and summary.json;
-    results.csv, written once the grid ends, is the list of its cells.
+    seeds, and so are fits: an equation's cells share one fit memo (see
+    engine.run), dropped after its last cell.
+    Failed runs, a SystemExit included, become 'failed' cells;
+    aggregation skips them and reports the count.  Under out_dir, each
+    cell's cell_dir is cleared when the cell starts and holds its own run
+    log and summary.json; results.csv, written once the grid ends, is
+    the list of its cells.
 
-    jobs > 1 runs the cells in min(jobs, cells) worker processes forked
-    from the caller (the fork start method, so Linux or macOS): the
-    factory and anything it closes over are inherited, not pickled, and
-    the factory runs in a worker, so state it mutates never reaches the
-    caller.  Each worker claims cells one at a time and keeps up to
-    _CELLS_IN_FLIGHT of them in flight while their LiveBackend calls
+    jobs > 1 runs the cells in min(jobs, equations) worker processes
+    forked from the caller (the fork start method, so Linux or macOS):
+    the factory and anything it closes over are inherited, not pickled,
+    and the factory runs in a worker, so state it mutates never reaches
+    the caller.  Each worker claims a whole equation at a time and keeps
+    up to _CELLS_IN_FLIGHT cells in flight while their LiveBackend calls
     wait, but runs engine or fit code for one cell at a time.  Each cell
     comes back pickled as it finishes and is put in task order, so every
-    report is byte-identical to a serial run.  A cell that raises (even
-    SystemExit) or cannot be pickled, or whose worker dies, becomes a
-    'failed' cell; cells a dead worker never claimed run in the others."""
+    report is byte-identical to a serial run.  A cell that raises or
+    cannot be pickled becomes a 'failed' cell, and so does each cell a
+    dead worker claimed and never sent back: the rest of its equation
+    too.  Equations a dead worker never claimed run in the others."""
     specs = [get_benchmark(n) for n in names]
     trains = {s.name: sample(s, "train") for s in specs}
     tests = {s.name: sample(s, "test") for s in specs}
     tasks = [(spec, seed) for spec in specs for seed in seeds]
 
-    def execute(task, factory=backend_factory):
+    def execute(task, fit_memo, factory=backend_factory):
         spec, seed = task
         return _run_one(spec, trains[spec.name], tests[spec.name], config, seed,
-                        factory, out_dir)
+                        factory, out_dir, fit_memo)
 
     if jobs > 1 and tasks:
-        cells = _run_forked(execute, tasks, backend_factory, min(jobs, len(tasks)))
+        cells = _run_forked(execute, tasks, len(seeds), backend_factory, min(jobs, len(specs)))
     else:
-        cells = [execute(t) for t in tasks]
+        cells = []
+        for spec in specs:
+            memo = {}
+            cells += [execute((spec, seed), memo) for seed in seeds]
 
     report = EvalReport(cells=cells)
     if out_dir is not None:

@@ -3,8 +3,10 @@ random-guessing baseline.
 
 A run is a sequential state machine around one backend.  Every backend
 call is logged as one JSON-lines document; candidates are deduplicated
-by canonical skeleton so each functional form is fitted exactly once per
-run, no matter how often the model re-proposes it.  The front end is
+by canonical skeleton so each functional form is fitted at most once per
+run, no matter how often the model re-proposes it.  A fit's restart
+starts come from its skeleton (fit_rng), never from the run's seed, so
+runs on the same data can share fits (run's fit_memo).  The front end is
 memoised per process, within bounds: each line and each literal-free
 template (a line with 'c' for its numbers) is parsed and canonicalized
 once, a line's numbers are bound only to fit its skeleton, and each
@@ -13,6 +15,7 @@ prompt's frame is filled once.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -43,6 +46,8 @@ from .prompts import (
 from .score import ScoreConfig, Scores, fitness, nmse, r_squared
 from .validate import integer, of_type, real
 
+# A phase's calls, capped far above any real budget, so no run is endless.
+_MAX_CALLS = 10_000
 MODES = ("full", "seed-only", "random")
 MODE_FULL, MODE_SEED_ONLY, MODE_RANDOM = MODES
 
@@ -72,9 +77,10 @@ class EngineConfig:
     model: str = "default"
 
     def __post_init__(self):
-        for key, low in (("n_seed_calls", 1), ("max_iterations", 0), ("top_k", 1),
-                         ("functions_per_call", 1), ("seed", 0)):
-            integer(self, key, low)
+        for key, low, high in (("n_seed_calls", 1, _MAX_CALLS), ("max_iterations", 0, _MAX_CALLS),
+                               ("top_k", 1, None), ("functions_per_call", 1, None),
+                               ("seed", 0, None)):
+            integer(self, key, low, high)
         if self.functions_per_call > MAX_CANDIDATES_PER_RESPONSE:
             # the scraper keeps no more lines than that from one reply
             raise ValueError(f"functions_per_call must be at most {MAX_CANDIDATES_PER_RESPONSE},"
@@ -246,13 +252,26 @@ def parse_template(template: str, dim: int) -> tuple | str | None:
         return None if tree is None else str(exc)
 
 
+def fit_memo_key(skeleton) -> tuple:
+    """(key, the bits of each hint or None): all of a skeleton that its fit
+    depends on, and the key of a fit memo."""
+    return skeleton.key, tuple(None if h is None else h.hex() for h in skeleton.hints)
+
+
+def fit_rng(memo_key: tuple) -> np.random.Generator:
+    """The generator a fit draws its restart starts from, seeded from the
+    SHA-256 digest of its fit_memo_key."""
+    digest = hashlib.sha256(json.dumps(memo_key).encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest, "big"))
+
+
 class _Run:
-    def __init__(self, dataset: Dataset, config: EngineConfig, backend, log):
+    def __init__(self, dataset: Dataset, config: EngineConfig, backend, log, fits: dict):
         self.dataset = dataset
         self.config = config
         self.backend = backend
         self.log = log
-        self.rng = np.random.default_rng(config.seed)
+        self.fits = fits
         self.cache: dict[str, Candidate | None] = {}
         self.points = display_points(dataset)
         self.trajectory = Trajectory(config.top_k)
@@ -302,7 +321,10 @@ class _Run:
                                      "key": key, "raw": raw, "status": "duplicate"})
                 continue
             skeleton = replace(skeleton, values=values)
-            result = fit(skeleton, self.dataset, self.config.fit, self.rng)
+            fit_key = fit_memo_key(skeleton)
+            if fit_key not in self.fits:
+                self.fits[fit_key] = fit(skeleton, self.dataset, self.config.fit, fit_rng(fit_key))
+            result = self.fits[fit_key]
             lm = {"lm_frozen": result.frozen, "lm_iterations": list(result.iterations),
                   "lm_stops": list(result.stops)}
             restarts = len(result.restart_sses)
@@ -360,7 +382,8 @@ class _Run:
             self.call("random", i, prompt, self.config.sampling)
 
 
-def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRecord:
+def run(dataset: Dataset, config: EngineConfig, backend, log_path=None,
+        fit_memo: dict | None = None) -> RunRecord:
     """Execute one run in the config's mode.
 
     Phase 1 issues n_seed_calls completions of the seed prompt; phase 2
@@ -372,9 +395,14 @@ def run(dataset: Dataset, config: EngineConfig, backend, log_path=None) -> RunRe
     trajectory feedback.  Raises NoValidSeedsError (with the partial
     record attached) when phase 1, or a whole random run, yields nothing
     fittable.
+
+    fit_memo, a dict from fit_memo_key to FitResult, is read and filled
+    by the run, and a hit logs what the fit would; share one only between
+    runs on the same dataset and FitConfig.  Nothing here draws from
+    config.seed: the summary only echoes it.
     """
     with open(log_path or os.devnull, "w", encoding="utf-8") as log:
-        state = _Run(dataset, config, backend, log)
+        state = _Run(dataset, config, backend, log, {} if fit_memo is None else fit_memo)
         if config.mode == MODE_RANDOM:
             state.random_phase()
         else:

@@ -79,6 +79,8 @@ _RESIDUAL_CAP = 1.0e100
 # Every restart's start is a row of one array, so a count from a config
 # file is capped well below what that array could ever allocate.
 _MAX_RESTARTS = 1000
+# Far above any converging restart's count, so no config asks for an endless fit.
+_MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class FitConfig:
 
     def __post_init__(self):
         integer(self, "restarts", 1, _MAX_RESTARTS)
-        integer(self, "max_iterations", 1)
+        integer(self, "max_iterations", 1, _MAX_ITERATIONS)
 
 
 @dataclass(frozen=True)

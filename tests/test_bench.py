@@ -709,6 +709,30 @@ def test_a_raising_factory_fails_its_cell_alone(tmp_path, jobs):
             "runlog.jsonl", "summary.json"]
 
 
+def test_a_serial_grid_fits_each_skeleton_once_per_equation(monkeypatch):
+    real_fit = icsr.engine.fit
+    fitted = []
+
+    def counting(skeleton, dataset, *args):
+        fitted.append((dataset.name, icsr.engine.fit_memo_key(skeleton)))
+        return real_fit(skeleton, dataset, *args)
+
+    monkeypatch.setattr(icsr.engine, "fit", counting)
+    # seed 2's c*x^2 has another hint, so it is another fit; seed 3 repeats seed 1
+    replies = {1: "f1(x) = 2.5*x*x\nf2(x) = c*sin(c*x)",
+               2: "f1(x) = 0.5*x*x\nf2(x) = c*sin(c*x)",
+               3: "f1(x) = c*sin(c*x)\nf2(x) = 2.5*x*x"}
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0, early_stop_r2=2)
+    grid = ["R1", "R2"], cfg, [1, 2, 3], lambda spec, seed: ReplayBackend([replies[seed]])
+    report = run_suite(*grid)
+    assert [c.status for c in report.cells] == ["ok"] * 6
+    distinct = [("c*x*x", (2.5.hex(),)), ("c*sin(c*x)", (None, None)), ("c*x*x", (0.5.hex(),))]
+    assert fitted == [(name, key) for name in ("R1", "R2") for key in distinct]
+    # no memo outlives its grid
+    run_suite(*grid)
+    assert fitted[6:] == fitted[:6]
+
+
 def test_run_suite_worker_failures_become_failed_cells(tmp_path):
     cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
 
@@ -741,12 +765,13 @@ def test_a_dead_worker_fails_only_the_cell_it_claimed(tmp_path):
     report = run_suite(["R1", "R2", "R3"], cfg, [1, 2], dying, jobs=2,
                        out_dir=str(tmp_path / "dying"))
     assert multiprocessing.active_children() == []
-    # a replayed cell holds its worker from start to end, so the dead
-    # worker had claimed no other cell; the rest ran in the other worker
+    # a worker claims a whole equation, and a replayed cell holds its
+    # worker from start to end, so the dead worker had claimed R2 alone:
+    # R2's unsent seed fails with it, and the rest ran in the other worker
     assert [(c.equation, c.seed, c.status) for c in report.cells] == [
         ("R1", 1, "ok"), ("R1", 2, "ok"), ("R2", 1, "failed"),
-        ("R2", 2, "ok"), ("R3", 1, "ok"), ("R3", 2, "ok")]
-    assert report.cells[2].error.startswith("BrokenProcessPool: ")
+        ("R2", 2, "failed"), ("R3", 1, "ok"), ("R3", 2, "ok")]
+    assert all(c.error.startswith("BrokenProcessPool: ") for c in report.cells[2:4])
 
 
 class _BarrierSession(FakeSession):
@@ -835,20 +860,23 @@ def test_a_worker_runs_one_cell_at_a_time_between_its_calls(tmp_path, monkeypatc
     assert results_csv(serial) == results_csv(report)
 
 
-def test_a_cell_raising_system_exit_in_a_worker_fails_alone(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cell_raising_system_exit_fails_alone(tmp_path, jobs):
     def exiting(spec, seed):
-        if spec.name == "R2":
+        if (spec.name, seed) == ("R2", 2):
             raise SystemExit(3)
         return ReplayBackend([oracle_response(spec)])
 
     cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
     out = tmp_path / "exiting"
-    report = run_suite(["R1", "R2", "R3"], cfg, [1], exiting, jobs=2, out_dir=str(out))
+    report = run_suite(["R1", "R2", "R3"], cfg, [1, 2, 3], exiting, jobs=jobs, out_dir=str(out))
     assert multiprocessing.active_children() == []
-    assert [(c.status, c.error) for c in report.cells] == [
-        ("ok", None), ("failed", "SystemExit: 3"), ("ok", None)]
-    assert "r,R2,1,,,failed" in (out / "results.csv").read_text(encoding="utf-8")
+    assert [(c.status, c.error) for c in report.cells] == [("ok", None)] * 4 + [
+        ("failed", "SystemExit: 3")] + [("ok", None)] * 4
+    assert "r,R2,2,,,failed" in (out / "results.csv").read_text(encoding="utf-8")
     assert (out / "summary.csv").exists()
+    assert json.loads((out / "runs" / "R2" / "seed2" / "failed.json").read_text(
+        encoding="utf-8")) == {"error": "SystemExit: 3"}
 
 
 def test_a_cell_that_cannot_be_pickled_back_fails_alone(tmp_path, monkeypatch):

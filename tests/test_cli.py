@@ -363,6 +363,8 @@ def test_run_live_backend_needs_api_key(tmp_path, monkeypatch, capsys):
     ('{"fit": {"gtol": 1e-6}}', "gtol"),
     # a start per restart, in one array numpy could not allocate
     ('{"fit": {"restarts": 1000000000000000}}', "restarts"),
+    # a fit that would not end
+    ('{"fit": {"max_iterations": 100001}}', "max_iterations"),
 ])
 def test_run_bad_fit_config_exits_2(tmp_path, capsys, text, key):
     cfg = tmp_path / "c.json"
@@ -378,6 +380,9 @@ def test_run_bad_fit_config_exits_2(tmp_path, capsys, text, key):
 
 @pytest.mark.parametrize("text,key", [
     ('{"engine": {"n_seed_calls": 2.5}}', "n_seed_calls"),
+    # runs that would not end
+    ('{"engine": {"n_seed_calls": 10001}}', "n_seed_calls"),
+    ('{"engine": {"max_iterations": 10001}}', "max_iterations"),
     ('{"engine": {"early_stop_r2": "x"}}', "early_stop_r2"),
     ('{"engine": {"seed": "abc"}}', "seed"),
     ('{"engine": {"seed": -1}}', "seed"),

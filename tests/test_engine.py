@@ -21,6 +21,8 @@ from icsr.engine import (
     RunRecord,
     Trajectory,
     budget_report,
+    fit_memo_key,
+    fit_rng,
     run,
 )
 from icsr.expr import ParseError, Skeleton, canonicalize, complexity, evaluate_batch, parse
@@ -58,6 +60,7 @@ def test_config_validation():
     for key, bad in (("n_seed_calls", 2.5), ("max_iterations", -1), ("top_k", True),
                      ("functions_per_call", "5"), ("functions_per_call", 9),
                      ("seed", -1), ("seed", "abc"),
+                     ("n_seed_calls", 10_001), ("max_iterations", 10_001),
                      ("early_stop_r2", "x"), ("early_stop_r2", float("nan")),
                      ("model", 5), ("model", None)):
         with pytest.raises(ValueError, match=key):
@@ -691,9 +694,9 @@ def test_fitted_outcomes_log_lm_iterations(tmp_path):
     record = run(parabola(), config(n_seed_calls=1, max_iterations=0), backend,
                  log_path=log_path)
     fitted, no_slots, duplicate = json.loads(log_path.read_text(encoding="utf-8"))["outcomes"]
-    # the first fit of a run draws its starts from a fresh seed-0 generator
-    alone = fit(canonicalize(parse("c*x^c", 1), 1), parabola(), record.config.fit,
-                np.random.default_rng(record.config.seed))
+    # a fit draws its starts from a generator derived from its skeleton
+    skeleton = canonicalize(parse("c*x^c", 1), 1)
+    alone = fit(skeleton, parabola(), record.config.fit, fit_rng(fit_memo_key(skeleton)))
     assert fitted["lm_iterations"] == list(alone.iterations)
     assert fitted["lm_stops"] == list(alone.stops)
     assert fitted["lm_frozen"] == alone.frozen
@@ -781,3 +784,26 @@ def test_identical_runs_produce_identical_summaries():
     a = run(parabola(), cfg, ReplayBackend(script)).summary()
     b = run(parabola(), cfg, ReplayBackend(script)).summary()
     assert a == b
+
+
+def test_a_fit_gives_the_same_bits_whatever_the_run_seed_and_fit_order(monkeypatch):
+    real_fit = icsr.engine.fit
+    runs = []
+
+    def recording(skeleton, *args):
+        runs[-1][skeleton.key] = result = real_fit(skeleton, *args)
+        return result
+
+    monkeypatch.setattr(icsr.engine, "fit", recording)
+    forms = ["f1(x) = c*x^c", "f1(x) = c*sin(c*x) + c", "f1(x) = 1.5*exp(c*x)"]
+    for seed, script in ((0, forms), (7, forms[::-1])):
+        runs.append({})
+        run(parabola(), config(n_seed_calls=3, max_iterations=0, seed=seed, early_stop_r2=2),
+            ReplayBackend(script))
+    first, second = runs
+    assert len(first) == 3 and first.keys() == second.keys()
+    for key, a in first.items():
+        b = second[key]
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert (a.sse, a.restart_sses, a.iterations, a.stops) == (
+            b.sse, b.restart_sses, b.iterations, b.stops)
