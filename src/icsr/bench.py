@@ -18,7 +18,7 @@ import shutil
 import threading
 import zlib
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 import numpy as np
@@ -480,109 +480,156 @@ def _run_one(spec: BenchmarkSpec, train: Dataset, test: Dataset, config: EngineC
     return cell
 
 
-# Each forked worker keeps up to this many cells in flight, so that while
-# one cell's model call waits another computes.  It bounds each worker's
+# Each grid process keeps up to this many cells in flight, so that while
+# one cell's model call waits another computes.  It bounds each process's
 # threads, and a grid's open requests to jobs x _CELLS_IN_FLIGHT.
 _CELLS_IN_FLIGHT = 16
 
 
 class _SlotFreeBackend:
-    """A live backend whose calls give its worker's compute slot up while
-    they wait, and take it back before the cell goes on."""
+    """A live backend whose calls give their executor's compute slot up
+    while they wait, and take it back before the cell goes on."""
 
-    def __init__(self, backend, slot):
+    def __init__(self, backend, executor):
         self.backend = backend
-        self.slot = slot
+        self.executor = executor
 
     def complete(self, request):
-        self.slot.release()
+        executor = self.executor
+        if not executor.done and len(executor.threads) < _CELLS_IN_FLIGHT - 1:
+            executor.threads.append(threading.Thread(target=executor.serve, daemon=True))
+            executor.threads[-1].start()
+        executor.slot.release()
         try:
             return self.backend.complete(request)
         finally:
-            self.slot.acquire()
+            try:
+                executor.slot.acquire()
+            except KeyboardInterrupt:  # the caller's: raised once the slot is held again
+                executor.slot.acquire()
+                raise
 
 
-def _worker(execute, tasks, n_seeds: int, backend_factory, counter, conn, threads: int):
-    """One forked worker's body: threads that each take the compute slot,
-    run the next queued cell and send it back pickled over conn.  A thread
-    that finds the queue empty first claims the next equation (`n_seeds`
-    consecutive tasks) from the shared counter and queues its cells with
-    one fit memo, until no equation is left.  Only a LiveBackend's calls
-    give the slot up, so one cell at a time runs engine or fit code (and
-    enters the memos), and a cell on any other backend runs from start
-    to end alone."""
-    slot = threading.Lock()
-    queue = collections.deque()  # (task index, its equation's fit memo)
+class _Executor:
+    """The cells of one grid process, on threads that take turns at one
+    compute slot.  The thread that holds it runs the next queued cell and
+    passes it to send(index, cell), first queueing the task indices that
+    claim() returns (the next equation's, none once none is left) with
+    one fit memo if the queue is empty.  Only a _SlotFreeBackend gives
+    the slot up, each time starting one more thread to take it, up to
+    _CELLS_IN_FLIGHT threads, so a grid that never waits runs on the
+    calling thread alone.  An exception that escapes a cell is sent in
+    its place, and then no further cell starts."""
 
-    def factory(spec, seed):
-        backend = backend_factory(spec, seed)
-        return _SlotFreeBackend(backend, slot) if isinstance(backend, LiveBackend) else backend
+    def __init__(self, execute, backend_factory, claim, send):
+        self.execute = execute
+        self.backend_factory = backend_factory
+        self.claim = claim
+        self.send = send
+        self.slot = threading.Lock()
+        self.queue = collections.deque()  # (task index, its equation's fit memo)
+        self.threads = []  # started besides the calling one
+        self.done = False  # no further cell starts
+        self.interrupted = False  # by an exception that escaped a cell, or the caller's
 
-    def serve():
+    def run(self):
+        """Serve cells, then wait for the other threads' cells in flight.
+        The calling thread's first KeyboardInterrupt outside a cell ends
+        the grid as one from a cell does, and a later one ends the wait."""
+        try:
+            self.serve()
+            self.join()
+        except KeyboardInterrupt as exc:
+            if self.interrupted:
+                raise
+            self.done = self.interrupted = True
+            with self.slot:
+                self.send(None, exc)
+            self.join()
+
+    def join(self):
+        for thread in self.threads:
+            thread.join()
+
+    def serve(self):
         while True:
-            with slot:
-                if not queue:
-                    with counter.get_lock():
-                        first = counter.value * n_seeds
-                        counter.value += 1
-                    if first >= len(tasks):
-                        return
+            with self.slot:
+                if not (self.queue or self.done):
                     memo = {}
-                    queue.extend((index, memo) for index in range(first, first + n_seeds))
-                index, memo = queue.popleft()
+                    self.queue.extend((index, memo) for index in self.claim())
+                    self.done = not self.queue  # no equation is left
+                if self.done:
+                    return
+                index, memo = self.queue.popleft()
                 try:
-                    cell = execute(tasks[index], memo, factory)
-                except BaseException as exc:  # KeyboardInterrupt too: it ends this cell alone
-                    cell = _failed_cell(tasks[index], f"{type(exc).__name__}: {exc}")
-                try:
-                    conn.send((index, cell))
-                except Exception as exc:  # the cell could not be pickled
-                    conn.send((index, _failed_cell(tasks[index], f"{type(exc).__name__}: {exc}")))
+                    cell = self.execute(index, memo, self.factory)
+                except BaseException as exc:  # what _run_one lets through ends the grid
+                    self.done = self.interrupted = True
+                    cell = exc
+                self.send(index, cell)
 
-    pool = [threading.Thread(target=serve, daemon=True) for _ in range(threads)]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
+    def factory(self, spec, seed):
+        backend = self.backend_factory(spec, seed)
+        return _SlotFreeBackend(backend, self) if isinstance(backend, LiveBackend) else backend
 
 
-def _run_forked(execute, tasks, n_seeds: int, backend_factory, workers: int) -> list:
-    """The cells of tasks, in task order, run in `workers` forked
-    processes (see _worker) that claim `n_seeds` consecutive tasks at a
-    time.  A cell whose worker ended before sending it back fails."""
+def _worker(execute, tasks, backend_factory, conn, inherited):
+    """One forked grid process: an _Executor that asks the caller for its
+    claims over conn and sends its cells back over it.  The caller's pipe
+    ends it inherited are closed, so it sees EOF once the caller is gone."""
+    for end in inherited:
+        end.close()
+
+    def claim():
+        conn.send(None)
+        return conn.recv()
+
+    def send(index, cell):
+        try:
+            conn.send((index, cell))
+        except Exception as exc:  # the cell could not be pickled
+            conn.send((index, _failed_cell(tasks[index], f"{type(exc).__name__}: {exc}")))
+
+    _Executor(execute, backend_factory, claim, send).run()
+
+
+def _run_forked(execute, tasks, backend_factory, claim, send, workers: int):
+    """Runs the executor in `workers` forked processes (see _worker),
+    answering their claims with claim() and passing each cell they send
+    back to send(index, cell), until one sends an exception in a cell's
+    place."""
     import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("q", 0)
-    threads = min(math.ceil(len(tasks) / workers), _CELLS_IN_FLIGHT)
     running = {}
-    cells = {}
     try:
         for _ in range(workers):
-            reader, writer = ctx.Pipe(duplex=False)
+            conn, child = ctx.Pipe()
             proc = ctx.Process(target=_worker,
-                               args=(execute, tasks, n_seeds, backend_factory, counter, writer,
-                                     threads))
+                               args=(execute, tasks, backend_factory, child, [*running, conn]))
             proc.start()
-            writer.close()  # so the reader sees EOF once the worker is gone
-            running[reader] = proc
+            child.close()  # so conn sees EOF once the worker is gone
+            running[conn] = proc
         while running:
-            for reader in wait(list(running)):
+            for conn in wait(list(running)):
                 try:
-                    index, cell = reader.recv()
+                    message = conn.recv()
+                    if message is None:  # a claim
+                        conn.send(claim())
+                        continue
                 except (EOFError, OSError):
-                    running.pop(reader).join()
-                    reader.close()
-                else:
-                    cells[index] = cell
-    finally:  # interrupted: no worker outlives the grid
-        for reader, proc in running.items():
+                    running.pop(conn).join()
+                    conn.close()
+                    continue
+                send(*message)
+                if isinstance(message[1], BaseException):
+                    return
+    finally:  # no worker outlives the grid
+        for conn, proc in running.items():
             proc.terminate()
             proc.join()
-            reader.close()
-    lost = "BrokenProcessPool: a worker process ended before returning this cell"
-    return [cells.get(i) or _failed_cell(task, lost) for i, task in enumerate(tasks)]
+            conn.close()
 
 
 def run_suite(names, config: EngineConfig, seeds, backend_factory,
@@ -599,37 +646,44 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     log and summary.json; results.csv, written once the grid ends, is
     the list of its cells.
 
-    jobs > 1 runs the cells in min(jobs, equations) worker processes
-    forked from the caller (the fork start method, so Linux or macOS):
-    the factory and anything it closes over are inherited, not pickled,
-    and the factory runs in a worker, so state it mutates never reaches
-    the caller.  Each worker claims a whole equation at a time and keeps
-    up to _CELLS_IN_FLIGHT cells in flight while their LiveBackend calls
-    wait, but runs engine or fit code for one cell at a time.  Each cell
-    comes back pickled as it finishes and is put in task order, so every
-    report is byte-identical to a serial run.  A cell that raises or
-    cannot be pickled becomes a 'failed' cell, and so does each cell a
-    dead worker claimed and never sent back: the rest of its equation
-    too.  Equations a dead worker never claimed run in the others."""
+    One _Executor runs the cells, claiming a whole equation at a time
+    from here: with jobs == 1 in the calling process, else in min(jobs,
+    equations) worker processes forked from it (the fork start method,
+    so Linux or macOS).  A worker inherits the factory and anything it
+    closes over, not pickled, and calls it, so state it mutates never
+    reaches the caller.  A worker's cells come back pickled, and cells
+    are put in task order, so every report is byte-identical to a jobs
+    == 1 run.  A cell that cannot be pickled fails, and so does each cell
+    a dead worker claimed and never sent back: the rest of its equation
+    too.  An exception that escapes a cell, or the caller's first
+    KeyboardInterrupt, ends the grid: no further cell starts, workers are
+    stopped, the calling process's other threads finish their cells in
+    flight (see _Executor.run), and it is raised with no results.csv."""
     specs = [get_benchmark(n) for n in names]
     trains = {s.name: sample(s, "train") for s in specs}
     tests = {s.name: sample(s, "test") for s in specs}
     tasks = [(spec, seed) for spec in specs for seed in seeds]
+    # every claim is made here: the task indices of the next equation, () once none is left
+    claims = iter([range(e * len(seeds), (e + 1) * len(seeds)) for e in range(len(specs))])
+    claim = partial(next, claims, ())
 
-    def execute(task, fit_memo, factory=backend_factory):
-        spec, seed = task
+    def execute(index, fit_memo, factory):
+        spec, seed = tasks[index]
         return _run_one(spec, trains[spec.name], tests[spec.name], config, seed,
                         factory, out_dir, fit_memo)
 
-    if jobs > 1 and tasks:
-        cells = _run_forked(execute, tasks, len(seeds), backend_factory, min(jobs, len(specs)))
+    cells = {}  # every cell arrives here, by task index
+    if jobs > 1:
+        _run_forked(execute, tasks, backend_factory, claim, cells.__setitem__,
+                    min(jobs, len(specs)))
     else:
-        cells = []
-        for spec in specs:
-            memo = {}
-            cells += [execute((spec, seed), memo) for seed in seeds]
-
-    report = EvalReport(cells=cells)
+        _Executor(execute, backend_factory, claim, cells.__setitem__).run()
+    for cell in cells.values():
+        if isinstance(cell, BaseException):
+            raise cell
+    lost = "BrokenProcessPool: a worker process ended before returning this cell"
+    report = EvalReport(cells=[cells.get(i) or _failed_cell(task, lost)
+                               for i, task in enumerate(tasks)])
     if out_dir is not None:
         atomic_write_text(os.path.join(out_dir, "results.csv"), results_csv(report))
         atomic_write_text(os.path.join(out_dir, "summary.csv"), summary_csv(report))

@@ -787,9 +787,11 @@ class _BarrierSession(FakeSession):
         return super().post(*args, **kwargs)
 
 
-def test_a_worker_keeps_cells_in_flight_while_their_calls_wait(tmp_path):
-    # the four cells' first calls meet at one barrier, so two workers
-    # must keep all four in flight, or the barrier times out
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_worker_keeps_cells_in_flight_while_their_calls_wait(tmp_path, jobs):
+    # the four cells' first calls meet at one barrier, so the calling
+    # process, or two workers, must keep all four in flight, or the
+    # barrier times out
     barrier = multiprocessing.get_context("fork").Barrier(4, timeout=10)
 
     def factory(spec, seed):
@@ -797,11 +799,73 @@ def test_a_worker_keeps_cells_in_flight_while_their_calls_wait(tmp_path):
                            session=_BarrierSession([_ok(oracle_response(spec))], barrier))
 
     cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
-    report = run_suite(["R1", "R2"], cfg, [1, 2], factory, jobs=2,
+    report = run_suite(["R1", "R2"], cfg, [1, 2], factory, jobs=jobs,
                        out_dir=str(tmp_path / "grid"))
     assert multiprocessing.active_children() == []
     assert [(c.status, c.error) for c in report.cells] == [("ok", None)] * 4
     assert results_csv(report).count(",ok\n") == 4
+
+
+def test_a_serial_grid_that_never_waits_runs_on_the_calling_thread(monkeypatch):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    threads = []
+
+    def factory(spec, seed):
+        threads.append(threading.get_ident())
+        return _oracle_factory(spec, seed)
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(["R1", "R2"], cfg, [1, 2], factory)
+    assert [c.status for c in report.cells] == ["ok"] * 4
+    assert threads == [threading.get_ident()] * 4
+    assert started == []
+
+
+class _InterruptSession(_BarrierSession):
+    """A _BarrierSession whose first post, once past the barrier, raises
+    KeyboardInterrupt."""
+
+    def post(self, *args, **kwargs):
+        super().post(*args, **kwargs)
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("where", ["cell", "wait"])
+def test_an_interrupt_in_a_serial_live_grid_lets_the_cells_in_flight_finish(
+        tmp_path, monkeypatch, where):
+    # three live cells in flight at once; the interrupt lands in the
+    # calling thread's cell (seed 1's call), or in its wait for the
+    # other threads once its own cell is done
+    barrier = threading.Barrier(3, timeout=10)
+    join = threading.Thread.join
+    joined = []
+
+    def interrupted_join(thread, *args):
+        if not joined:
+            joined.append(thread)
+            raise KeyboardInterrupt
+        return join(thread, *args)
+
+    if where == "wait":
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+
+    def factory(spec, seed):
+        session = _InterruptSession if (where, seed) == ("cell", 1) else _BarrierSession
+        return LiveBackend("http://cells.invalid/v1", api_key="test",
+                           session=session([_ok(oracle_response(spec))], barrier))
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    threads = set(threading.enumerate())
+    out = tmp_path / "grid"
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(["R1"], cfg, [1, 2, 3], factory, out_dir=str(out))
+    assert set(threading.enumerate()) == threads
+    finished = {seed for seed in (1, 2, 3)
+                if (out / "runs" / "R1" / f"seed{seed}" / "summary.json").exists()}
+    assert finished == ({2, 3} if where == "cell" else {1, 2, 3})
+    assert not (out / "runs" / "R1" / "seed1" / "failed.json").exists()
+    assert not (out / "results.csv").exists()
 
 
 class _SlowSession(FakeSession):
@@ -877,6 +941,30 @@ def test_a_cell_raising_system_exit_fails_alone(tmp_path, jobs):
     assert (out / "summary.csv").exists()
     assert json.loads((out / "runs" / "R2" / "seed2" / "failed.json").read_text(
         encoding="utf-8")) == {"error": "SystemExit: 3"}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_interrupt_in_a_cell_ends_the_grid(tmp_path, jobs):
+    def factory(spec, seed):
+        if seed == 2:
+            raise KeyboardInterrupt
+        return _oracle_factory(spec, seed)
+
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    threads = set(threading.enumerate())
+    cut = tmp_path / "cut"
+    # one equation, so one worker runs its seeds in order
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(["R1"], cfg, [1, 2, 3], factory, jobs=jobs, out_dir=str(cut))
+    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == threads
+    run_suite(["R1"], cfg, [1], factory, out_dir=str(tmp_path / "whole"))
+    kept = os.path.join(cell_dir(cut, "R1", 1), "summary.json")
+    whole = os.path.join(cell_dir(tmp_path / "whole", "R1", 1), "summary.json")
+    with open(kept, "rb") as a, open(whole, "rb") as b:
+        assert a.read() == b.read()
+    assert not os.path.exists(cell_dir(cut, "R1", 3))
+    assert not (cut / "results.csv").exists()
 
 
 def test_a_cell_that_cannot_be_pickled_back_fails_alone(tmp_path, monkeypatch):
