@@ -397,8 +397,6 @@ def ood_rows(cells, extensions) -> list[dict]:
                 "extension": e,
                 "mean_r2_clamped": _mean([p.clamped_r2 for p in points]),
                 "neg_fraction": _mean([1.0 if p.negative else 0.0 for p in points]),
-                "n_cells": len(points),
-                "n_skipped": len(curves) - len(points),
             })
     return rows
 

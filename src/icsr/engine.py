@@ -4,10 +4,10 @@ random-guessing baseline.
 A run is a sequential state machine around one backend.  Every backend
 call is logged as one JSON-lines document; candidates are deduplicated
 by canonical skeleton so each functional form is fitted at most once per
-run, no matter how often the model re-proposes it.  A fit's restart
-starts come from its skeleton (fit_rng), never from the run's seed, so
-runs on the same data can share fits (run's fit_memo).  The front end is
-memoised per process, within bounds: each line and each literal-free
+run, no matter how often the model re-proposes it.  fit draws its
+restart starts from the skeleton (fit.fit_rng), never from the run's
+seed, so runs on the same data can share fits (run's fit_memo).  The
+front end is memoised per process, within bounds: each line and each literal-free
 template (a line with 'c' for its numbers) is parsed and canonicalized
 once, a line's numbers are bound only to fit its skeleton, and each
 prompt's frame is filled once.
@@ -15,20 +15,17 @@ prompt's frame is filled once.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-import numpy as np
-
 from .dataset import Dataset
 # evaluate_batch is unused here but kept: perfbench's tracer patches icsr.engine.evaluate_batch
 from .expr import (MEMO_TEXT, ParseError, canonicalize, complexity, evaluate_batch, parse,
                    render, split_literals)
-from .fit import FitConfig, FitResult, fit
+from .fit import FitConfig, FitResult, fit, fit_memo_key
 from .llm import (
     BackendError,
     CompletionRequest,
@@ -252,19 +249,6 @@ def parse_template(template: str, dim: int) -> tuple | str | None:
         return None if tree is None else str(exc)
 
 
-def fit_memo_key(skeleton) -> tuple:
-    """(key, the bits of each hint or None): all of a skeleton that its fit
-    depends on, and the key of a fit memo."""
-    return skeleton.key, tuple(None if h is None else h.hex() for h in skeleton.hints)
-
-
-def fit_rng(memo_key: tuple) -> np.random.Generator:
-    """The generator a fit draws its restart starts from, seeded from the
-    SHA-256 digest of its fit_memo_key."""
-    digest = hashlib.sha256(json.dumps(memo_key).encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest, "big"))
-
-
 class _Run:
     def __init__(self, dataset: Dataset, config: EngineConfig, backend, log, fits: dict):
         self.dataset = dataset
@@ -323,7 +307,7 @@ class _Run:
             skeleton = replace(skeleton, values=values)
             fit_key = fit_memo_key(skeleton)
             if fit_key not in self.fits:
-                self.fits[fit_key] = fit(skeleton, self.dataset, self.config.fit, fit_rng(fit_key))
+                self.fits[fit_key] = fit(skeleton, self.dataset, self.config.fit)
             result = self.fits[fit_key]
             lm = {"lm_frozen": result.frozen, "lm_iterations": list(result.iterations),
                   "lm_stops": list(result.stops)}

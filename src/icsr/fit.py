@@ -1,12 +1,13 @@
 """Multi-start nonlinear least squares for skeleton coefficients.
 
 A skeleton that is affine in all its coefficients at once (Plan.affine:
-c*sin(x) + c, say) is fitted without LM.  One pass at c = 0 gives its
-value there and its partials, which do not depend on c; each restart
-then takes one undamped Gauss-Newton step from its start, exact for such
-a model, all of them in one multi-right-hand-side lstsq.  Its starts are
-drawn as LM's would be, so the rng stream of a run does not depend on
-which fits were affine.
+c*sin(x) + c, say, or x*x with none) is fitted without LM.  One pass at
+c = 0 gives its value there and its partials, which do not depend on c;
+each restart then takes one undamped Gauss-Newton step from its start,
+exact for such a model, all of them in one multi-right-hand-side lstsq.
+That solve leaves out a point where the value at 0 or a partial is not
+finite, undefined or overflowed (1e-300*exp(x)*exp(x) at x = 357), and
+the fit is undefined where no restart's solution is defined either.
 
 Any other skeleton goes through a plain Levenberg-Marquardt loop over
 exact Jacobians: one evaluate_batch pass over the tree's plan, lowered
@@ -53,6 +54,8 @@ residual is clipped, get zero partials: their residual does not move.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -103,8 +106,8 @@ class FitResult:
     every prediction is finite, the gate scoring relies on.  restart_sses,
     iterations and stops hold each restart's final SSE, iteration count
     and stop reason: gtol, xtol, ftol, stall, cap or mu_overflow from LM;
-    for an affine skeleton lstsq (1 iteration), or undefined (0, SSE inf)
-    where the form is undefined at a training point for every c.  frozen
+    for an affine skeleton, a coefficient-free one too, lstsq (1
+    iteration) or undefined (0, SSE inf; see _least_squares).  frozen
     counts the Jacobian columns pinned on a definedness cliff, summed over
     every Jacobian each restart adopted (its start and each accepted step).
     """
@@ -278,20 +281,34 @@ def _levenberg_marquardt(plan, starts, X, y, config):
 
 def _least_squares(plan, starts, X, y):
     """_levenberg_marquardt's results for an affine plan (see the module
-    docstring).  Where its value at 0 or a partial is not finite, it is
-    undefined for every c: every restart stops 'undefined'.  A start whose
-    residual overflows takes no step."""
+    docstring).  A start whose residual overflows takes no step.  Where a
+    point left out of the solve is undefined at every restart's solution,
+    every restart stops 'undefined'."""
     k, m = starts.shape
     offset, basis = evaluate_batch(plan, np.zeros(m), X, jacobian=True)
-    if not (np.isfinite(offset).all() and np.isfinite(basis).all()):
-        return starts, np.full((k, len(y)), np.nan), [math.inf] * k, [0] * k, ["undefined"] * k, 0
-    res = y - offset - starts @ basis
+    rows = np.isfinite(offset) & np.isfinite(basis).all(axis=0)
+    res = y[rows] - offset[rows] - starts @ basis[:, rows]
     res[~np.isfinite(res).all(axis=1)] = 0.0
-    c = starts + np.linalg.lstsq(basis.T, res.T, rcond=None)[0].T
+    c = starts + np.linalg.lstsq(basis[:, rows].T, res.T, rcond=None)[0].T
     pred = evaluate_batch(plan, c, X)
+    if np.isnan(pred[:, ~rows]).all(axis=0).any():
+        return starts, np.full((k, len(y)), np.nan), [math.inf] * k, [0] * k, ["undefined"] * k, 0
     res = y - pred
     _penalize(res)
     return c, pred, (res * res).sum(axis=1).tolist(), [1] * k, ["lstsq"] * k, 0
+
+
+def fit_memo_key(skeleton) -> tuple:
+    """(key, the bits of each hint or None): all of a skeleton that its fit
+    depends on, and the key of a fit memo."""
+    return skeleton.key, tuple(None if h is None else h.hex() for h in skeleton.hints)
+
+
+def fit_rng(memo_key: tuple) -> np.random.Generator:
+    """The generator a fit draws its restart starts from, seeded from the
+    SHA-256 digest of its fit_memo_key."""
+    digest = hashlib.sha256(json.dumps(memo_key).encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
 @np.errstate(all="ignore")  # overflow in an SSE or a step is handled as inf
@@ -300,32 +317,16 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
     """Fit skeleton coefficients to the dataset's training points.
 
     Restart 0 starts from the skeleton's literal-derived hints where
-    available (standard normal draws fill the gaps); the remaining
-    restarts start from standard normal vectors.  The restart with the
-    smallest final SSE wins.  A result is only valid if the winning
-    coefficients are finite and the fitted expression is defined on every
-    training point.
+    available (standard normal draws fill the gaps); the others start
+    from standard normal vectors, all drawn from rng, by default
+    fit_rng(fit_memo_key(skeleton)).  The restart with the smallest final
+    SSE wins.  A result is only valid if the winning coefficients are
+    finite and the fitted expression is defined on every training point.
     """
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = fit_rng(fit_memo_key(skeleton))
     m = skeleton.num_slots
     X, y = dataset.X, dataset.y
-
-    if m == 0:
-        pred = evaluate_batch(skeleton.expr, np.empty(0), X)
-        valid = bool(np.all(np.isfinite(pred)))
-        sse = float(np.sum((y - pred) ** 2)) if valid else float("inf")
-        return FitResult(
-            coefficients=np.empty(0),
-            sse=sse,
-            predictions=pred,
-            valid=valid,
-            best_restart=0,
-            restart_sses=(),
-            iterations=(),
-            stops=(),
-            frozen=0,
-        )
 
     starts = np.empty((config.restarts, m))
     for restart in range(config.restarts):

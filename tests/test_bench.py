@@ -714,7 +714,7 @@ def test_a_serial_grid_fits_each_skeleton_once_per_equation(monkeypatch):
     fitted = []
 
     def counting(skeleton, dataset, *args):
-        fitted.append((dataset.name, icsr.engine.fit_memo_key(skeleton)))
+        fitted.append((dataset.name, icsr.fit.fit_memo_key(skeleton)))
         return real_fit(skeleton, dataset, *args)
 
     monkeypatch.setattr(icsr.engine, "fit", counting)

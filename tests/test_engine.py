@@ -21,12 +21,10 @@ from icsr.engine import (
     RunRecord,
     Trajectory,
     budget_report,
-    fit_memo_key,
-    fit_rng,
     run,
 )
 from icsr.expr import ParseError, Skeleton, canonicalize, complexity, evaluate_batch, parse
-from icsr.fit import fit
+from icsr.fit import fit, fit_memo_key, fit_rng
 from icsr.llm import (BackendError, LiveBackend, ReplayBackend, SamplingParams,
                        TemperatureSchedule)
 from test_llm import FakeSession, _ok
@@ -701,7 +699,11 @@ def test_fitted_outcomes_log_lm_iterations(tmp_path):
     assert fitted["lm_stops"] == list(alone.stops)
     assert fitted["lm_frozen"] == alone.frozen
     assert len(alone.iterations) == len(alone.stops) == fitted["restarts"] == 5
-    assert no_slots["lm_iterations"] == no_slots["lm_stops"] == []
+    # a coefficient-free skeleton is affine: each of its restarts is an empty lstsq
+    assert (no_slots["restarts"], no_slots["lm_iterations"], no_slots["lm_stops"]) == (
+        5, [1] * 5, ["lstsq"] * 5)
+    budget = budget_report(record)
+    assert budget.nls_restarts == 5 * budget.unique_skeletons_fitted
     assert no_slots["lm_frozen"] == 0
     assert not {"lm_iterations", "lm_stops", "lm_frozen"} & set(duplicate)
     assert "lm_" not in json.dumps(record.summary())

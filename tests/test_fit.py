@@ -107,7 +107,7 @@ def test_no_slot_skeleton_evaluates_directly():
     res = fit(sk, ds, rng=np.random.default_rng(0))
     assert res.valid
     assert res.sse == 0.0
-    assert res.restart_sses == res.stops == ()
+    assert res.restart_sses == (0.0,) * 5 and res.stops == ("lstsq",) * 5
     assert res.coefficients.shape == (0,)
     _assert_fresh_predictions(res, sk.expr, ds.X)
 
@@ -208,9 +208,20 @@ def test_an_affine_start_whose_residual_overflows_takes_no_step():
     np.testing.assert_allclose(res.predictions, ds.y, rtol=1e-12)
 
 
+def test_an_affine_fit_leaves_out_a_point_whose_partial_overflows():
+    # exp(x)*exp(x) overflows at x = 357, so the partial in c is inf there,
+    # but 1e-300*exp(x)*exp(x) is finite: the lstsq solves on the other
+    # points, and the warm start fits all three
+    x = np.array([1.0, 2.0, 357.0])
+    ds = Dataset(x.reshape(-1, 1), 1e-300 * np.exp(x) * np.exp(x))
+    res = fit(canonicalize(parse("1e-300*exp(x)*exp(x)", 1)), ds)
+    assert res.valid and res.best_restart == 0 and res.stops == ("lstsq",) * 5
+    np.testing.assert_allclose(res.predictions, ds.y, rtol=1e-12)
+
+
 def test_an_affine_fit_draws_the_starts_an_lm_fit_draws():
     # the same slots and hints, one form affine and one not: both draw the
-    # same starts, so every later fit of a run sees the same rng stream
+    # same starts from the generator they are given
     x = np.linspace(0.5, 2.0, 12)
     ds = Dataset(x.reshape(-1, 1), 1.5 + 2.0 * x)
     affine, curved = canonicalize(parse("1.5 + c*x", 1)), canonicalize(parse("1.5 + x^c", 1))
@@ -627,7 +638,7 @@ def test_exact_warm_start_takes_no_iterations():
     ds = _dataset("sqrt(1.23*x)", [], x)
     res = fit(canonicalize(parse("sqrt(1.23*x)", 1)), ds, rng=np.random.default_rng(0))
     assert res.iterations[0] == 0
-    assert fit(canonicalize(parse("x*x", 1)), ds).iterations == ()
+    assert fit(canonicalize(parse("x*x", 1)), ds).iterations == (1,) * 5
 
 
 def test_icsr_fit_is_the_submodule():
