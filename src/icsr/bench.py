@@ -230,7 +230,8 @@ class OODPoint:
 def ood_bounds(spec: BenchmarkSpec, extension: float):
     """Extended evaluation box: each test dimension's half-width h grows
     to (1 + 2e) * h about the same center, then intersects the declared
-    validity domain.  Returns None when the intersection is empty."""
+    validity domain.  Returns None when the intersection is empty or its
+    width is not finite, as no grid spans it."""
     lows, highs = [], []
     for i in range(spec.dim):
         a, b = spec.test.low[i], spec.test.high[i]
@@ -242,7 +243,7 @@ def ood_bounds(spec: BenchmarkSpec, extension: float):
             lo = max(lo, spec.validity_low[i])
         if spec.validity_high[i] is not None:
             hi = min(hi, spec.validity_high[i])
-        if not lo < hi:
+        if not 0 < hi - lo < math.inf:
             return None
         lows.append(lo)
         highs.append(hi)

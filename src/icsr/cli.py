@@ -73,10 +73,10 @@ _SECTIONS = {
 
 
 def _read(path, what: str, load=json.load):
-    """load(file) for an untrusted UTF-8 file; every way that fails is a
-    ConfigError naming the file."""
+    """load(file) for an untrusted UTF-8 file, less a leading byte order
+    mark; every way that fails is a ConfigError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
@@ -348,7 +348,7 @@ def _cells_from_run_dir(runs_dir) -> list:
             m = lower(tree).num_coefficients
             if coeffs.shape != (m,):
                 raise ValueError(f"{coeffs.size} coefficients for {m} placeholders")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad stored candidate in {path}: {exc}") from exc
         cells.append((spec, (tree, coeffs)))
     return cells

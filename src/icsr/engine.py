@@ -23,8 +23,8 @@ from functools import lru_cache
 
 from .dataset import Dataset
 # evaluate_batch is unused here but kept: perfbench's tracer patches icsr.engine.evaluate_batch
-from .expr import (MEMO_TEXT, ParseError, canonicalize, complexity, evaluate_batch, parse,
-                   render, split_literals)
+from .expr import (ParseError, canonicalize, complexity, evaluate_batch, parse, render,
+                   split_literals)
 from .fit import FitConfig, FitResult, fit, fit_memo_key
 from .llm import (
     BackendError,
@@ -215,9 +215,10 @@ class RunRecord:
         }
 
 
-# enough entries for a perfbench round's distinct lines and templates; a
-# text over MEMO_TEXT characters is parsed but not kept
+# enough entries for a perfbench round's distinct lines and templates; model
+# output is untrusted, so neither keeps a text over MEMO_TEXT characters
 _MEMO_LINES, _MEMO_TEMPLATES = 8192, 1024
+MEMO_TEXT = 256
 
 
 def _memoised(memo, text: str, dim: int):

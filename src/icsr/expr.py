@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -39,6 +39,14 @@ def _chain(t, factor):
     the derivative is infinite (sqrt(c*x) at x = 0)."""
     out = t * factor
     np.copyto(out, 0.0, where=t == 0.0)
+    return out
+
+
+def _power(a, b):
+    """a^b, but NaN wherever a or b is: numpy's nan^0 and 1^nan are 1, and
+    ^ is the one op that would launder NaN into a finite value."""
+    out = np.power(a, b)
+    np.copyto(out, np.nan, where=np.isnan(a) | np.isnan(b))
     return out
 
 
@@ -69,8 +77,8 @@ _BINARY = {
     # d(a/b) = da/b - (a/b) db/b; a/b/b can overflow where a/b is finite
     "/": (np.divide, (lambda t, a, b, v: t / b, lambda t, a, b, v: _chain(t, -v / b))),
     # a^b is flat in b where it is 0 (0^b for b > 0), though log(0) is -inf
-    "^": (np.power, (lambda t, a, b, v: _chain(t, b * np.power(a, b - 1.0)),
-                     lambda t, a, b, v: _chain(t, np.where(v == 0.0, 0.0, v * np.log(a))))),
+    "^": (_power, (lambda t, a, b, v: _chain(t, b * np.power(a, b - 1.0)),
+                   lambda t, a, b, v: _chain(t, np.where(v == 0.0, 0.0, v * np.log(a))))),
 }
 BINARY_OPS, UNARY_OPS = tuple(_BINARY), tuple(_UNARY)
 _FUNCTIONS = frozenset(UNARY_OPS) - {"neg"}  # neg is written as a sign
@@ -383,7 +391,7 @@ def lower(expr: Expr) -> Plan:
                 steps.append(("dense", None))
         if reads and e.op != "neg":
             affine = False
-        steps.append(("^", _BINARY["^"]) if e.op == "^" else ("un", _UNARY[e.op]))
+        steps.append(("arith", _BINARY[e.op]) if e.kind == "bin" else ("un", _UNARY[e.op]))
         return 3 | reads
 
     if walk(expr) & 3 != 3:
@@ -433,15 +441,6 @@ def _run(steps, rows: np.ndarray, X: np.ndarray, jacobian: bool = False):
             push((v, None if tu is None else tangent(tu, u, v)))
         elif kind == "lit":
             push((arg, None))
-        else:
-            # nan^0 and 1^nan are 1: ^ is the one op that launders NaN,
-            # so it alone checks its inputs
-            (b, tb), (a, ta) = pop(), pop()
-            fn, tangents = arg
-            out = fn(a, b)
-            bad = ~np.isfinite(out) | np.isnan(a) | np.isnan(b)
-            v = np.where(bad, np.nan, out) if bad.any() else out
-            push((v, None if ta is tb is None else _binary_tangent(tangents, a, b, v, ta, tb)))
     # a leaf root (an inf literal, say) is the one result not yet sanitized
     v, t = pop()
     return _finite(v), t
@@ -686,15 +685,6 @@ class _Canonicalizer:
         return _Node(text, ids, op, operands)
 
 
-# Templates that differ only in operand order share a key, and so do the
-# runs of a grid, so a process parses a key once while it is memoised here.
-# Model output is untrusted, so no memo of text (this one, the engine's
-# lines and templates) keeps one over MEMO_TEXT characters: it is parsed
-# again at each occurrence.
-MEMO_TEXT = 256
-_parse_key = lru_cache(maxsize=1024)(parse)
-
-
 def canonicalize(expr: Expr, dimensionality: int = 1) -> Skeleton:
     """Collapse an expression to its canonical skeleton.
 
@@ -709,7 +699,7 @@ def canonicalize(expr: Expr, dimensionality: int = 1) -> Skeleton:
     c = _Canonicalizer(variable_names(dimensionality))
     (key, _), slots, *_ = c.rewrite(expr)
     return Skeleton(
-        expr=(_parse_key if len(key) <= MEMO_TEXT else parse)(key, dimensionality),
+        expr=parse(key, dimensionality),
         key=key,
         origins=tuple(c.origins[i] for i in slots),
         values=(math.nan,) * c.placeholders,

@@ -39,7 +39,9 @@ converged.
 
 Undefined predictions contribute a large constant penalty residual
 instead of poisoning the solve, which lets restarts wander through
-invalid coefficient regions and still rank restarts by SSE.
+invalid coefficient regions and still rank restarts by SSE.  The penalty
+does not scale with y and a residual is clipped to a cap that may
+outweigh it, so a restart defined at every point outranks any that is not.
 
 Coefficients that sit on a definedness cliff get special treatment: if
 a coefficient's partial is not finite at a point where the prediction is
@@ -100,7 +102,7 @@ class FitConfig:
 class FitResult:
     """Outcome of fitting one skeleton on one dataset.
 
-    coefficients/sse describe the best restart (minimum final SSE) and
+    coefficients/sse describe the best restart (see fit) and
     predictions its values at the n training points, from the fitter's
     last evaluation (all NaN when no restart ends finite).  valid means
     every prediction is finite, the gate scoring relies on.  restart_sses,
@@ -320,7 +322,8 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
     available (standard normal draws fill the gaps); the others start
     from standard normal vectors, all drawn from rng, by default
     fit_rng(fit_memo_key(skeleton)).  The restart with the smallest final
-    SSE wins.  A result is only valid if the winning coefficients are
+    SSE wins, though one defined on every training point beats any that
+    is not.  A result is only valid if the winning coefficients are
     finite and the fitted expression is defined on every training point.
     """
     if rng is None:
@@ -343,7 +346,8 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
         else _levenberg_marquardt(plan, starts, X, y, config))
     finite = [r for r, sse in enumerate(sses) if np.all(np.isfinite(c[r])) and sse < np.inf]
     if finite:
-        best = min(finite, key=sses.__getitem__)
+        defined = np.isfinite(pred).all(axis=1).tolist()
+        best = min(finite, key=lambda r: (not defined[r], sses[r]))
         coefficients, sse, predictions = c[best], sses[best], pred[best].copy()
     else:
         best, sse = -1, float("inf")

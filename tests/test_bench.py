@@ -273,6 +273,18 @@ def test_ood_bounds_clip_to_the_validity_high():
     assert ood_bounds(spec, 0.0) == ([-1.0], [1.0])
 
 
+@pytest.mark.parametrize("name, extension", [
+    ("nguyen1", 1e308), ("nguyen7", 1e308),
+    # both bounds are finite, but not the width between them
+    ("nguyen1", 6e307),
+])
+def test_ood_skips_a_box_too_wide_for_a_float(name, extension):
+    spec = get_benchmark(name)
+    assert ood_bounds(spec, extension) is None
+    point, = evaluate_ood((spec.ground_truth(), []), spec, [extension])
+    assert point.skipped and point.n_points == 0
+
+
 def test_ood_skips_an_extension_with_fewer_than_two_defined_truths():
     # sqrt(x - 1) is defined only at x = 1, the grid's right end
     spec = linear_spec(expression="sqrt(x - 1)")

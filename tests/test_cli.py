@@ -295,6 +295,20 @@ def test_run_data_csv_skips_blank_rows(tmp_path, capsys):
     assert summary["dataset"]["n"] == 3
 
 
+@pytest.mark.parametrize("header", ["", "x,y\n"])
+def test_run_data_csv_with_a_byte_order_mark_keeps_every_row(tmp_path, capsys, header):
+    # a file saved as "UTF-8 with BOM": the mark is no part of the first cell
+    data = tmp_path / "bom.csv"
+    data.write_text(header + "1,2\n2,4\n3,6\n", encoding="utf-8-sig")
+    replay = write_json(tmp_path / "replay.json", ["f1(x) = c*x"])
+    out = tmp_path / "out"
+    code = main(["run", "--data", str(data), "--replay-file", replay,
+                 "--ns", "1", "--iterations", "0", "--out", str(out)])
+    assert code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["dataset"]["n"] == 3
+
+
 def test_run_data_csv_validation(tmp_path, monkeypatch, capsys):
     def no_call(*args, **kwargs):
         raise AssertionError("a model call was made")
@@ -740,6 +754,7 @@ def test_ood_rejects_corrupt_stored_candidates(tmp_path, capsys):
         ("[" * 100_000 + "]" * 100_000, "cannot read stored summary"),
         (with_best(skeleton="c*y"), "unknown identifier 'y'"),
         (with_best(coefficients=["a", "b"]), "bad stored candidate"),
+        (with_best(skeleton="c*x", coefficients=[10**400]), "too large to convert to float"),
         (with_best(skeleton="c*x+c", coefficients=[1.0]),
          "1 coefficients for 2 placeholders"),
     ]

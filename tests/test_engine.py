@@ -372,7 +372,7 @@ LONG_LINE = "c*" + "*".join(["x"] * 130)
 
 
 def test_a_line_over_the_memo_text_bound_is_parsed_each_time_and_not_kept(monkeypatch):
-    assert len(LONG_LINE) > icsr.expr.MEMO_TEXT
+    assert len(LONG_LINE) > icsr.engine.MEMO_TEXT
     _clear_memos()
     parsed, canonicalized = _counting(monkeypatch)
     script = [f"f1(x) = c*x\nf2(x) = {LONG_LINE}\nf3(x) = {LONG_LINE}"]

@@ -219,6 +219,18 @@ def test_an_affine_fit_leaves_out_a_point_whose_partial_overflows():
     np.testing.assert_allclose(res.predictions, ds.y, rtol=1e-12)
 
 
+def test_a_restart_defined_everywhere_beats_an_undefined_one():
+    # at x = 400, |y| ~ 2.7e147: the warm start's rounding-sized residual
+    # is clipped to the cap, so its SSE reads 1e200, above the PENALTY^2
+    # of the other restarts, which are undefined there
+    x = np.array([1.0, 2.0, 400.0])
+    ds = Dataset(x.reshape(-1, 1), 1e-200 * np.exp(x) * np.exp(x))
+    res = fit(canonicalize(parse("1e-200*exp(x)*exp(x)", 1)), ds)
+    assert res.restart_sses[0] > min(res.restart_sses[1:]) == fit_module.PENALTY**2
+    assert res.valid and res.best_restart == 0 and res.sse == res.restart_sses[0]
+    np.testing.assert_allclose(res.predictions, ds.y, rtol=1e-12)
+
+
 def test_an_affine_fit_draws_the_starts_an_lm_fit_draws():
     # the same slots and hints, one form affine and one not: both draw the
     # same starts from the generator they are given
