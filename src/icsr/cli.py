@@ -27,6 +27,8 @@ from .expr import lower, parse, variable_names
 from .fit import FitConfig
 from .llm import (
     API_KEY_ENV,
+    MAX_ATTEMPTS,
+    MAX_TIMEOUT,
     BackendError,
     LiveBackend,
     ReplayBackend,
@@ -62,8 +64,9 @@ _SECTIONS = {
     "score": ScoreConfig,
     "backend": {
         "kind": _string, "endpoint": _string, "replay_file": _string,
-        "timeout": lambda o, k: real(o, k, lambda v: v > 0, "a finite number > 0"),
-        "max_attempts": lambda o, k: integer(o, k, 1),
+        "timeout": lambda o, k: real(o, k, lambda v: 0 < v <= MAX_TIMEOUT,
+                                     f"a number in (0, {MAX_TIMEOUT:g}]"),
+        "max_attempts": lambda o, k: integer(o, k, 1, MAX_ATTEMPTS),
         "backoff": lambda o, k: real(o, k, lambda v: v >= 0, "a finite number >= 0"),
         "include_sampling_extras": lambda o, k: of_type(o, k, bool, "true or false"),
     },

@@ -4,13 +4,13 @@ random-guessing baseline.
 A run is a sequential state machine around one backend.  Every backend
 call is logged as one JSON-lines document; candidates are deduplicated
 by canonical skeleton so each functional form is fitted at most once per
-run, no matter how often the model re-proposes it.  fit draws its
-restart starts from the skeleton (fit.fit_rng), never from the run's
-seed, so runs on the same data can share fits (run's fit_memo).  The
-front end is memoised per process, within bounds: each line and each literal-free
-template (a line with 'c' for its numbers) is parsed and canonicalized
-once, a line's numbers are bound only to fit its skeleton, and each
-prompt's frame is filled once.
+run, no matter how often the model re-proposes it.  An LM fit draws its
+restart starts from the skeleton (fit.fit_rng) and an affine fit draws
+none, so no fit reads the run's seed and runs on the same data can share
+fits (run's fit_memo).  The front end is memoised per process, within
+bounds: each line and each literal-free template (a line with 'c' for
+its numbers) is parsed and canonicalized once, a line's numbers are
+bound only to fit its skeleton, and each prompt's frame is filled once.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 """Multi-start nonlinear least squares for skeleton coefficients.
 
 A skeleton that is affine in all its coefficients at once (Plan.affine:
-c*sin(x) + c, say, or x*x with none) is fitted without LM.  One pass at
-c = 0 gives its value there and its partials, which do not depend on c;
-each restart then takes one undamped Gauss-Newton step from its start,
-exact for such a model, all of them in one multi-right-hand-side lstsq.
-That solve leaves out a point where the value at 0 or a partial is not
-finite, undefined or overflowed (1e-300*exp(x)*exp(x) at x = 357), and
-the fit is undefined where no restart's solution is defined either.
+c*sin(x) + c, say, or x*x with none) is fitted without LM or random
+starts.  One pass at c = 0 gives its value there and its partials, which
+do not depend on c; each restart then takes one undamped Gauss-Newton
+step, exact for such a model, all of them in one multi-right-hand-side
+lstsq.  Restart 0 steps from the hints (0 in a gap), the others from 0,
+so theirs is the direct solve.  That solve leaves out a point where the
+value at 0 or a partial is not finite, undefined or overflowed
+(1e-300*exp(x)*exp(x) at x = 357), and the fit is undefined where no
+restart's solution is defined either.
 
 Any other skeleton goes through a plain Levenberg-Marquardt loop over
 exact Jacobians: one evaluate_batch pass over the tree's plan, lowered
@@ -319,31 +321,28 @@ def fit(skeleton: Skeleton, dataset: Dataset, config: FitConfig = FitConfig(),
     """Fit skeleton coefficients to the dataset's training points.
 
     Restart 0 starts from the skeleton's literal-derived hints where
-    available (standard normal draws fill the gaps); the others start
-    from standard normal vectors, all drawn from rng, by default
+    available.  Its gaps and the other restarts start from 0 for an affine
+    skeleton, and for LM from standard normal draws from rng, by default
     fit_rng(fit_memo_key(skeleton)).  The restart with the smallest final
     SSE wins, though one defined on every training point beats any that
     is not.  A result is only valid if the winning coefficients are
     finite and the fitted expression is defined on every training point.
     """
-    if rng is None:
-        rng = fit_rng(fit_memo_key(skeleton))
     m = skeleton.num_slots
     X, y = dataset.X, dataset.y
-
-    starts = np.empty((config.restarts, m))
-    for restart in range(config.restarts):
-        if restart == 0:
-            starts[restart] = [
-                hint if hint is not None else float(rng.standard_normal())
-                for hint in skeleton.hints
-            ]
-        else:
-            starts[restart] = rng.standard_normal(m)
     plan = lower(skeleton.expr)
-    c, pred, sses, iterations, stops, frozen = (
-        _least_squares(plan, starts, X, y) if plan.affine
-        else _levenberg_marquardt(plan, starts, X, y, config))
+    starts = np.zeros((config.restarts, m))
+    if plan.affine:
+        starts[0] = [0.0 if hint is None else hint for hint in skeleton.hints]
+        c, pred, sses, iterations, stops, frozen = _least_squares(plan, starts, X, y)
+    else:
+        if rng is None:
+            rng = fit_rng(fit_memo_key(skeleton))
+        starts[0] = [float(rng.standard_normal()) if hint is None else hint
+                     for hint in skeleton.hints]
+        starts[1:] = rng.standard_normal((config.restarts - 1, m))
+        c, pred, sses, iterations, stops, frozen = _levenberg_marquardt(
+            plan, starts, X, y, config)
     finite = [r for r, sse in enumerate(sses) if np.all(np.isfinite(c[r])) and sse < np.inf]
     if finite:
         defined = np.isfinite(pred).all(axis=1).tolist()

@@ -13,6 +13,11 @@ from typing import Callable, Optional
 from .validate import integer, real
 
 API_KEY_ENV = "ICSR_API_KEY"
+# Upper bounds on a config's backend timeout (seconds) and attempts, far
+# past any real need: a socket timeout or a sleep near 1e10 s overflows,
+# and each retry may sleep up to timeout.
+MAX_TIMEOUT = 86_400.0
+MAX_ATTEMPTS = 100
 
 
 class BackendError(RuntimeError):
@@ -112,10 +117,10 @@ class LiveBackend:
 
     Transport errors, 429s, and 5xx responses are retried with doubling
     backoff (max_attempts total tries); a 429 or 503 whose Retry-After
-    header is a number of seconds waits that long instead, capped at
-    timeout.  Anything else, or running out of attempts, raises
-    BackendError.  top_k and num_beams are only put on the wire when
-    include_sampling_extras is set, because strict servers reject
+    header is a number of seconds waits that long instead.  Either wait
+    is capped at timeout.  Anything else, or running out of attempts,
+    raises BackendError.  top_k and num_beams are only put on the wire
+    when include_sampling_extras is set, because strict servers reject
     unknown fields.
     """
 
@@ -174,7 +179,7 @@ class LiveBackend:
         last_error = "no attempt made"
         for attempt in range(self.max_attempts):
             if attempt > 0:
-                self.sleep(delay if wait is None else wait)
+                self.sleep(min(delay, self.timeout) if wait is None else wait)
                 delay *= 2
             wait = None  # the server's Retry-After, if this attempt gets one
             start = time.monotonic()

@@ -21,7 +21,7 @@ from icsr.cli import (
 )
 from icsr.engine import EngineConfig
 from icsr.expr import parse
-from icsr.llm import API_KEY_ENV, BackendError, CompletionResponse
+from icsr.llm import API_KEY_ENV, MAX_ATTEMPTS, MAX_TIMEOUT, BackendError, CompletionResponse
 
 
 def write_json(path, doc):
@@ -428,7 +428,10 @@ def test_run_badly_typed_engine_config_exits_2_before_any_call(
 
 @pytest.mark.parametrize("option,value", [
     ("timeout", "abc"), ("timeout", 0), ("timeout", float("inf")), ("timeout", True),
+    # far past what a socket timeout or a sleep can take, and just past the bound
+    ("timeout", 1e300), ("timeout", MAX_TIMEOUT * (1 + 2**-52)),
     ("max_attempts", "3"), ("max_attempts", 0), ("max_attempts", 2.0),
+    ("max_attempts", MAX_ATTEMPTS + 1),
     ("backoff", -1), ("backoff", None),
     ("include_sampling_extras", "yes"), ("include_sampling_extras", 1),
 ])
@@ -460,13 +463,15 @@ def test_run_good_live_backend_options_reach_the_backend(tmp_path, monkeypatch):
 
     monkeypatch.setenv(API_KEY_ENV, "test-key")
     monkeypatch.setattr("icsr.llm.LiveBackend.complete", complete)
-    cfg = write_json(tmp_path / "c.json", {"backend": {
-        "timeout": 2, "max_attempts": 1, "backoff": 0.0, "include_sampling_extras": True}})
-    code = main(["run", "--benchmark", "nguyen8", "--config", cfg, "--backend", "live",
-                 "--endpoint", "http://127.0.0.1:9/v1", "--ns", "1", "--iterations", "0",
-                 "--out", str(tmp_path / "out")])
-    assert code == EXIT_NO_SEEDS  # every call failed
-    assert seen and seen[0] == (2, 1, 0.0, True)
+    # the bounds themselves too, with a backoff whose sleeps are capped at timeout
+    for options in [(2, 1, 0.0, True), (MAX_TIMEOUT, MAX_ATTEMPTS, 1e300, False)]:
+        cfg = write_json(tmp_path / "c.json", {"backend": dict(zip(
+            ("timeout", "max_attempts", "backoff", "include_sampling_extras"), options))})
+        code = main(["run", "--benchmark", "nguyen8", "--config", cfg, "--backend", "live",
+                     "--endpoint", "http://127.0.0.1:9/v1", "--ns", "1", "--iterations", "0",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_NO_SEEDS  # every call failed
+        assert seen and seen[-1] == options
 
 
 def _summary(out):

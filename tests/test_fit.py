@@ -220,20 +220,22 @@ def test_an_affine_fit_leaves_out_a_point_whose_partial_overflows():
 
 
 def test_a_restart_defined_everywhere_beats_an_undefined_one():
-    # at x = 400, |y| ~ 2.7e147: the warm start's rounding-sized residual
-    # is clipped to the cap, so its SSE reads 1e200, above the PENALTY^2
-    # of the other restarts, which are undefined there
-    x = np.array([1.0, 2.0, 400.0])
-    ds = Dataset(x.reshape(-1, 1), 1e-200 * np.exp(x) * np.exp(x))
-    res = fit(canonicalize(parse("1e-200*exp(x)*exp(x)", 1)), ds)
-    assert res.restart_sses[0] > min(res.restart_sses[1:]) == fit_module.PENALTY**2
+    # no defined prediction comes near y = 1e150 at x = 0.1: the warm start
+    # c = 1 is defined everywhere, but its residual there is clipped to the
+    # cap, so its SSE reads 1e200, above the PENALTY^2 of the restarts that
+    # end at c < -0.1, which are undefined there
+    x = np.array([0.1, 5.0, 6.0])
+    ds = Dataset(x.reshape(-1, 1), np.array([1e150, np.log(6.0), np.log(7.0)]))
+    res = fit(canonicalize(parse("log(1.0 + x)", 1)), ds)
+    assert "lstsq" not in res.stops
+    assert res.restart_sses[0] > min(res.restart_sses[1:]) >= fit_module.PENALTY**2
     assert res.valid and res.best_restart == 0 and res.sse == res.restart_sses[0]
-    np.testing.assert_allclose(res.predictions, ds.y, rtol=1e-12)
+    np.testing.assert_allclose(res.predictions[1:], ds.y[1:], rtol=1e-12)
 
 
-def test_an_affine_fit_draws_the_starts_an_lm_fit_draws():
-    # the same slots and hints, one form affine and one not: both draw the
-    # same starts from the generator they are given
+def test_an_affine_fit_draws_nothing_and_restarts_after_0_solve_directly(monkeypatch):
+    # the same slots and hints, one form affine and one not: only the LM fit
+    # draws from the generator it is given
     x = np.linspace(0.5, 2.0, 12)
     ds = Dataset(x.reshape(-1, 1), 1.5 + 2.0 * x)
     affine, curved = canonicalize(parse("1.5 + c*x", 1)), canonicalize(parse("1.5 + x^c", 1))
@@ -244,7 +246,26 @@ def test_an_affine_fit_draws_the_starts_an_lm_fit_draws():
         stops.append(fit(sk, ds, rng=rng).stops)
         states.append(rng.bit_generator.state)
     assert stops[0] == ("lstsq",) * 5 and "lstsq" not in stops[1]
-    assert states[0] == states[1] != np.random.default_rng(3).bit_generator.state
+    assert states[0] == np.random.default_rng(3).bit_generator.state != states[1]
+    # the data fix only the sum of c*x + c*x's coefficients, and every
+    # restart after 0 starts from 0, so all of them end on the same bits
+    original, solved = fit_module._least_squares, []
+
+    def least_squares(*args):
+        solved.append(original(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(fit_module, "_least_squares", least_squares)
+    res = fit(canonicalize(parse("c*x + c*x", 1)), Dataset(x.reshape(-1, 1), 3.0 * x))
+    assert res.valid and len({row.tobytes() for row in solved[0][0][1:]}) == 1
+    # a coefficient far below any start's rounding survives the direct solve
+    x = np.array([1.0, 2.0, 400.0])
+    ds = Dataset(x.reshape(-1, 1), 1e-200 * np.exp(x) * np.exp(x))
+    sk = canonicalize(parse("c*exp(x)*exp(x)", 1))
+    assert sk.hints == (None,)
+    res = fit(sk, ds)
+    assert res.valid
+    np.testing.assert_allclose(res.coefficients, [1e-200], rtol=1e-12)
 
 
 def test_fit_config_validation():

@@ -259,6 +259,22 @@ def test_live_retry_after_is_capped_at_timeout():
     assert delays == [7.5]
 
 
+@pytest.mark.parametrize("backoff,max_attempts,expected", [
+    (1e300, 3, [2.0] * 2),  # uncapped, more than a sleep can take
+    (1.0, 40, [1.0] + [2.0] * 38),  # uncapped, 2^38 s before the last attempt
+])
+def test_live_doubling_backoff_is_capped_at_timeout(backoff, max_attempts, expected):
+    session = FakeSession([requests.ConnectionError("down")] * max_attempts)
+    delays = []
+    backend = LiveBackend(
+        "http://host", api_key="k", session=session, timeout=2.0,
+        max_attempts=max_attempts, backoff=backoff, sleep=delays.append,
+    )
+    with pytest.raises(BackendError, match=f"after {max_attempts} attempts"):
+        backend.complete(_request())
+    assert delays == expected
+
+
 @pytest.mark.parametrize("value", [
     "Wed, 21 Oct 2015 07:28:00 GMT", "soon", "", "-1", "nan", "inf", "1e999",
 ])
