@@ -400,8 +400,9 @@ def lower(expr: Expr) -> Plan:
 
 
 def _finite(values):
-    finite = np.isfinite(values)
-    return values if finite.all() else np.where(finite, values, np.nan)
+    if math.isfinite(np.add.reduce(values, axis=None)):  # the sum is finite only if every value is
+        return values
+    return np.where(np.isfinite(values), values, np.nan)
 
 
 def _binary_tangent(tangents, a, b, v, ta, tb):
@@ -412,13 +413,12 @@ def _binary_tangent(tangents, a, b, v, ta, tb):
     return da(ta, a, b, v) + db(tb, a, b, v)
 
 
-def _run(steps, rows: np.ndarray, X: np.ndarray, jacobian: bool = False):
+def _run(steps, rows: np.ndarray, X: np.ndarray, units=None):
     """The plan's value at every row and point, and its tangent (None
-    unless jacobian).  The values are the same ops either way.  A tangent
-    is None (the value reads no coefficient) or its partials in all m
-    coefficients, broadcastable to (m, k, n); coefficient j's is units[j]."""
+    unless units, np.eye(m)[:, :, None, None]).  The values are the same
+    ops either way.  A tangent is None (the value reads no coefficient) or
+    its partials in all m coefficients, broadcastable to (m, k, n)."""
     k, n = rows.shape[0], X.shape[0]
-    units = np.eye(rows.shape[1])[:, :, None, None] if jacobian else None
     stack = []
     push, pop = stack.append, stack.pop
     for kind, arg in steps:
@@ -477,7 +477,8 @@ def evaluate_batch(expr, coefficients, X, jacobian: bool = False):
         raise ValueError(f"expression uses variable {plan.dimensionality - 1} "
                          f"but points are {X.shape[1]}-dimensional")
     with np.errstate(all="ignore"):
-        values, tangent = _run(plan.steps, rows, X, jacobian)
+        units = np.eye(rows.shape[1])[:, :, None, None] if jacobian else None
+        values, tangent = _run(plan.steps, rows, X, units)
     if not jacobian:
         return values if coefficients.ndim == 2 else values[0]
     partials = np.zeros((rows.shape[0], rows.shape[1], X.shape[0]))
@@ -600,9 +601,11 @@ class Skeleton:
     def hints(self) -> tuple:
         """One warm-start value (or None) per slot: its origin evaluated at
         values, so a slot that reads a 'c' has none, as NaN never launders
-        away.  Computed on first read, so only fitted skeletons pay."""
+        away.  A bare placeholder's or literal's value is read directly.
+        Computed on first read, so only fitted skeletons pay."""
         empty = np.zeros((1, 1))
-        hints = [float(evaluate_batch(o, self.values, empty)[0]) for o in self.origins]
+        hints = [float(self.values[o.index] if o.kind == "coef" else o.value if o.kind == "lit"
+                       else evaluate_batch(o, self.values, empty)[0]) for o in self.origins]
         return tuple(h if math.isfinite(h) else None for h in hints)
 
 

@@ -12,19 +12,19 @@ value at 0 or a partial is not finite, undefined or overflowed
 restart's solution is defined either.
 
 Any other skeleton goes through a plain Levenberg-Marquardt loop over
-exact Jacobians: one evaluate_batch pass over the tree's plan, lowered
-once per fit, carries each value together with its partials in every
-coefficient (forward-mode differentiation), so a trial point costs one
-row of evaluation.  All restarts run in lockstep: each step solves every
-live restart's damped normal equations in one stacked solve, then
-evaluates all their trial points, with their Jacobians, as the rows of
-one pass.  J^T J, J^T r and r.r come from one stacked matmul, and the
-per-restart tests run on Python floats.  A restart that stops (converged,
-out of iterations, or with its damping overflowed) drops out of later
-batches.  Every row of a stacked numpy call gets the bits it would get
-alone, so a restart's result does not depend on which restarts run
-beside it.  At 20-200 points a step costs numpy calls, not arithmetic,
-so each does as few as it can.
+exact Jacobians: one pass over the tree's plan, lowered once per fit,
+carries each value together with its partials in every coefficient
+(forward-mode differentiation), so a trial point costs one row of
+evaluation.  All restarts run in lockstep: each step solves every live
+restart's damped normal equations in one stacked solve, then evaluates
+all their trial points, with their Jacobians, as the rows of one pass
+written straight into [-J; r].  J^T J, J^T r and r.r come from one
+stacked matmul, and the per-restart tests run on Python floats.  A
+restart that stops drops out of later batches.  Every row of a stacked
+numpy call gets the bits it would get alone, so a restart's state at an
+iteration does not depend on which restarts run beside it.  At 20-200
+points a step costs numpy calls, not arithmetic, so each does as few as
+it can.
 
 A restart stops when its gradient is flat (gtol), its step is tiny
 (xtol) or an accepted step barely lowers the SSE (ftol), by the module
@@ -38,6 +38,15 @@ still gains a sliver and the one-step ftol test never fires.  It only
 ends a restart early, so a stalled restart holds exactly the state the
 same number of iterations gives without it, and it does not count as
 converged.
+
+Two rules stop a restart that can no longer win (beaten), as racing
+(Maron & Moore 1997) and successive halving (Jamieson & Talwalkar 2016)
+do: once restart i stops at SSE exactly 0, every later one stops (a tie
+goes to the lower index); and one _RACE_ITERATIONS iterations in stops if
+its SSE is over _RACE_FACTOR times the lowest of a stopped restart that
+could win (finite, defined everywhere) and, at the pace of its last
+accepted steps for every iteration left, would still end above it.  Like
+stall, both only end a restart early.
 
 Undefined predictions contribute a large constant penalty residual
 instead of poisoning the solve, which lets restarts wander through
@@ -67,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .expr import Plan, Skeleton, evaluate_batch, lower
+from .expr import Plan, Skeleton, _run, evaluate_batch, lower
 from .validate import integer
 
 PENALTY = 1.0e6
@@ -79,6 +88,10 @@ _FTOL = 1e-12
 # most _STALL_RTOL of the SSE before them has stalled (see the docstring).
 _STALL_WINDOW = 10
 _STALL_RTOL = 1e-4
+# The race (see the docstring).  Its pace test spares a restart still falling
+# fast: without it keijzer8 at 1 % noise lost one 18x better than the winner.
+_RACE_ITERATIONS = 10
+_RACE_FACTOR = 2.0
 # Residuals are clipped to a huge finite band so overflow in y - yhat can
 # never feed inf into the normal equations; anything near the band is
 # garbage by many orders of magnitude anyway.
@@ -109,7 +122,8 @@ class FitResult:
     last evaluation (all NaN when no restart ends finite).  valid means
     every prediction is finite, the gate scoring relies on.  restart_sses,
     iterations and stops hold each restart's final SSE, iteration count
-    and stop reason: gtol, xtol, ftol, stall, cap or mu_overflow from LM;
+    and stop reason: gtol, xtol, ftol, stall, cap, mu_overflow or beaten
+    (it could no longer win) from LM;
     for an affine skeleton, a coefficient-free one too, lstsq (1
     iteration) or undefined (0, SSE inf; see _least_squares).  frozen
     counts the Jacobian columns pinned on a definedness cliff, summed over
@@ -135,33 +149,29 @@ def _penalize(res):
     np.maximum(res, -_RESIDUAL_CAP, out=res)
 
 
-def _probe(plan: Plan, points: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Residuals, predictions, masked Jacobian of the prediction and the
-    number of frozen columns at each row of points, from one
-    evaluate_batch pass that carries the exact partials.  Shapes: (k, n),
-    (k, n) and (k, m, n), and a list of k ints."""
-    pred, jac = evaluate_batch(plan, points, X, jacobian=True)
-    res = y - pred
-    # false where the prediction is undefined (NaN), y - pred overflowed or
-    # the residual is clipped: there it does not move with the coefficients
-    moves = np.abs(res) < _RESIDUAL_CAP
-    finite = np.isfinite(jac)
-    if moves.all() and finite.all():
-        return res, pred, jac, [0] * len(points)
-    _penalize(res)
-    # on a cliff: a partial that is not finite where the prediction is defined
-    defined = np.isfinite(pred)
-    frozen = (~finite & defined[:, None]).any(axis=2)
-    jac = np.where(moves[:, None] & ~frozen[:, :, None], jac, 0.0)
-    return res, pred, jac, frozen.sum(axis=1).tolist()
-
-
-def _normal_equations(res, jac):
-    """Every row's [[J^T J, -J^T r], [., r.r]], with J the Jacobian of res,
-    from one stacked matmul of [-J; r] with its transpose; and its SSE."""
-    both = np.concatenate((jac, res[:, None]), axis=1)
-    products = both @ both.transpose(0, 2, 1)
-    return products, products[:, -1, -1].tolist()
+def _probe(plan: Plan, points: np.ndarray, units: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """Predictions, the number of frozen columns and the normal equations
+    [[J^T J, -J^T r], [., r.r]] (J the masked Jacobian of res) at each row
+    of points: one pass of the plan, under the fit's errstate, writes the
+    partials and residuals into one [-J; r] for one stacked matmul.
+    Shapes: (k, n), a list of k ints and (k, m + 1, m + 1)."""
+    k, m = points.shape
+    pred, tangent = _run(plan.steps, points, X, units)
+    both = np.empty((k, m + 1, len(y)))
+    jac, res = both[:, :m], both[:, m]
+    jac[...] = 0.0 if tangent is None else tangent.swapaxes(0, 1)
+    np.subtract(y, pred, out=res)
+    frozen = [0] * k
+    # a partial not finite, or a residual undefined (NaN), overflowed or
+    # clipped, where it does not move with the coefficients
+    if not -_RESIDUAL_CAP < both.min() <= both.max() < _RESIDUAL_CAP:
+        moves = np.abs(res) < _RESIDUAL_CAP
+        _penalize(res)
+        # on a cliff: a partial that is not finite where the prediction is defined
+        cliff = (~np.isfinite(jac) & np.isfinite(pred)[:, None]).any(axis=2)
+        np.copyto(jac, 0.0, where=~(moves[:, None] & ~cliff[:, :, None]))
+        frozen = cliff.sum(axis=1).tolist()
+    return pred, frozen, both @ both.transpose(0, 2, 1)
 
 
 def _solve(A, b):
@@ -184,6 +194,7 @@ def _flat(gradient):
     return all(abs(v) <= _GTOL for v in gradient)
 
 
+@np.errstate(all="ignore")  # as in fit: a test may call this directly
 def _levenberg_marquardt(plan, starts, X, y, config):
     """Minimize 0.5 * ||res||^2 from every row of starts, in lockstep.
 
@@ -195,22 +206,37 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     over the Jacobians the restarts adopted."""
     k, m = starts.shape
     eye = np.eye(m)
+    units = eye[:, :, None, None]
     c = starts.astype(float)
-    res, pred, jac, frozen = _probe(plan, c, X, y)
-    normal, sse = _normal_equations(res, jac)
+    pred, frozen, normal = _probe(plan, c, units, X, y)
+    column = normal[:, :, m].tolist()  # per row: -J^T r, then r.r
+    sse = [v[m] for v in column]
     frozen = sum(frozen)
-    stops = ["gtol" if _flat(r) else None for r in normal[:, :m, m].tolist()]
+    stops = ["gtol" if _flat(v[:m]) else None for v in column]
     mu = [1e-3 * max(max(A.diagonal().tolist()), 1e-12) for A in normal[:, :m, :m]]
     nu = [2.0] * k
     iterations = [0] * k
     # each restart's SSE before and after its last _STALL_WINDOW accepted steps
     recent = [deque([s], maxlen=_STALL_WINDOW + 1) for s in sse]
+    # the lowest (SSE, restart) among stopped restarts that could win
+    bar = (math.inf, k)
     final_c, final_pred = np.empty_like(c), np.empty_like(pred)
     rows = list(range(k))  # the restart on each row of c, pred and normal
     while True:
         for t, i in enumerate(rows):
             if stops[i] is None and iterations[i] >= config.max_iterations:
                 stops[i] = "cap"
+            if (stops[i] is not None and (sse[i], i) < bar
+                    and np.isfinite(c[t]).all() and np.isfinite(pred[t]).all()):
+                bar = (sse[i], i)
+        best = bar[0]
+        for i in rows:  # beaten: see the docstring
+            if stops[i] is None and (best == 0.0 and i > bar[1] or (
+                    iterations[i] >= _RACE_ITERATIONS and sse[i] > _RACE_FACTOR * best
+                    and sse[i] * (sse[i] / recent[i][0])  # at its pace, for the steps left
+                    ** ((config.max_iterations - iterations[i]) / max(len(recent[i]) - 1, 1))
+                    > best)):
+                stops[i] = "beaten"
         keep = [t for t, i in enumerate(rows) if stops[i] is None]
         if len(keep) < len(rows):
             for t, i in enumerate(rows):
@@ -223,9 +249,9 @@ def _levenberg_marquardt(plan, starts, X, y, config):
         damping = [mu[i] for i in rows]
         rhs = normal[:, :m, m]
         deltas = _solve(normal[:, :m, :m] + np.multiply.outer(damping, eye), rhs)
-        # per row: |delta|^2, |c|^2 and delta . rhs
-        lengths, sizes, gains = (np.array((deltas, c, deltas))
-                                 * np.array((deltas, c, rhs))).sum(axis=2).tolist()
+        # per row: |delta|^2, |c|^2 and delta . rhs, as rows of one sum
+        both = np.concatenate((deltas, c, deltas)) * np.concatenate((deltas, c, rhs))
+        lengths, sizes, gains = np.add.reduce(both, axis=1).reshape(3, -1).tolist()
         stepping = []
         for t, i in enumerate(rows):
             iterations[i] += 1
@@ -243,14 +269,14 @@ def _levenberg_marquardt(plan, starts, X, y, config):
             still[stepping] = True
             deltas = np.where(still, deltas, 0.0)
         trials = c + deltas
-        trial_res, trial_pred, trial_jac, trial_frozen = _probe(plan, trials, X, y)
-        trial_normal, trial_sse = _normal_equations(trial_res, trial_jac)
-        gradients = trial_normal[:, :m, m].tolist()
+        trial_pred, trial_frozen, trial_normal = _probe(plan, trials, units, X, y)
+        column = trial_normal[:, :, m].tolist()
         taken = [False] * len(rows)
         for t in stepping:
             i = rows[t]
+            trial_sse = column[t][m]
             predicted = damping[t] * lengths[t] + gains[t]
-            actual = sse[i] - trial_sse[t]
+            actual = sse[i] - trial_sse
             if not (predicted > 0 and actual > 0):
                 mu[i] *= nu[i]
                 nu[i] *= 2.0
@@ -262,13 +288,13 @@ def _levenberg_marquardt(plan, starts, X, y, config):
             frozen += trial_frozen[t]
             if abs(actual) <= _FTOL * max(sse[i], 1e-300):
                 stops[i] = "ftol"
-            elif _flat(gradients[t]):
+            elif _flat(column[t][:m]):
                 stops[i] = "gtol"
-            sse[i] = trial_sse[t]
+            sse[i] = trial_sse
             window = recent[i]
-            window.append(sse[i])
+            window.append(trial_sse)
             if (stops[i] is None and len(window) > _STALL_WINDOW
-                    and window[0] - sse[i] <= _STALL_RTOL * window[0]):
+                    and window[0] - trial_sse <= _STALL_RTOL * window[0]):
                 stops[i] = "stall"
             if stops[i] is None:
                 mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)

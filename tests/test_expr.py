@@ -368,9 +368,9 @@ def test_canonicalize_computes_hints_on_first_read(monkeypatch):
     assert sk.key == "c + c*sin(x) + c*x"
     assert calls == []
     assert sk.hints == (1.25, None, 2.5)
-    assert len(calls) == 3  # one per slot
+    assert len(calls) == 1  # (c + 3)'s: a bare placeholder's value is read directly
     assert sk.hints == (1.25, None, 2.5)
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_canonicalize_folds_constant_arithmetic_into_hint():
@@ -502,6 +502,21 @@ def test_property_evaluate_total(tree, seed):
     out = evaluate_batch(tree, coeffs, X)
     assert out.shape == (8,)
     assert np.all(np.isfinite(out) | np.isnan(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(), st.data())
+def test_property_a_hint_is_its_origin_evaluated(tree, data):
+    # bare placeholders take the fast path, compound origins evaluate_batch;
+    # every float may be a value, NaN and the infinities included
+    sk = canonicalize(parse(render(tree), 1))
+    values = tuple(data.draw(st.lists(st.floats(), min_size=len(sk.values),
+                                      max_size=len(sk.values))))
+    hints = replace(sk, values=values).hints
+    for origin, hint in zip(sk.origins, hints):
+        value = float(evaluate_batch(origin, values, np.zeros((1, 1)))[0])
+        assert (None if not math.isfinite(value) else value.hex()) == (
+            None if hint is None else hint.hex()), origin.kind
 
 
 @settings(max_examples=200, deadline=None)
