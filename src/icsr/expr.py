@@ -81,6 +81,9 @@ _BINARY = {
                    lambda t, a, b, v: _chain(t, np.where(v == 0.0, 0.0, v * np.log(a))))),
 }
 BINARY_OPS, UNARY_OPS = tuple(_BINARY), tuple(_UNARY)
+# The ops that can map a non-finite input to a finite value (exp(-inf) is
+# 0); any other keeps it non-finite, so only these need NaN inputs.
+_LAUNDERS = frozenset(("exp", "tanh", "erf", "/", "^"))
 _FUNCTIONS = frozenset(UNARY_OPS) - {"neg"}  # neg is written as a sign
 
 
@@ -355,6 +358,9 @@ def lower(expr: Expr) -> Plan:
     of unary functions and ^, and the result, out to a fresh C-contiguous
     (k, n) array: numpy's SIMD transcendental loops run only on
     contiguous data and can differ from the strided loop in the last bit.
+    A "finite" step makes a value NaN wherever it is not finite.  The root
+    takes one, and so does an op's value that is an input of an op in
+    _LAUNDERS; any other op keeps a non-finite input non-finite.
 
     The plan is affine when it is affine in all its coefficients at once
     (c*(c + x) is not): + - and neg keep that, * only when a factor reads
@@ -365,11 +371,15 @@ def lower(expr: Expr) -> Plan:
     used = {"coef": 0, "var": 0}
     affine = True
 
-    def walk(e: Expr) -> int:
+    def walk(e: Expr, launders: bool = False) -> int:
         """Appends e's steps; returns 1 if its value varies over the
         coefficient rows, plus 2 if over the points (3: dense), plus 4 if
-        it reads a coefficient."""
+        it reads a coefficient.  launders: e is an input of an op in _LAUNDERS."""
         nonlocal affine
+        if launders and e.args:
+            shape = walk(e)
+            steps.append(("finite", None))
+            return shape
         if e.kind == "lit":
             steps.append(("lit", e.value))
             return 0
@@ -378,14 +388,14 @@ def lower(expr: Expr) -> Plan:
             steps.append((e.kind, e.index))
             return 5 if e.kind == "coef" else 2
         if e.kind == "bin" and e.op != "^":
-            a, b = walk(e.args[0]), walk(e.args[1])
+            a, b = (walk(arg, e.op in _LAUNDERS) for arg in e.args)
             if (a & b if e.op == "*" else b if e.op == "/" else 0) & 4:
                 affine = False
             steps.append(("arith", _BINARY[e.op]))
             return a | b
         reads = 0
         for a in e.args:
-            shape = walk(a)
+            shape = walk(a, e.op in _LAUNDERS)
             reads |= shape & 4
             if shape & 3 != 3:
                 steps.append(("dense", None))
@@ -396,21 +406,8 @@ def lower(expr: Expr) -> Plan:
 
     if walk(expr) & 3 != 3:
         steps.append(("dense", None))
+    steps.append(("finite", None))
     return Plan(tuple(steps), used["coef"], used["var"], affine)
-
-
-def _finite(values):
-    if math.isfinite(np.add.reduce(values, axis=None)):  # the sum is finite only if every value is
-        return values
-    return np.where(np.isfinite(values), values, np.nan)
-
-
-def _binary_tangent(tangents, a, b, v, ta, tb):
-    """The sum of one term per operand whose tangent is not None."""
-    da, db = tangents
-    if ta is None or tb is None:
-        return db(tb, a, b, v) if ta is None else da(ta, a, b, v)
-    return da(ta, a, b, v) + db(tb, a, b, v)
 
 
 def _run(steps, rows: np.ndarray, X: np.ndarray, units=None):
@@ -424,9 +421,12 @@ def _run(steps, rows: np.ndarray, X: np.ndarray, units=None):
     for kind, arg in steps:
         if kind == "arith":
             (b, tb), (a, ta) = pop(), pop()
-            fn, tangents = arg
-            v = _finite(fn(a, b))
-            push((v, None if ta is tb is None else _binary_tangent(tangents, a, b, v, ta, tb)))
+            fn, (da, db) = arg
+            v = fn(a, b)
+            t = None if ta is None else da(ta, a, b, v)  # one term per operand with a tangent
+            if tb is not None:
+                t = db(tb, a, b, v) if t is None else t + db(tb, a, b, v)
+            push((v, t))
         elif kind == "coef":
             push((rows[:, arg:arg + 1], None if units is None else units[arg]))
         elif kind == "var":
@@ -437,13 +437,14 @@ def _run(steps, rows: np.ndarray, X: np.ndarray, units=None):
         elif kind == "un":
             u, tu = pop()
             fn, tangent = arg
-            v = _finite(fn(u))
+            v = fn(u)
             push((v, None if tu is None else tangent(tu, u, v)))
         elif kind == "lit":
             push((arg, None))
-    # a leaf root (an inf literal, say) is the one result not yet sanitized
-    v, t = pop()
-    return _finite(v), t
+        elif kind == "finite" and not math.isfinite(np.add.reduce(stack[-1][0], axis=None)):
+            v, t = pop()  # NaN wherever not finite; a sum is finite only if every value is
+            push((np.where(np.isfinite(v), v, np.nan), t))
+    return pop()
 
 
 def evaluate_batch(expr, coefficients, X, jacobian: bool = False):

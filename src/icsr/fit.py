@@ -42,11 +42,11 @@ converged.
 Two rules stop a restart that can no longer win (beaten), as racing
 (Maron & Moore 1997) and successive halving (Jamieson & Talwalkar 2016)
 do: once restart i stops at SSE exactly 0, every later one stops (a tie
-goes to the lower index); and one _RACE_ITERATIONS iterations in stops if
-its SSE is over _RACE_FACTOR times the lowest of a stopped restart that
-could win (finite, defined everywhere) and, at the pace of its last
-accepted steps for every iteration left, would still end above it.  Like
-stall, both only end a restart early.
+goes to the lower index); and a restart that has taken _RACE_ITERATIONS
+iterations stops if its SSE is over _RACE_FACTOR times the lowest of a
+stopped restart that could win (finite, defined everywhere) and, at the
+pace of its last accepted steps for every iteration left, would still
+end above it.  Like stall, both only end a restart early.
 
 Undefined predictions contribute a large constant penalty residual
 instead of poisoning the solve, which lets restarts wander through
@@ -162,9 +162,10 @@ def _probe(plan: Plan, points: np.ndarray, units: np.ndarray, X: np.ndarray, y: 
     jac[...] = 0.0 if tangent is None else tangent.swapaxes(0, 1)
     np.subtract(y, pred, out=res)
     frozen = [0] * k
-    # a partial not finite, or a residual undefined (NaN), overflowed or
-    # clipped, where it does not move with the coefficients
-    if not -_RESIDUAL_CAP < both.min() <= both.max() < _RESIDUAL_CAP:
+    # unless a sum of squares puts every entry under the cap: a partial not
+    # finite, or a residual undefined (NaN), overflowed or clipped, where it
+    # does not move with the coefficients
+    if not np.vdot(both, both) < _RESIDUAL_CAP ** 2:
         moves = np.abs(res) < _RESIDUAL_CAP
         _penalize(res)
         # on a cliff: a partial that is not finite where the prediction is defined
@@ -265,9 +266,7 @@ def _levenberg_marquardt(plan, starts, X, y, config):
         if not stepping:
             continue
         if len(stepping) < len(rows):
-            still = np.zeros((len(rows), 1), dtype=bool)
-            still[stepping] = True
-            deltas = np.where(still, deltas, 0.0)
+            deltas = np.where([[t in stepping] for t in range(len(rows))], deltas, 0.0)
         trials = c + deltas
         trial_pred, trial_frozen, trial_normal = _probe(plan, trials, units, X, y)
         column = trial_normal[:, :, m].tolist()

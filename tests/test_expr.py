@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -718,6 +719,27 @@ def test_property_plan_matches_reference_walker_bit_for_bit(tree, n, k, seed):
     _assert_plan_matches_reference(tree, C, X)
     _assert_plan_matches_reference(tree, C[0], X)
     _assert_plan_matches_reference(tree, C, X[:1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_special_exprs(), st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(un_("exp", un_("log", var(0))), 1, 1, 0)  # exp(log(0)) is exp(-inf), 0
+@example(un_("tanh", un_("log", var(0))), 1, 1, 0)
+@example(un_("erf", un_("log", var(0))), 1, 1, 0)
+def test_property_a_finite_step_after_every_op_changes_nothing_defined(tree, n, k, seed):
+    # only the ops in _LAUNDERS get their op inputs made NaN wherever not
+    # finite; doing it for every op gives the same values everywhere and
+    # the same partials wherever the value is defined
+    rng = np.random.default_rng(seed)
+    C = np.vstack([rng.uniform(-5, 5, (k, 3)), _SPECIAL_ROWS])
+    X = np.vstack([rng.uniform(-5, 5, (n, 2)), _SPECIAL_X])
+    values, partials = evaluate_batch(tree, C, X, jacobian=True)
+    with mock.patch.object(icsr.expr, "_LAUNDERS", frozenset(BINARY_OPS + UNARY_OPS)):
+        every_values, every_partials = evaluate_batch(tree, C, X, jacobian=True)
+    assert values.tobytes() == every_values.tobytes()
+    undefined = ~np.isfinite(values)[:, None, :]
+    assert (np.where(undefined, 0.0, partials).tobytes()
+            == np.where(undefined, 0.0, every_partials).tobytes())
 
 
 # every canonical key the benchmark's offline-grid workload fits (seeds 1
