@@ -50,12 +50,13 @@ def _power(a, b):
     return out
 
 
-# Each op once: its numpy function and its tangent.  A unary op's tangent
-# is the value's, from its input's tangent t, its input u and its value v;
-# a binary op has one per operand, from that operand's t, a, b and v.  A
-# factor that can be non-finite where the value is defined goes through
-# _chain, so it stays in the columns of the coefficients that move its
-# input; the fitter treats those as frozen there.
+# Each op once: its numpy function and its tangent (and in _LAUNDERS below
+# if it can map a non-finite input to a finite value).  A unary op's
+# tangent is the value's, from its input's tangent t, its input u and its
+# value v; a binary op has one per operand, from that operand's t, a, b
+# and v.  A factor that can be non-finite where the value is defined goes
+# through _chain, so it stays in the columns of the coefficients that
+# move its input; the fitter treats those as frozen there.
 _UNARY = {
     "sqrt": (np.sqrt, lambda t, u, v: _chain(t, 0.5 / v)),
     "exp": (np.exp, lambda t, u, v: t * v),
@@ -81,8 +82,7 @@ _BINARY = {
                    lambda t, a, b, v: _chain(t, np.where(v == 0.0, 0.0, v * np.log(a))))),
 }
 BINARY_OPS, UNARY_OPS = tuple(_BINARY), tuple(_UNARY)
-# The ops that can map a non-finite input to a finite value (exp(-inf) is
-# 0); any other keeps it non-finite, so only these need NaN inputs.
+# exp(-inf) is 0: only these ops' inputs need NaN wherever not finite
 _LAUNDERS = frozenset(("exp", "tanh", "erf", "/", "^"))
 _FUNCTIONS = frozenset(UNARY_OPS) - {"neg"}  # neg is written as a sign
 
@@ -410,15 +410,16 @@ def lower(expr: Expr) -> Plan:
     return Plan(tuple(steps), used["coef"], used["var"], affine)
 
 
-def _run(steps, rows: np.ndarray, X: np.ndarray, units=None):
-    """The plan's value at every row and point, and its tangent (None
-    unless units, np.eye(m)[:, :, None, None]).  The values are the same
-    ops either way.  A tangent is None (the value reads no coefficient) or
-    its partials in all m coefficients, broadcastable to (m, k, n)."""
+def _evaluate(plan: Plan, rows: np.ndarray, X: np.ndarray, partials=None):
+    """plan's values at every row and point, by the same ops either way,
+    without evaluate_batch's checks or errstate; with partials, (k, m, n),
+    their partials written into it.  A tangent is None (the value reads no
+    coefficient) or its partials in all m, broadcastable to (m, k, n)."""
     k, n = rows.shape[0], X.shape[0]
+    units = None if partials is None else np.eye(rows.shape[1])[:, :, None, None]
     stack = []
     push, pop = stack.append, stack.pop
-    for kind, arg in steps:
+    for kind, arg in plan.steps:
         if kind == "arith":
             (b, tb), (a, ta) = pop(), pop()
             fn, (da, db) = arg
@@ -444,7 +445,10 @@ def _run(steps, rows: np.ndarray, X: np.ndarray, units=None):
         elif kind == "finite" and not math.isfinite(np.add.reduce(stack[-1][0], axis=None)):
             v, t = pop()  # NaN wherever not finite; a sum is finite only if every value is
             push((np.where(np.isfinite(v), v, np.nan), t))
-    return pop()
+    values, tangent = pop()
+    if partials is not None:
+        partials[...] = 0.0 if tangent is None else tangent.swapaxes(0, 1)
+    return values
 
 
 def evaluate_batch(expr, coefficients, X, jacobian: bool = False):
@@ -477,14 +481,11 @@ def evaluate_batch(expr, coefficients, X, jacobian: bool = False):
     if plan.dimensionality > X.shape[1]:
         raise ValueError(f"expression uses variable {plan.dimensionality - 1} "
                          f"but points are {X.shape[1]}-dimensional")
+    partials = np.empty((rows.shape[0], rows.shape[1], X.shape[0])) if jacobian else None
     with np.errstate(all="ignore"):
-        units = np.eye(rows.shape[1])[:, :, None, None] if jacobian else None
-        values, tangent = _run(plan.steps, rows, X, units)
+        values = _evaluate(plan, rows, X, partials)
     if not jacobian:
         return values if coefficients.ndim == 2 else values[0]
-    partials = np.zeros((rows.shape[0], rows.shape[1], X.shape[0]))
-    if tangent is not None:
-        partials[:] = tangent.swapaxes(0, 1)
     return (values, partials) if coefficients.ndim == 2 else (values[0], partials[0])
 
 

@@ -41,12 +41,13 @@ converged.
 
 Two rules stop a restart that can no longer win (beaten), as racing
 (Maron & Moore 1997) and successive halving (Jamieson & Talwalkar 2016)
-do: once restart i stops at SSE exactly 0, every later one stops (a tie
-goes to the lower index); and a restart that has taken _RACE_ITERATIONS
-iterations stops if its SSE is over _RACE_FACTOR times the lowest of a
-stopped restart that could win (finite, defined everywhere) and, at the
-pace of its last accepted steps for every iteration left, would still
-end above it.  Like stall, both only end a restart early.
+do: once restart i stops at SSE exactly 0, every later one stops and
+the earlier ones run on (a tie goes to the lower index); until then, a
+restart that has taken _RACE_ITERATIONS iterations stops if its SSE is
+over _RACE_FACTOR times the lowest of a stopped restart that could win
+(finite, defined everywhere) and, at the pace of its last accepted steps
+for every iteration left, would still end above it.  Like stall, both
+only end a restart early.
 
 Undefined predictions contribute a large constant penalty residual
 instead of poisoning the solve, which lets restarts wander through
@@ -76,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .expr import Plan, Skeleton, _run, evaluate_batch, lower
+from .expr import Plan, Skeleton, _evaluate, evaluate_batch, lower
 from .validate import integer
 
 PENALTY = 1.0e6
@@ -149,22 +150,20 @@ def _penalize(res):
     np.maximum(res, -_RESIDUAL_CAP, out=res)
 
 
-def _probe(plan: Plan, points: np.ndarray, units: np.ndarray, X: np.ndarray, y: np.ndarray):
+def _probe(plan: Plan, points: np.ndarray, X: np.ndarray, y: np.ndarray):
     """Predictions, the number of frozen columns and the normal equations
     [[J^T J, -J^T r], [., r.r]] (J the masked Jacobian of res) at each row
     of points: one pass of the plan, under the fit's errstate, writes the
     partials and residuals into one [-J; r] for one stacked matmul.
     Shapes: (k, n), a list of k ints and (k, m + 1, m + 1)."""
     k, m = points.shape
-    pred, tangent = _run(plan.steps, points, X, units)
     both = np.empty((k, m + 1, len(y)))
     jac, res = both[:, :m], both[:, m]
-    jac[...] = 0.0 if tangent is None else tangent.swapaxes(0, 1)
+    pred = _evaluate(plan, points, X, jac)
     np.subtract(y, pred, out=res)
     frozen = [0] * k
-    # unless a sum of squares puts every entry under the cap: a partial not
-    # finite, or a residual undefined (NaN), overflowed or clipped, where it
-    # does not move with the coefficients
+    # a sum of squares under the cap's square puts every entry under it; else
+    # mask non-finite partials and residuals undefined, overflowed or clipped
     if not np.vdot(both, both) < _RESIDUAL_CAP ** 2:
         moves = np.abs(res) < _RESIDUAL_CAP
         _penalize(res)
@@ -207,9 +206,8 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     over the Jacobians the restarts adopted."""
     k, m = starts.shape
     eye = np.eye(m)
-    units = eye[:, :, None, None]
     c = starts.astype(float)
-    pred, frozen, normal = _probe(plan, c, units, X, y)
+    pred, frozen, normal = _probe(plan, c, X, y)
     column = normal[:, :, m].tolist()  # per row: -J^T r, then r.r
     sse = [v[m] for v in column]
     frozen = sum(frozen)
@@ -220,19 +218,18 @@ def _levenberg_marquardt(plan, starts, X, y, config):
     # each restart's SSE before and after its last _STALL_WINDOW accepted steps
     recent = [deque([s], maxlen=_STALL_WINDOW + 1) for s in sse]
     # the lowest (SSE, restart) among stopped restarts that could win
-    bar = (math.inf, k)
+    best, first = math.inf, k
     final_c, final_pred = np.empty_like(c), np.empty_like(pred)
     rows = list(range(k))  # the restart on each row of c, pred and normal
     while True:
         for t, i in enumerate(rows):
             if stops[i] is None and iterations[i] >= config.max_iterations:
                 stops[i] = "cap"
-            if (stops[i] is not None and (sse[i], i) < bar
+            if (stops[i] is not None and (sse[i], i) < (best, first)
                     and np.isfinite(c[t]).all() and np.isfinite(pred[t]).all()):
-                bar = (sse[i], i)
-        best = bar[0]
+                best, first = sse[i], i
         for i in rows:  # beaten: see the docstring
-            if stops[i] is None and (best == 0.0 and i > bar[1] or (
+            if stops[i] is None and (i > first if best == 0.0 else (
                     iterations[i] >= _RACE_ITERATIONS and sse[i] > _RACE_FACTOR * best
                     and sse[i] * (sse[i] / recent[i][0])  # at its pace, for the steps left
                     ** ((config.max_iterations - iterations[i]) / max(len(recent[i]) - 1, 1))
@@ -266,9 +263,11 @@ def _levenberg_marquardt(plan, starts, X, y, config):
         if not stepping:
             continue
         if len(stepping) < len(rows):
-            deltas = np.where([[t in stepping] for t in range(len(rows))], deltas, 0.0)
+            still = np.zeros((len(rows), 1), dtype=bool)
+            still[stepping] = True
+            deltas = np.where(still, deltas, 0.0)
         trials = c + deltas
-        trial_pred, trial_frozen, trial_normal = _probe(plan, trials, units, X, y)
+        trial_pred, trial_frozen, trial_normal = _probe(plan, trials, X, y)
         column = trial_normal[:, :, m].tolist()
         taken = [False] * len(rows)
         for t in stepping:

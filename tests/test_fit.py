@@ -564,7 +564,7 @@ def _exact_case():
     normal draws starting there: it stops at SSE 0 before any step."""
     skeleton = canonicalize(parse("c*exp(c*x)", 1))
     X = np.linspace(-1.0, 2.0, 30).reshape(-1, 1)
-    starts = np.random.default_rng(0).standard_normal((5, 2))
+    starts = np.random.default_rng(46).standard_normal((5, 2))
     starts[2] = [1.7, -0.8]
     return skeleton, Dataset(X, evaluate_batch(skeleton.expr, starts[2], X)), starts
 
@@ -633,14 +633,22 @@ def test_stalled_restart_holds_the_rule_free_state_at_its_count(monkeypatch, tre
 
 
 def test_an_exact_restart_beats_the_restarts_after_it(monkeypatch):
-    monkeypatch.setattr(fit_module, "_RACE_ITERATIONS", math.inf)  # the exact stop alone
     skeleton, dataset, starts = _exact_case()
-    _, _, sse, iterations, stops, _ = fit_module._levenberg_marquardt(
-        lower(skeleton.expr), starts, dataset.X, dataset.y, FitConfig())
-    assert (sse[2], iterations[2], stops[2]) == (0.0, 0, "gtol")
-    # the restarts after 2 stop before any step; those before it run on
+
+    def run():
+        c, _, sse, iterations, stops, _ = fit_module._levenberg_marquardt(
+            lower(skeleton.expr), starts, dataset.X, dataset.y, FitConfig())
+        return c.tobytes(), [float(s).hex() for s in sse], iterations, stops
+
+    raced = run()
+    _, sse, iterations, stops = raced
+    assert (sse[2], iterations[2], stops[2]) == (float(0).hex(), 0, "gtol")
+    # the restarts after 2 stop before any step; those before it run on past
+    # the race's start, as the race is off once a restart stops at SSE 0
     assert stops[3:] == ["beaten"] * 2 and iterations[3:] == [0, 0]
-    assert "beaten" not in stops[:2] and min(iterations[:2]) > 0
+    assert "beaten" not in stops[:2] and min(iterations[:2]) > fit_module._RACE_ITERATIONS
+    monkeypatch.setattr(fit_module, "_RACE_ITERATIONS", math.inf)  # the exact stop alone
+    assert run() == raced
     # an exact warm start ends every other restart of a fit, which still
     # reports all five
     hinted = canonicalize(parse("1.7*exp(-0.8*x)", 1))
@@ -741,15 +749,19 @@ def test_only_the_exponent_column_freezes_over_negative_x():
     exponent = sk.hints.index(2.0)
     start = np.array([[0.4, 0.4, 0.4]])
     start[0, exponent] = 2.0
-    units = np.eye(3)[:, :, None, None]
+    plan = lower(sk.expr)
     with np.errstate(all="ignore"):  # as fit's covers _probe
-        pred, frozen, normal = fit_module._probe(lower(sk.expr), start, units, ds.X, ds.y)
+        pred, frozen, normal = fit_module._probe(plan, start, ds.X, ds.y)
     assert np.isfinite(pred).all() and frozen == [1]
-    # the normal equations [[J^T J, -J^T r], [., r.r]] read the masked
-    # Jacobian J: the exponent's column is all 0, each other one is not
-    assert np.isfinite(normal).all()
-    assert not normal[0, exponent].any() and not normal[0, :, exponent].any()
-    assert np.delete(normal[0].diagonal()[:3], exponent).min() > 0
+    values, jac = evaluate_batch(plan, start, ds.X, jacobian=True)
+    assert np.isnan(jac[0, exponent]).any()
+    jac[0, exponent] = 0.0
+    others = np.delete(jac[0], exponent, axis=0)
+    assert np.isfinite(others).all() and np.abs(others).min() > 0
+    # the normal equations [[J^T J, -J^T r], [., r.r]] are those of exactly
+    # this masked Jacobian: the exponent's column is 0, every other entry is not
+    both = np.concatenate((jac, (ds.y - values)[:, None]), axis=1)
+    assert normal.tobytes() == (both @ both.transpose(0, 2, 1)).tobytes()
     res = fit(sk, ds, rng=np.random.default_rng(0))
     assert res.best_restart == 0 and res.valid
     assert res.coefficients[exponent] == 2.0
