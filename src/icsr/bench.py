@@ -26,7 +26,7 @@ import numpy as np
 from . import engine as engine_mod
 from .dataset import Dataset
 from .engine import Candidate, EngineConfig, NoValidSeedsError, RunRecord
-from .expr import Expr, complexity, evaluate_batch, parse
+from .expr import Expr, complexity, evaluate_batch, lower, parse
 from .llm import BackendError, LiveBackend
 from .score import r_squared, r_squared_trimmed
 
@@ -635,6 +635,8 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
               jobs: int = 1, out_dir=None) -> EvalReport:
     """Run the (equation x seed) grid and aggregate.
 
+    Each cell runs once: a repeated equation (compared as get_benchmark
+    resolves it) or seed is dropped, keeping the first order.
     backend_factory(spec, seed) must return a fresh backend per run.
     Train and test data are sampled once per equation and shared across
     seeds, and so are fits: an equation's cells share one fit memo (see
@@ -658,7 +660,8 @@ def run_suite(names, config: EngineConfig, seeds, backend_factory,
     KeyboardInterrupt, ends the grid: no further cell starts, workers are
     stopped, the calling process's other threads finish their cells in
     flight (see _Executor.run), and it is raised with no results.csv."""
-    specs = [get_benchmark(n) for n in names]
+    specs = list(dict.fromkeys(map(get_benchmark, names)))
+    seeds = list(dict.fromkeys(seeds))
     trains = {s.name: sample(s, "train") for s in specs}
     tests = {s.name: sample(s, "test") for s in specs}
     tasks = [(spec, seed) for spec in specs for seed in seeds]
@@ -718,6 +721,35 @@ def results_csv(report: EvalReport) -> str:
                      for c in report.cells))
 
 
+def results_cells(rows, listed=()) -> list[RunCell]:
+    """The cells that results.csv rows (csv.DictReader's dicts) list after
+    the listed ones.  Raises KeyError, TypeError or ValueError on a row
+    that results_csv would not have written, or on a cell listed twice."""
+    seen = {(c.equation, c.seed) for c in listed}
+    cells = []
+    for row in rows:
+        if None in row or None in row.values():
+            raise ValueError("the row and the header differ in length")
+        spec = get_benchmark(row["equation"])
+        if spec.family != row["benchmark"]:
+            raise ValueError(f"{spec.name} is not in family {row['benchmark']!r}")
+        if row["status"] == "ok" and not (row["r2"] and row["complexity"]):
+            raise ValueError("an ok row needs its r2 and complexity")
+        cell = RunCell(
+            family=spec.family,
+            equation=spec.name,
+            seed=int(row["seed"]),
+            status=row["status"],
+            r2=float(row["r2"]) if row["r2"] else None,
+            complexity=float(row["complexity"]) if row["complexity"] else None,
+        )
+        if (cell.equation, cell.seed) in seen:
+            raise ValueError(f"{cell.equation} seed {cell.seed} is listed twice")
+        seen.add((cell.equation, cell.seed))
+        cells.append(cell)
+    return cells
+
+
 def summary_csv(report: EvalReport) -> str:
     header = ["benchmark", "n_equations", "n_seeds", "n_missing",
               "r2_mean", "r2_sem", "complexity_mean", "complexity_sem",
@@ -744,3 +776,17 @@ def write_summary(directory, summary: dict):
     """summary.json for one run, keys sorted so reruns match byte for byte."""
     atomic_write_text(os.path.join(directory, "summary.json"),
                       json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+
+def stored_winner(cell: RunCell, summary) -> tuple:
+    """(spec, (tree, coefficients)) for an ok cell, from the summary that
+    write_summary stored in its cell_dir.  Raises AttributeError, KeyError,
+    TypeError, ValueError or OverflowError on one it would not have written."""
+    spec = get_benchmark(cell.equation)
+    best = summary["best"]
+    tree = parse(best["skeleton"], spec.dim)
+    coeffs = np.asarray(best["coefficients"], dtype=float)
+    m = lower(tree).num_coefficients
+    if coeffs.shape != (m,):
+        raise ValueError(f"{coeffs.size} coefficients for {m} placeholders")
+    return spec, (tree, coeffs)

@@ -23,7 +23,7 @@ from . import bench
 from .bench import atomic_write_text, csv_text, write_summary
 from .dataset import Dataset
 from .engine import MODES, EngineConfig, NoValidSeedsError, run
-from .expr import lower, parse, variable_names
+from .expr import variable_names
 from .fit import FitConfig
 from .llm import (
     API_KEY_ENV,
@@ -318,8 +318,6 @@ def cmd_bench(args) -> int:
         raise ConfigError("empty seeds list")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    # a repeated equation or seed would rerun its cells into one directory
-    names, seeds = list(dict.fromkeys(names)), list(dict.fromkeys(seeds))
 
     factory = make_backend_factory(doc, names)
     out_dir = doc.get("output", {}).get("dir") or "bench_out"
@@ -334,27 +332,6 @@ def cmd_bench(args) -> int:
         print(f"{row['benchmark']}: r2 {row['r2_mean']:.4f} +/- {row['r2_sem']:.4f} "
               f"(missing {row['n_missing']})")
     return EXIT_OK if ok == len(report.cells) else EXIT_FAILURE
-
-
-def _cells_from_run_dir(runs_dir) -> list:
-    """(spec, (tree, coefficients)) for each ok cell that a bench output
-    directory's results.csv lists, from that cell's summary.json."""
-    cells = []
-    for cell in _report_from_results([os.path.join(runs_dir, "results.csv")]).ok_cells():
-        spec = bench.get_benchmark(cell.equation)
-        path = os.path.join(bench.cell_dir(runs_dir, cell.equation, cell.seed), "summary.json")
-        summary = _read(path, "stored summary")
-        try:
-            best = summary["best"]
-            tree = parse(best["skeleton"], spec.dim)
-            coeffs = np.asarray(best["coefficients"], dtype=float)
-            m = lower(tree).num_coefficients
-            if coeffs.shape != (m,):
-                raise ValueError(f"{coeffs.size} coefficients for {m} placeholders")
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad stored candidate in {path}: {exc}") from exc
-        cells.append((spec, (tree, coeffs)))
-    return cells
 
 
 def _parse_extensions(text: str) -> list[float]:
@@ -374,7 +351,14 @@ def cmd_ood(args) -> int:
     extensions = _parse_extensions(args.extensions)
     if not extensions:
         raise ConfigError("empty extensions list")
-    cells = _cells_from_run_dir(args.runs)
+    cells = []
+    for cell in _read_results([os.path.join(args.runs, "results.csv")]).ok_cells():
+        path = os.path.join(bench.cell_dir(args.runs, cell.equation, cell.seed), "summary.json")
+        summary = _read(path, "stored summary")
+        try:
+            cells.append(bench.stored_winner(cell, summary))
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad stored candidate in {path}: {exc}") from exc
     if not cells:
         raise ConfigError(f"no stored candidates under {args.runs}")
     out_dir = args.out or args.runs
@@ -388,36 +372,22 @@ def cmd_ood(args) -> int:
     return EXIT_OK
 
 
-def _report_from_results(paths) -> bench.EvalReport:
+def _read_results(paths) -> bench.EvalReport:
+    """The cells that the results.csv files or bench output dirs at paths list."""
     cells = []
     for path in paths:
-        results = path
         if os.path.isdir(path):
-            results = os.path.join(path, "results.csv")
-        for row in _read(results, "results file", lambda fh: list(csv.DictReader(fh))):
-            try:
-                if None in row or None in row.values():
-                    raise ValueError("the row and the header differ in length")
-                spec = bench.get_benchmark(row["equation"])
-                if spec.family != row["benchmark"]:
-                    raise ValueError(f"{spec.name} is not in family {row['benchmark']!r}")
-                if row["status"] == "ok" and not (row["r2"] and row["complexity"]):
-                    raise ValueError("an ok row needs its r2 and complexity")
-                cells.append(bench.RunCell(
-                    family=row["benchmark"],
-                    equation=spec.name,
-                    seed=int(row["seed"]),
-                    status=row["status"],
-                    r2=float(row["r2"]) if row["r2"] else None,
-                    complexity=float(row["complexity"]) if row["complexity"] else None,
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad row in {results}: {exc!r}") from exc
+            path = os.path.join(path, "results.csv")
+        rows = _read(path, "results file", lambda fh: list(csv.DictReader(fh)))
+        try:
+            cells += bench.results_cells(rows, cells)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad row in {path}: {exc!r}") from exc
     return bench.EvalReport(cells=cells)
 
 
 def cmd_report(args) -> int:
-    report = _report_from_results(args.runs)
+    report = _read_results(args.runs)
     if not report.cells:
         raise ConfigError("no result rows found")
     out_dir = args.out or "."

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import multiprocessing
@@ -31,9 +32,11 @@ from icsr.bench import (
     ood_csv,
     operator_complexity,
     resolve_suite,
+    results_cells,
     results_csv,
     run_suite,
     sample,
+    stored_winner,
     summary_csv,
 )
 from icsr.engine import EngineConfig
@@ -481,6 +484,19 @@ def test_run_suite_oracle_family(tmp_path):
     assert (tmp_path / "summary.csv").exists()
     assert (tmp_path / "runs" / "R1" / "seed1" / "summary.json").exists()
     assert (tmp_path / "runs" / "R1" / "seed1" / "runlog.jsonl").exists()
+
+
+def test_run_suite_runs_each_cell_once_in_first_order(tmp_path):
+    # a repeated equation, "r2" resolving to R2 included, or seed is dropped:
+    # two runs of a cell would clear and write one directory
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(["R2", "R1", "r2"], cfg, [2, 1, 2], _oracle_factory,
+                       jobs=2, out_dir=str(tmp_path))
+    cells = [("R2", 2), ("R2", 1), ("R1", 2), ("R1", 1)]
+    assert [(c.equation, c.seed) for c in report.cells] == cells
+    assert all(c.status == "ok" for c in report.cells)
+    rows = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [tuple(row.split(",")[1:3]) for row in rows] == [(e, str(s)) for e, s in cells]
 
 
 def test_run_suite_records_failures(tmp_path):
@@ -1008,3 +1024,41 @@ def test_an_interrupted_grid_leaves_no_worker(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_suite(["R1", "R2", "R3"], cfg, [1], stuck, jobs=2)
     assert multiprocessing.active_children() == []
+
+
+def test_a_stored_grid_reads_back_as_the_grid_that_wrote_it(tmp_path):
+    # a jobs=2 grid of ok and failed cells, read back from its directory
+    # alone: each cell as results.csv rounds it, each winner's OOD curve
+    # bit for bit that of the candidate the grid returned
+    replies = {
+        "nguyen1": ["f1(x) = c*x^3 + c*sin(c*x)\nf2(x) = c*exp(c*x) + c"],
+        "nguyen9": ["f1(x1, x2) = c*sin(x1) + c*cos(c*x2^2)"],
+        "R2": ["no functions here"],
+        "keijzer3": ["f1(x) = c*x*sin(c*x) + c/(x + c)"],
+    }
+    cfg = EngineConfig(n_seed_calls=1, max_iterations=0)
+    report = run_suite(list(replies), cfg, [1, 2],
+                       lambda spec, seed: ReplayBackend(replies[spec.name]),
+                       jobs=2, out_dir=str(tmp_path))
+    assert {c.status for c in report.cells} == {"ok", "failed"}
+    with open(tmp_path / "results.csv", encoding="utf-8", newline="") as fh:
+        read = results_cells(csv.DictReader(fh))
+
+    def rounded(value):
+        return None if value is None else float(format(value, ".12g"))
+
+    assert len(read) == len(report.cells)
+    extensions = [0.0, 0.5, 1.0]
+    for stored, cell in zip(read, report.cells):
+        assert (stored.family, stored.equation, stored.seed, stored.status) == (
+            cell.family, cell.equation, cell.seed, cell.status)
+        assert (stored.r2, stored.complexity) == (rounded(cell.r2), rounded(cell.complexity))
+        if cell.status != "ok":
+            continue
+        path = os.path.join(cell_dir(str(tmp_path), cell.equation, cell.seed), "summary.json")
+        with open(path, encoding="utf-8") as fh:
+            spec, winner = stored_winner(stored, json.load(fh))
+        assert spec is get_benchmark(cell.equation)
+        assert repr(evaluate_ood(winner, spec, extensions)) == repr(
+            evaluate_ood(cell.candidate, spec, extensions))
+

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 from dataclasses import replace
@@ -1051,3 +1053,108 @@ def test_any_results_csv_text_exits_0_or_2(r1_runs, text):
     out = str(r1_runs / "out")
     assert main(["report", "--runs", str(r1_runs), "--out", out]) in (EXIT_OK, EXIT_CONFIG)
     assert main(["ood", "--runs", str(r1_runs), "--out", out]) in (EXIT_OK, EXIT_CONFIG)
+
+
+def test_report_refuses_a_cell_that_two_rows_list(tmp_path, capsys):
+    # a cell counts once in an aggregate: listed again, in the same input
+    # or another, it exits 2 naming the cell and the file that repeats it
+    runs = _r1_bench_out(tmp_path)
+    replay = str(tmp_path / "replay.json")
+    for seeds in ("2,1", "2"):
+        assert main(["bench", "--suite", "R1", "--seeds", seeds, "--replay-file", replay,
+                     "--ns", "1", "--iterations", "0",
+                     "--out", str(tmp_path / seeds)]) == EXIT_OK
+    twice = tmp_path / "twice.csv"
+    twice.write_text(_HEADER + "\nr,R1,1,1,5,ok\nr,r1,1,,,failed\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for inputs, repeats in (([runs, runs], runs / "results.csv"),
+                            ([runs, tmp_path / "2,1"], tmp_path / "2,1" / "results.csv"),
+                            ([twice], twice)):
+        assert main(["report", "--runs", *map(str, inputs), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad row in {repeats}: " in err
+        assert "R1 seed 1 is listed twice" in err
+    assert not out.exists()
+    assert main(["report", "--runs", str(runs), str(tmp_path / "2"), "--out", str(out)]) == EXIT_OK
+    assert ",1,2,0," in (out / "report.csv").read_text(encoding="utf-8")  # 1 equation, 2 seeds
+    (runs / "results.csv").write_bytes(twice.read_bytes())
+    assert main(["ood", "--runs", str(runs), "--out", str(out / "ood")]) == EXIT_CONFIG
+    assert "R1 seed 1 is listed twice" in capsys.readouterr().err
+
+
+_DOCUMENTED_EXITS = (EXIT_OK, EXIT_FAILURE, EXIT_CONFIG, EXIT_NO_SEEDS)
+
+_RESPONSES = st.one_of(
+    st.sampled_from(["f1(x) = c*x", "f1(x) = c*x^3 + c*sin(c*x)\nf2(x) = x^2 + x",
+                     "f1(x) = c*exp(c*x) + 1e999*x", "f1(x1, x2) = c*x1", "no functions here",
+                     ""]),
+    st.text(max_size=30))
+_SCRIPTS = st.one_of(st.lists(_RESPONSES, max_size=3),
+                     st.lists(st.one_of(_RESPONSES, _JSON), max_size=3))
+
+
+def _documented_exit(argv):
+    """main(argv), quiet, must return a documented exit code: an exception
+    that escapes it fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in _DOCUMENTED_EXITS
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    _SCRIPTS,
+    st.dictionaries(st.one_of(st.sampled_from(["nguyen1", "nguyen2", "Nguyen1"]),
+                              st.text(max_size=6)),
+                    st.one_of(_SCRIPTS, _JSON), max_size=3),
+    st.fixed_dictionaries({"nguyen1": _SCRIPTS, "nguyen2": _SCRIPTS}),
+    _JSON))
+@example(["f1(x) = c*x", 7])
+@example({"nguyen1": ["f1(x) = c*x"], "nguyen2": "f1(x) = c*x"})
+@example({"nguyen1": ["f1(x) = c*x^3 + c*sin(c*x)", "f1(x) = c*x"], "nguyen2": []})
+def test_any_replay_file_exits_with_a_documented_code(fuzz_dir, doc):
+    # a list replay file or a keyed one, run and as a grid
+    path = fuzz_dir / "replay_fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    flags = ["--replay-file", str(path), "--ns", "1", "--iterations", "1",
+             "--out", str(fuzz_dir / "replay_out")]
+    _documented_exit(["run", "--benchmark", "nguyen1", *flags])
+    _documented_exit(["bench", "--suite", "nguyen1,nguyen2", "--seeds", "1", *flags])
+
+
+@pytest.fixture(scope="module")
+def summary_fuzz_runs(tmp_path_factory):
+    return _r1_bench_out(tmp_path_factory.mktemp("summary_fuzz"))
+
+
+# skeletons with their coefficient counts, some of them undefined or
+# overflowing out of domain
+_SKELETONS = {"c*x": 1, "c*x + c": 2, "x": 0, "sin(c*x)": 1, "c*x^c": 2, "c*x/(x - c)": 2,
+              "exp(c*x)": 1, "log(c*x) + c": 2, "c*y": 1, "c*x1": 1, "x^c^c^c": 3}
+_WINNERS = st.one_of(
+    st.sampled_from(sorted(_SKELETONS.items())).flatmap(lambda item: st.fixed_dictionaries({
+        "skeleton": st.just(item[0]),
+        "coefficients": st.lists(st.floats(), min_size=item[1], max_size=item[1])})),
+    st.fixed_dictionaries({
+        "skeleton": st.one_of(st.sampled_from(sorted(_SKELETONS)), st.text(max_size=12), _JSON),
+        "coefficients": st.one_of(st.lists(st.one_of(st.floats(), _PLAUSIBLE, _JSON),
+                                           max_size=3), _JSON)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.fixed_dictionaries({"best": _WINNERS}),
+    st.fixed_dictionaries({"best": _WINNERS}),
+    st.fixed_dictionaries({"best": _JSON}),
+    _JSON))
+@example({"best": {"skeleton": "exp(c*x)", "coefficients": [1e308]}})
+@example({"best": {"skeleton": "c*x", "coefficients": [10**400]}})
+@example({"best": {"skeleton": "c*x/(x - c)", "coefficients": [float("inf"), float("nan")]}})
+@example({"best": {"skeleton": "c*x", "coefficients": [[1.0]]}})
+@example({"best": {"skeleton": "c*x", "coefficients": ["1.5"]}})
+def test_any_stored_summary_exits_with_a_documented_code(summary_fuzz_runs, doc):
+    # results.csv lists R1/seed1 as ok, so ood reads this as its winner
+    path = summary_fuzz_runs / "runs" / "R1" / "seed1" / "summary.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _documented_exit(["ood", "--runs", str(summary_fuzz_runs),
+                      "--out", str(summary_fuzz_runs / "ood_out")])
