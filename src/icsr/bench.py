@@ -26,9 +26,10 @@ import numpy as np
 from . import engine as engine_mod
 from .dataset import Dataset
 from .engine import Candidate, EngineConfig, NoValidSeedsError, RunRecord
-from .expr import Expr, complexity, evaluate_batch, lower, parse
+from .expr import MAX_TOKENS, Expr, complexity, evaluate_batch, lower, parse
 from .llm import BackendError, LiveBackend
 from .score import r_squared, r_squared_trimmed
+from .validate import integer
 
 # Reported ground-truth complexity reference, keyed by every family (soft
 # check only; see ground_truth_complexity for the two counting conventions).
@@ -724,7 +725,9 @@ def results_csv(report: EvalReport) -> str:
 def results_cells(rows, listed=()) -> list[RunCell]:
     """The cells that results.csv rows (csv.DictReader's dicts) list after
     the listed ones.  Raises KeyError, TypeError or ValueError on a row
-    that results_csv would not have written, or on a cell listed twice."""
+    that results_csv would not have written, or on a cell listed twice.
+    The status text stays open: a row whose status is not ok (failed,
+    or no_valid_seeds or backend_error, say) lists a missing cell."""
     seen = {(c.equation, c.seed) for c in listed}
     cells = []
     for row in rows:
@@ -741,8 +744,10 @@ def results_cells(rows, listed=()) -> list[RunCell]:
             seed=int(row["seed"]),
             status=row["status"],
             r2=float(row["r2"]) if row["r2"] else None,
-            complexity=float(row["complexity"]) if row["complexity"] else None,
+            complexity=int(row["complexity"]) if row["complexity"] else None,
         )
+        if cell.complexity is not None:  # a parsed line has a node per token at most
+            integer(cell, "complexity", 1, MAX_TOKENS)
         if (cell.equation, cell.seed) in seen:
             raise ValueError(f"{cell.equation} seed {cell.seed} is listed twice")
         seen.add((cell.equation, cell.seed))

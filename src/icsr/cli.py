@@ -22,9 +22,8 @@ import numpy as np
 from . import bench
 from .bench import atomic_write_text, csv_text, write_summary
 from .dataset import Dataset
-from .engine import MODES, EngineConfig, NoValidSeedsError, run
+from .engine import MODES, SECTIONS, EngineConfig, NoValidSeedsError, config_from_doc, run
 from .expr import variable_names
-from .fit import FitConfig
 from .llm import (
     API_KEY_ENV,
     MAX_ATTEMPTS,
@@ -32,10 +31,7 @@ from .llm import (
     BackendError,
     LiveBackend,
     ReplayBackend,
-    SamplingParams,
-    TemperatureSchedule,
 )
-from .score import ScoreConfig
 from .validate import integer, of_type, real
 
 EXIT_OK = 0
@@ -57,11 +53,7 @@ def _string(obj, key: str):
 # section -> its config dataclass, whose fields (bar the nested sections)
 # are its keys and check themselves when built, or else {key: check}
 _SECTIONS = {
-    "engine": EngineConfig,
-    "sampling": SamplingParams,
-    "schedule": TemperatureSchedule,
-    "fit": FitConfig,
-    "score": ScoreConfig,
+    **SECTIONS,
     "backend": {
         "kind": _string, "endpoint": _string, "replay_file": _string,
         "timeout": lambda o, k: real(o, k, lambda v: 0 < v <= MAX_TIMEOUT,
@@ -141,15 +133,8 @@ def _check_seeds(seeds):
 
 def build_engine_config(doc: dict) -> EngineConfig:
     """The EngineConfig that a config document (see _config) describes."""
-    schedule = doc.get("schedule")
     try:
-        return EngineConfig(
-            score=ScoreConfig(**doc.get("score", {})),
-            fit=FitConfig(**doc.get("fit", {})),
-            sampling=SamplingParams(**doc.get("sampling", {})),
-            schedule=TemperatureSchedule(**schedule) if schedule else None,
-            **doc.get("engine", {}),
-        )
+        return config_from_doc(doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad engine configuration: {exc}") from exc
 

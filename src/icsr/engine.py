@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 from .dataset import Dataset
@@ -86,6 +86,28 @@ class EngineConfig:
         of_type(self, "model", str, "a string")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+
+
+# config document section -> class; "engine" holds EngineConfig's own fields
+SECTIONS = {"engine": EngineConfig, "score": ScoreConfig, "fit": FitConfig,
+            "sampling": SamplingParams, "schedule": TemperatureSchedule}
+
+
+def config_from_doc(doc: dict) -> EngineConfig:
+    """The EngineConfig that a config document describes, its sections built
+    in SECTIONS' order; one left out or empty keeps its default."""
+    nested = {name: cls(**doc[name]) for name, cls in SECTIONS.items()
+              if name != "engine" and doc.get(name)}
+    return EngineConfig(**nested, **doc.get("engine", {}))
+
+
+def config_doc(config: EngineConfig) -> dict:
+    """The config document that config_from_doc reads back as config."""
+    engine = asdict(config)
+    doc = {name: engine.pop(name) for name in SECTIONS if name != "engine"}
+    if doc["schedule"] is None:  # as a document leaves it out
+        del doc["schedule"]
+    return {"engine": engine, **doc}
 
 
 @dataclass(frozen=True)
@@ -159,7 +181,7 @@ class BudgetCounters:
 @dataclass
 class RunRecord:
     """Complete account of one run: every call with its outcomes, the
-    winning candidate, and enough config echo to reproduce the run."""
+    winning candidate, and the config that reproduces the run."""
 
     config: EngineConfig
     dataset: Dataset
@@ -185,27 +207,10 @@ class RunRecord:
                 "complexity": c.scores.complexity,
                 "sse": c.fit.sse,
             }
-        cfg, data = self.config, self.dataset
+        data = self.dataset
         return {
-            "mode": cfg.mode,
             "dataset": {"name": data.name, "split": data.split, "n": data.n, "dim": data.dim},
-            "config": {
-                "n_seed_calls": cfg.n_seed_calls,
-                "max_iterations": cfg.max_iterations,
-                "top_k": cfg.top_k,
-                "functions_per_call": cfg.functions_per_call,
-                "early_stop_r2": cfg.early_stop_r2,
-                "lam": cfg.score.lam,
-                "max_len": cfg.score.max_len,
-                "fit_restarts": cfg.fit.restarts,
-                "seed": cfg.seed,
-                "model": cfg.model,
-                "temperature": cfg.sampling.temperature,
-                "top_p": cfg.sampling.top_p,
-                "top_k_sampling": cfg.sampling.top_k,
-                "num_beams": cfg.sampling.num_beams,
-                "max_new_tokens": cfg.sampling.max_new_tokens,
-            },
+            "config": config_doc(self.config),
             "early_stopped": self.early_stopped,
             "calls_issued": counters.calls_issued,
             "candidates_parsed": counters.candidates_parsed,

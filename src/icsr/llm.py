@@ -18,6 +18,13 @@ API_KEY_ENV = "ICSR_API_KEY"
 # and each retry may sleep up to timeout.
 MAX_TIMEOUT = 86_400.0
 MAX_ATTEMPTS = 100
+# Upper bounds on the sampling counts and a schedule's length, far past any
+# real use, so a config cannot put an absurd count on the wire.  A
+# schedule is read for at most the engine's 10,000 loop iterations.
+MAX_TOP_K = 1_000_000
+MAX_BEAMS = 1_000
+MAX_NEW_TOKENS = 10_000_000
+MAX_SCHEDULE_ITERATIONS = 10_000
 
 
 class BackendError(RuntimeError):
@@ -44,8 +51,9 @@ class SamplingParams:
     def __post_init__(self):
         real(self, "temperature", lambda v: v >= 0, "a finite number >= 0")
         real(self, "top_p", lambda v: 0 < v <= 1, "a number in (0, 1]")
-        for key in ("top_k", "num_beams", "max_new_tokens"):
-            integer(self, key, 1)
+        for key, high in (("top_k", MAX_TOP_K), ("num_beams", MAX_BEAMS),
+                          ("max_new_tokens", MAX_NEW_TOKENS)):
+            integer(self, key, 1, high)
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class TemperatureSchedule:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         for key in ("start", "end"):
             real(self, key, lambda v: v >= 0, "a finite number >= 0")
-        integer(self, "total_iterations", 1)
+        integer(self, "total_iterations", 1, MAX_SCHEDULE_ITERATIONS)
 
     def temperature_at(self, iteration: int) -> float:
         if self.mode == "constant" or self.total_iterations == 1:

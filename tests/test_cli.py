@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,9 +22,13 @@ from icsr.cli import (
     main,
     make_backend_factory,
 )
-from icsr.engine import EngineConfig
+from icsr.engine import MODES, EngineConfig, config_doc
 from icsr.expr import parse
-from icsr.llm import API_KEY_ENV, MAX_ATTEMPTS, MAX_TIMEOUT, BackendError, CompletionResponse
+from icsr.fit import FitConfig
+from icsr.llm import (API_KEY_ENV, MAX_ATTEMPTS, MAX_BEAMS, MAX_NEW_TOKENS,
+                      MAX_SCHEDULE_ITERATIONS, MAX_TIMEOUT, MAX_TOP_K, BackendError,
+                      CompletionResponse, SamplingParams, TemperatureSchedule)
+from icsr.score import ScoreConfig
 
 
 def write_json(path, doc):
@@ -213,6 +218,46 @@ def test_any_config_document_gives_a_config_or_a_config_error(fuzz_dir, doc):
     assert callable(factory("nguyen1", 1).complete)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_AT_LEAST_0 = st.one_of(st.integers(0, 9), st.floats(0, allow_infinity=False))
+_ENGINE_CONFIGS = st.builds(
+    EngineConfig,
+    n_seed_calls=st.integers(1, 10_000), max_iterations=st.integers(0, 10_000),
+    top_k=st.integers(1, 10**6), functions_per_call=st.integers(1, 8),
+    early_stop_r2=st.one_of(st.integers(-9, 9), _FINITE),
+    score=st.builds(ScoreConfig, lam=_AT_LEAST_0,
+                    max_len=st.floats(0, exclude_min=True, allow_infinity=False),
+                    trim_fraction=st.floats(0, 1, exclude_max=True)),
+    fit=st.builds(FitConfig, restarts=st.integers(1, 1000),
+                  max_iterations=st.integers(1, 100_000)),
+    sampling=st.builds(SamplingParams, temperature=_AT_LEAST_0,
+                       top_p=st.floats(0, 1, exclude_min=True), top_k=st.integers(1, MAX_TOP_K),
+                       num_beams=st.integers(1, MAX_BEAMS),
+                       max_new_tokens=st.integers(1, MAX_NEW_TOKENS)),
+    schedule=st.one_of(st.none(), st.builds(
+        TemperatureSchedule, mode=st.sampled_from(["constant", "linear"]), start=_AT_LEAST_0,
+        end=_AT_LEAST_0, total_iterations=st.integers(1, MAX_SCHEDULE_ITERATIONS))),
+    seed=st.integers(0, 2**64), mode=st.sampled_from(MODES), model=st.text(max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENGINE_CONFIGS)
+@example(EngineConfig())
+@example(EngineConfig(sampling=SamplingParams(temperature=1), schedule=TemperatureSchedule()))
+def test_a_stored_config_document_reads_back_as_its_config(fuzz_dir, config):
+    doc = config_doc(config)
+    assert ("schedule" in doc) == (config.schedule is not None)
+    text = json.dumps(doc, sort_keys=True)
+    path = fuzz_dir / "stored.json"
+    path.write_text(text, encoding="utf-8")
+    loaded = load_config(str(path))
+    assert loaded == json.loads(text)
+    rebuilt = build_engine_config(loaded)
+    assert rebuilt == config
+    # 1 and 1.0 are equal but encode apart: the document keeps which one
+    assert json.dumps(config_doc(rebuilt), sort_keys=True) == text
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -337,6 +382,42 @@ def test_run_data_csv_validation(tmp_path, monkeypatch, capsys):
         assert f"cannot read data file {bad}" in capsys.readouterr().err
 
 
+_CSV_NUMBERS = ["0", "1", "-3", "2.5", " 4 ", "7.", "1e-400", "1_0"]
+_CSV_ODD = ["nan", "-inf", "inf", "1e400", "0x10", "0x1p3", "", "x", '"5"', "\ufeff1", "1,"]
+_CSV_ROW = st.one_of(
+    st.sampled_from(["x,y", "x1,x2,y", "x,,y", "y", "\ufeffx,y"]),
+    st.lists(st.sampled_from(_CSV_NUMBERS), min_size=2, max_size=3).map(",".join),
+    st.lists(st.one_of(st.sampled_from(_CSV_NUMBERS + _CSV_ODD), st.text(max_size=5)),
+             max_size=5).map(",".join))
+# a byte order mark or none, then headers, numeric, ragged, non-finite,
+# overflowing, hex, padded and arbitrary rows, with either line ending
+_CSV_TEXT = st.builds(lambda bom, rows, end: bom + end.join(rows) + end,
+                      st.sampled_from(["", "\ufeff"]), st.lists(_CSV_ROW, max_size=8),
+                      st.sampled_from(["\n", "\r\n"]))
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv_fuzz")
+    write_json(path / "r.json", ["f1(x) = c*x + c"])
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CSV_TEXT)
+@example("x,y\n1,2\n2,3\n3,5\n")
+@example("\ufeffx1,x2,y\r\n1,2,3\r\n")
+@example("x,y\n1e400,1\n")
+def test_any_data_csv_text_exits_0_to_3_without_a_warning(csv_fuzz_dir, text):
+    data = csv_fuzz_dir / "data.csv"
+    data.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--data", str(data), "--replay-file", str(csv_fuzz_dir / "r.json"),
+                     "--ns", "1", "--iterations", "0", "--out", str(csv_fuzz_dir / "out")])
+    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_CONFIG, EXIT_NO_SEEDS)
+
+
 def test_malformed_replay_scripts_exit_2_before_any_run(tmp_path, capsys):
     replay = tmp_path / "replay.json"
     cases = [
@@ -428,6 +509,31 @@ def test_run_badly_typed_engine_config_exits_2_before_any_call(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section,key,bound", [
+    ("sampling", "top_k", MAX_TOP_K),
+    ("sampling", "num_beams", MAX_BEAMS),
+    ("sampling", "max_new_tokens", MAX_NEW_TOKENS),
+    ("schedule", "total_iterations", MAX_SCHEDULE_ITERATIONS),
+])
+def test_run_count_past_its_bound_exits_2_before_any_call(
+        tmp_path, monkeypatch, capsys, section, key, bound):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a model call was made")
+
+    monkeypatch.setattr("icsr.llm.ReplayBackend.complete", no_call)
+    replay = write_json(tmp_path / "r.json", ["f1(x) = c*x"])
+    out = tmp_path / "out"
+    for value in (10**30, bound + 1):
+        cfg = write_json(tmp_path / "c.json", {section: {key: value}})
+        code = main(["run", "--benchmark", "nguyen1", "--config", cfg, "--replay-file", replay,
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"{key} must be an integer in [1, {bound}], got {value}" in capsys.readouterr().err
+        assert not out.exists()
+    config = build_engine_config({section: {key: bound}})
+    assert getattr(getattr(config, section), key) == bound
+
+
 @pytest.mark.parametrize("option,value", [
     ("timeout", "abc"), ("timeout", 0), ("timeout", float("inf")), ("timeout", True),
     # far past what a socket timeout or a sleep can take, and just past the bound
@@ -484,19 +590,19 @@ def _summary(out):
 # check that the flag's value won
 _OVERRIDES = [
     ("--ns", "1", {"engine": {"n_seed_calls": 5}},
-     lambda out, reached: _summary(out)["config"]["n_seed_calls"] == 1),
+     lambda out, reached: _summary(out)["config"]["engine"]["n_seed_calls"] == 1),
     ("--iterations", "0", {"engine": {"max_iterations": 7}},
-     lambda out, reached: _summary(out)["config"]["max_iterations"] == 0),
+     lambda out, reached: _summary(out)["config"]["engine"]["max_iterations"] == 0),
     ("--topk", "3", {"engine": {"top_k": 2}},
-     lambda out, reached: _summary(out)["config"]["top_k"] == 3),
+     lambda out, reached: _summary(out)["config"]["engine"]["top_k"] == 3),
     ("--mode", "seed-only", {"engine": {"mode": "random"}},
-     lambda out, reached: _summary(out)["mode"] == "seed-only"),
+     lambda out, reached: _summary(out)["config"]["engine"]["mode"] == "seed-only"),
     ("--model", "flag-model", {"engine": {"model": "file-model"}},
-     lambda out, reached: _summary(out)["config"]["model"] == "flag-model"),
+     lambda out, reached: _summary(out)["config"]["engine"]["model"] == "flag-model"),
     ("--seed", "9", {"engine": {"seed": 4}},
-     lambda out, reached: _summary(out)["config"]["seed"] == 9),
+     lambda out, reached: _summary(out)["config"]["engine"]["seed"] == 9),
     ("--lambda", "0.1", {"score": {"lam": 0.05}},
-     lambda out, reached: _summary(out)["config"]["lam"] == 0.1),
+     lambda out, reached: _summary(out)["config"]["score"]["lam"] == 0.1),
     ("--backend", "replay", {"backend": {"kind": "live", "endpoint": "http://127.0.0.1:9/v1"}},
      lambda out, reached: reached == [] and _summary(out)["calls_issued"] == 1),
     ("--endpoint", "http://127.0.0.1:9/flag",
@@ -620,6 +726,35 @@ def test_bench_failure_sets_exit_code(tmp_path, capsys):
     assert "r,R2,1,,,failed" in results
     err_lines = capsys.readouterr().err.splitlines()
     assert err_lines == ["R2 seed 1: no valid seed candidates after 1 seed calls"]
+
+
+def test_a_cells_stored_config_reruns_its_grid_to_the_same_bytes(tmp_path, capsys):
+    # every section set away from its default, some keys by flag, and an
+    # integer temperature, which the seed calls log as 1, not 1.0
+    replay = write_json(tmp_path / "replay.json", {
+        "nguyen1": ["f1(x) = c*x^2 + c", "f1(x) = c*sin(x)\nf2(x) = c*x", "f1(x) = c*x^3 + c*x"],
+        "nguyen2": ["f1(x) = c*exp(c*x)", "f1(x) = c*x^2", "f1(x) = c*x^4 + c*x^2 + c"]})
+    cfg = write_json(tmp_path / "c.json", {
+        "engine": {"functions_per_call": 3, "early_stop_r2": 0.9999999},
+        "sampling": {"temperature": 1, "top_p": 0.5, "max_new_tokens": 256},
+        "schedule": {"mode": "linear", "start": 1.0, "end": 0.2, "total_iterations": 4},
+        "fit": {"restarts": 2, "max_iterations": 50},
+        "score": {"lam": 0.1, "max_len": 20, "trim_fraction": 0.1}})
+    grid = ["bench", "--suite", "nguyen1,nguyen2", "--seeds", "1,2", "--replay-file", replay,
+            "--jobs", "2"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*grid, "--config", cfg, "--ns", "2", "--iterations", "1", "--topk", "3",
+                 "--model", "m", "--lambda", "0.2", "--out", str(first)]) == EXIT_OK
+    stored = _summary(first / "runs" / "nguyen1" / "seed1")["config"]
+    assert stored["engine"]["n_seed_calls"] == 2 and stored["score"]["lam"] == 0.2
+    assert stored["schedule"]["end"] == 0.2 and stored["fit"]["max_iterations"] == 50
+    assert main([*grid, "--config", write_json(tmp_path / "stored.json", stored),
+                 "--out", str(second)]) == EXIT_OK
+    files = sorted(p.relative_to(first) for p in first.rglob("*")
+                   if p.name in ("summary.json", "runlog.jsonl"))
+    assert len(files) == 8
+    for name in files:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_bench_replay_missing_equation_entry(tmp_path, capsys):
@@ -1011,8 +1146,14 @@ _HEADER = "benchmark,equation,seed,r2,complexity,status"
     ("r,R1,1,1,5,ok,7", "the row and the header differ in length"),
     ("r,nguyen99,1,1,5,ok", "unknown benchmark 'nguyen99'"),
     ("nguyen,R1,1,1,5,ok", "R1 is not in family 'nguyen'"),
+    # results_csv writes a node count, a whole number in [1, MAX_TOKENS]
+    ("r,R1,1,1,inf,ok", "invalid literal for int() with base 10: 'inf'"),
+    ("r,R1,1,1,2.5,ok", "invalid literal for int() with base 10: '2.5'"),
+    ("r,R1,1,1,0,ok", "complexity must be an integer in [1, 500], got 0"),
+    (f"r,R1,1,1,{10**400},ok", "complexity must be an integer in [1, 500], got 1000"),
 ], ids=["no-r2", "no-complexity", "too-few-fields", "too-many-fields",
-        "unknown-equation", "equation-outside-family"])
+        "unknown-equation", "equation-outside-family", "infinite-complexity",
+        "fractional-complexity", "zero-complexity", "huge-complexity"])
 def test_report_and_ood_reject_a_bad_results_row(tmp_path, capsys, row, message):
     runs = tmp_path / "runs"
     runs.mkdir()

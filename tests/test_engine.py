@@ -518,7 +518,7 @@ def test_run_delegates_random_mode():
         parabola(), config(n_seed_calls=2, max_iterations=3, mode="random"),
         backend,
     )
-    assert record.summary()["mode"] == MODE_RANDOM
+    assert record.summary()["config"]["engine"]["mode"] == MODE_RANDOM
     assert len(record.calls) == 5
 
 
@@ -765,9 +765,9 @@ def test_summary_shape_and_best_fields():
     backend = ReplayBackend(["f1(x) = 2.5*x"])
     record = run(parabola(), config(n_seed_calls=1, max_iterations=0), backend)
     doc = record.summary()
-    assert doc["mode"] == MODE_FULL
+    assert doc["config"]["engine"]["mode"] == MODE_FULL
     assert doc["dataset"]["name"] == "parabola"
-    assert doc["config"]["n_seed_calls"] == 1
+    assert doc["config"]["engine"]["n_seed_calls"] == 1
     assert doc["best"]["skeleton"] == "c*x"
     assert doc["best"]["origin"] == "seed:0"
     assert isinstance(doc["best"]["coefficients"][0], float)
