@@ -1,25 +1,27 @@
 """Run orchestration: seed proposals, the refinement loop, and the
 random-guessing baseline.
 
-A run is a sequential state machine around one backend.  Every backend
-call is logged as one JSON-lines document; candidates are deduplicated
-by canonical skeleton so each functional form is fitted at most once per
-run, no matter how often the model re-proposes it.  An LM fit draws its
-restart starts from the skeleton (fit.fit_rng) and an affine fit draws
-none, so no fit reads the run's seed and runs on the same data can share
-fits (run's fit_memo).  The front end is memoised per process, within
-bounds: each line and each literal-free template (a line with 'c' for
-its numbers) is parsed and canonicalized once, a line's numbers are
-bound only to fit its skeleton, and each prompt's frame is filled once.
+A run is a sequential state machine around one backend.  Each call's run-log
+line is flushed as the call ends and equals json.dumps of its document, built
+from texts the run encodes once (RunLog); a loop prompt is rebuilt only when
+the trajectory moves.  Candidates are deduplicated by canonical skeleton so
+each form is fitted at most once per run, however often the model re-proposes
+it.  An LM fit draws its restart starts from the skeleton (fit.fit_rng) and an
+affine fit draws none, so no fit reads the run's seed and runs on the same
+data can share fits (run's fit_memo).  The front end is memoised per process,
+within bounds: each line and each literal-free template (a line with 'c' for
+its numbers) is parsed and canonicalized once, a line's numbers are bound only
+to fit its skeleton, and each prompt's frame is filled once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _ascii
 
 from .dataset import Dataset
 # evaluate_batch is unused here but kept: perfbench's tracer patches icsr.engine.evaluate_batch
@@ -134,20 +136,46 @@ class CallRecord:
     latency: float = 0.0
     outcomes: list = field(default_factory=list)
 
-    def to_doc(self) -> dict:
-        """The call's run-log document, its keys in sorted order at every
-        level, as the outcomes' are, so it encodes without sort_keys."""
-        return {"error": self.error, "index": self.index, "latency": round(self.latency, 6),
-                "outcomes": self.outcomes, "phase": self.phase, "prompt": self.prompt,
-                "response": self.response, "temperature": self.temperature,
-                "usage": _keys_sorted(self.usage) if self.usage else self.usage}
 
+class RunLog(dict):
+    """A run's log lines, each json.dumps of a call's document with sorted keys.
+    As a dict it keeps the JSON of each text and nonzero float it wrote, since
+    prompts, keys, details and errors recur in a run; it dies with the run."""
 
-def _keys_sorted(value):
-    """value with every dict in it rebuilt in sorted key order."""
-    if isinstance(value, dict):
-        return {k: _keys_sorted(value[k]) for k in sorted(value)}
-    return [_keys_sorted(v) for v in value] if isinstance(value, list) else value
+    def __missing__(self, value) -> str:
+        self[value] = literal = _ascii(value) if type(value) is str else json.dumps(value)
+        return literal
+
+    def number(self, value) -> str:
+        if type(value) is float and value:  # nonzero: -0.0 would find 0.0's entry
+            return self[value]
+        return repr(value) if type(value) in (int, float) else json.dumps(value)
+
+    def line(self, rec: CallRecord) -> str:
+        outcomes = ", ".join(map(self.outcome, rec.outcomes))
+        error = "null" if rec.error is None else _ascii(rec.error)
+        response = "null" if rec.response is None else _ascii(rec.response)
+        usage = json.dumps(rec.usage, sort_keys=True) if rec.usage else "{}"
+        return (f'{{"error": {error}, "index": {self.number(rec.index)}, "latency": '
+                f'{self.number(round(rec.latency, 6))}, "outcomes": [{outcomes}],'
+                f' "phase": {self[rec.phase]}, "prompt": {self[rec.prompt]},'
+                f' "response": {response}, "temperature": {self.number(rec.temperature)},'
+                f' "usage": {usage}}}\n')
+
+    def outcome(self, o: dict) -> str:
+        status, raw, number = o["status"], _ascii(o["raw"]), self.number
+        if status == "discarded_over_cap":
+            return f'{{"raw": {raw}, "status": "discarded_over_cap"}}'
+        if status == "parse_error":
+            return f'{{"detail": {self[o["detail"]]}, "raw": {raw}, "status": "parse_error"}}'
+        err = "" if status == "invalid_fit" else f' "err": {number(o["err"])},'
+        head = f'{{"complexity": {number(o["complexity"])},{err} "key": {self[o["key"]]},'
+        if status == "duplicate":
+            return f'{head} "raw": {raw}, "status": "duplicate"}}'
+        r2 = f' "r2_train": {number(o["r2_train"])},' if status == "scored" else ""
+        return (f'{head} "lm_frozen": {number(o["lm_frozen"])}, "lm_iterations": '
+                f'{json.dumps(o["lm_iterations"])}, "lm_stops": {json.dumps(o["lm_stops"])},{r2}'
+                f' "raw": {raw}, "restarts": {number(o["restarts"])}, "status": {self[status]}}}')
 
 
 class Trajectory:
@@ -261,6 +289,7 @@ class _Run:
         self.config = config
         self.backend = backend
         self.log = log
+        self.runlog = RunLog()
         self.fits = fits
         self.cache: dict[str, Candidate | None] = {}
         self.points = display_points(dataset)
@@ -283,15 +312,14 @@ class _Run:
             rec.latency = response.latency
             self.process_response(rec)
         self.record.calls.append(rec)
-        # flushed per call, so a run that dies still leaves a readable log
-        self.log.write(json.dumps(rec.to_doc()) + "\n")
-        self.log.flush()
+        if self.log is not None:  # flushed per call: a run that dies leaves a readable log
+            self.log.write(self.runlog.line(rec))
+            self.log.flush()
         return rec
 
     # -- candidate pipeline ------------------------------------------------
 
     def process_response(self, rec: CallRecord):
-        # each outcome's keys in sorted order; see CallRecord.to_doc
         accepted = 0
         for raw in extract_candidates(rec.response):
             if accepted >= self.config.functions_per_call:
@@ -353,6 +381,7 @@ class _Run:
 
     def loop_phase(self):
         schedule, params = self.config.schedule, self.config.sampling
+        view = None
         for j in range(self.config.max_iterations):
             if self.record.early_stopped:
                 break
@@ -361,8 +390,9 @@ class _Run:
             t = params.temperature if schedule is None else schedule.temperature_at(j)
             if repr(t) != repr(params.temperature):
                 params = replace(params, temperature=t)
-            prompt = build_loop_prompt(self.points, self.dataset.dim,
-                                       self.trajectory.view_worst_first())
+            latest = self.trajectory.view_worst_first()
+            if latest != view:
+                view, prompt = latest, build_loop_prompt(self.points, self.dataset.dim, latest)
             self.call("loop", j, prompt, params)
 
     def random_phase(self):
@@ -391,7 +421,7 @@ def run(dataset: Dataset, config: EngineConfig, backend, log_path=None,
     runs on the same dataset and FitConfig.  Nothing here draws from
     config.seed: the summary only echoes it.
     """
-    with open(log_path or os.devnull, "w", encoding="utf-8") as log:
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log:
         state = _Run(dataset, config, backend, log, {} if fit_memo is None else fit_memo)
         if config.mode == MODE_RANDOM:
             state.random_phase()

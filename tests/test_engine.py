@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -18,6 +19,7 @@ from icsr.engine import (
     CallRecord,
     EngineConfig,
     NoValidSeedsError,
+    RunLog,
     RunRecord,
     Trajectory,
     budget_report,
@@ -27,6 +29,7 @@ from icsr.expr import ParseError, Skeleton, canonicalize, complexity, evaluate_b
 from icsr.fit import fit, fit_memo_key, fit_rng
 from icsr.llm import (BackendError, LiveBackend, ReplayBackend, SamplingParams,
                        TemperatureSchedule)
+from icsr.prompts import display_points
 from test_llm import FakeSession, _ok
 
 
@@ -179,6 +182,41 @@ def test_loop_trajectory_worst_first_in_prompt():
     c_pos = prompt.index("Function: c,")
     cx_pos = prompt.index("Function: c*x,")
     assert c_pos < cx_pos  # constant fits worse, listed first
+
+
+def test_loop_prompt_is_built_once_per_trajectory_view(tmp_path, monkeypatch):
+    # with top_k 2 the trajectory moves after loop calls 1 and 3 only: call 0
+    # and 4 repeat a form, and call 2's constant is worse than both kept forms
+    script = ["f1(x) = c*x", "f1(x) = c*x", "f1(x) = c*exp(x)", "f1(x) = c",
+              "f1(x) = c*x + c", "f1(x) = 2*x"]
+    real_build = icsr.engine.build_loop_prompt
+    built = []
+
+    def counting_build(points, dim, trajectory):
+        built.append(list(trajectory))
+        return real_build(points, dim, trajectory)
+
+    monkeypatch.setattr(icsr.engine, "build_loop_prompt", counting_build)
+    log_path = tmp_path / "runlog.jsonl"
+    data = parabola()
+    record = run(data, config(n_seed_calls=1, max_iterations=5, top_k=2),
+                 ReplayBackend(script), log_path)
+    assert not record.early_stopped and len(record.calls) == 6
+    # each loop call's trajectory, rebuilt from the outcomes before it
+    trajectory, views = Trajectory(2), []
+    for call in record.calls:
+        if call.phase == "loop":
+            views.append(trajectory.view_worst_first())
+        for o in call.outcomes:
+            if o["status"] == "scored":
+                trajectory.add(_stub(o["key"], o["err"]))
+    distinct = [v for i, v in enumerate(views) if i == 0 or v != views[i - 1]]
+    assert [views.index(v) for v in distinct] == [0, 2, 4]
+    assert built == distinct
+    logged = [json.loads(line) for line in log_path.read_text(encoding="utf-8").splitlines()]
+    points = display_points(data)
+    assert [doc["prompt"] for doc in logged if doc["phase"] == "loop"] == [
+        real_build(points, data.dim, view) for view in views]
 
 
 @pytest.mark.parametrize("schedule, loop_temps", [
@@ -759,6 +797,88 @@ def test_run_log_lines_have_their_keys_sorted_at_every_level(tmp_path):
     run(parabola(), config(n_seed_calls=2, max_iterations=1), backend, live)
     docs = _assert_lines_are_their_sorted_encoding(live, 3)
     assert [doc["usage"] for doc in docs] == [NESTED_USAGE] * 3
+
+
+def _document(rec: CallRecord) -> dict:
+    """A call's run-log document, the reference its line is checked against."""
+    return {"error": rec.error, "index": rec.index, "latency": round(rec.latency, 6),
+            "outcomes": rec.outcomes, "phase": rec.phase, "prompt": rec.prompt,
+            "response": rec.response, "temperature": rec.temperature, "usage": rec.usage}
+
+
+# any code point: control characters, non-BMP characters, lone surrogates;
+# a small pool too, so texts recur within a run as prompts, keys and details do
+_ANY_TEXT = st.one_of(st.text(st.characters(exclude_categories=()), max_size=12),
+                      st.sampled_from(["c*x", "\x00\n\"\\", "\ud800", "\U0001f600", ""]))
+_ERR = st.one_of(st.none(), st.floats(),
+                 st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
+                                  1.7976931348623157e308, 1.5]))
+_FITTED = {"complexity": st.integers(1, 500), "key": _ANY_TEXT, "lm_frozen": st.integers(0, 5),
+           "lm_iterations": st.lists(st.integers(0, 200), max_size=5),
+           "lm_stops": st.lists(st.sampled_from(["gtol", "cap", "beaten", "lstsq"]), max_size=5),
+           "raw": _ANY_TEXT, "restarts": st.integers(0, 5)}
+_OUTCOME = st.one_of(
+    st.fixed_dictionaries({"raw": _ANY_TEXT, "status": st.just("discarded_over_cap")}),
+    st.fixed_dictionaries({"detail": _ANY_TEXT, "raw": _ANY_TEXT,
+                           "status": st.just("parse_error")}),
+    st.fixed_dictionaries({"complexity": st.integers(1, 500), "err": _ERR, "key": _ANY_TEXT,
+                           "raw": _ANY_TEXT, "status": st.just("duplicate")}),
+    st.fixed_dictionaries({**_FITTED, "status": st.just("invalid_fit")}),
+    st.fixed_dictionaries({**_FITTED, "err": _ERR, "r2_train": _ERR,
+                           "status": st.just("scored")}),
+)
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), _ANY_TEXT,
+                       st.floats(allow_nan=False, allow_infinity=False))
+_USAGE = st.one_of(st.just({}), st.dictionaries(_ANY_TEXT, st.recursive(
+    _JSON_LEAF, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                        st.dictionaries(_ANY_TEXT, inner, max_size=3)),
+    max_leaves=6), min_size=1, max_size=4))
+_CALL = st.builds(
+    CallRecord, phase=st.sampled_from(["seed", "loop", "random"]), index=st.integers(0, 10_000),
+    temperature=st.one_of(st.integers(0, 2), st.floats(0, 2), st.sampled_from([1, 1.0, -0.0])),
+    prompt=_ANY_TEXT, response=st.one_of(st.none(), _ANY_TEXT),
+    error=st.one_of(st.none(), _ANY_TEXT), usage=_USAGE,
+    latency=st.one_of(st.floats(0, 1e4), st.sampled_from([0.0, 1.23456789e-7, 12.3456785])),
+    outcomes=st.lists(_OUTCOME, max_size=6))
+_ALL_STATUSES = [{"raw": "x ", "status": "discarded_over_cap"},
+                 {"detail": "bad \ud800", "raw": "f(", "status": "parse_error"},
+                 {"complexity": 3, "err": None, "key": "c*x", "raw": "2*x", "status": "duplicate"},
+                 {"complexity": 3, "key": "c*x", "lm_frozen": 0, "lm_iterations": [1] * 5,
+                  "lm_stops": ["lstsq"] * 5, "raw": "x", "restarts": 5, "status": "invalid_fit"},
+                 {"complexity": 3, "err": 0.0, "key": "c*x", "lm_frozen": 1,
+                  "lm_iterations": [3, 0], "lm_stops": ["gtol", "beaten"], "r2_train": -math.inf,
+                  "raw": "x\U0001f600", "restarts": 2, "status": "scored"}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CALL, min_size=1, max_size=4))
+# every status; then the memo's look-alikes in one run: 0.0 and -0.0, 1 and 1.0
+@example([CallRecord("seed", 0, 1, "p", response="r", usage=NESTED_USAGE, latency=12.3456785,
+                     outcomes=_ALL_STATUSES)])
+@example([CallRecord("loop", 0, 1.0, "p", "r", outcomes=[_ALL_STATUSES[2] | {"err": 0.0}]),
+          CallRecord("loop", 1, 1, "p", "r", outcomes=[_ALL_STATUSES[2] | {"err": -0.0}]),
+          CallRecord("loop", 2, -0.0, "p", None, "timed out", latency=1.0,
+                     outcomes=[_ALL_STATUSES[2] | {"err": 1.0, "complexity": 1}])])
+def test_a_run_log_line_is_the_sorted_json_of_its_document(calls):
+    log = RunLog()  # one run's memo, shared by its calls
+    for rec in calls:
+        assert log.line(rec) == json.dumps(_document(rec), sort_keys=True) + "\n"
+    for rec in calls:  # again, every text and float now from the memo
+        assert log.line(rec) == json.dumps(_document(rec), sort_keys=True) + "\n"
+
+
+def test_a_run_without_a_log_path_builds_no_line_and_summarises_alike(tmp_path, monkeypatch):
+    script = [REPEATING_REPLY, "f1(x) = c*log(-x)\nf2(x) = c*exp(x)", REPEATING_REPLY]
+    cfg = config(n_seed_calls=2, max_iterations=3)
+    logged = run(parabola(), cfg, ReplayBackend(script), tmp_path / "runlog.jsonl")
+
+    def no_line(log, rec):
+        raise AssertionError("a run without a log path built a log line")
+
+    monkeypatch.setattr(RunLog, "line", no_line)
+    unlogged = run(parabola(), cfg, ReplayBackend(script))
+    assert unlogged.summary() == logged.summary()
+    assert [c.outcomes for c in unlogged.calls] == [c.outcomes for c in logged.calls]
 
 
 def test_summary_shape_and_best_fields():
