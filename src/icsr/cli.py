@@ -24,15 +24,8 @@ from .bench import atomic_write_text, csv_text, write_summary
 from .dataset import Dataset
 from .engine import MODES, SECTIONS, EngineConfig, NoValidSeedsError, config_from_doc, run
 from .expr import variable_names
-from .llm import (
-    API_KEY_ENV,
-    MAX_ATTEMPTS,
-    MAX_TIMEOUT,
-    BackendError,
-    LiveBackend,
-    ReplayBackend,
-)
-from .validate import integer, of_type, real
+from .llm import LIVE_SETTINGS, BackendError, LiveBackend, MissingAPIKeyError, ReplayBackend
+from .validate import of_type
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -54,14 +47,7 @@ def _string(obj, key: str):
 # are its keys and check themselves when built, or else {key: check}
 _SECTIONS = {
     **SECTIONS,
-    "backend": {
-        "kind": _string, "endpoint": _string, "replay_file": _string,
-        "timeout": lambda o, k: real(o, k, lambda v: 0 < v <= MAX_TIMEOUT,
-                                     f"a number in (0, {MAX_TIMEOUT:g}]"),
-        "max_attempts": lambda o, k: integer(o, k, 1, MAX_ATTEMPTS),
-        "backoff": lambda o, k: real(o, k, lambda v: v >= 0, "a finite number >= 0"),
-        "include_sampling_extras": lambda o, k: of_type(o, k, bool, "true or false"),
-    },
+    "backend": {"kind": _string, "replay_file": _string, **LIVE_SETTINGS},
     "benchmark": {"suite": _string, "equation": _string, "data": _string},
     "output": {"dir": _string},
 }
@@ -179,9 +165,10 @@ def make_backend_factory(doc: dict, names=()):
 
     if not options.get("endpoint"):
         raise ConfigError("live backend needs --endpoint")
-    options["api_key"] = os.environ.get(API_KEY_ENV)
-    if not options["api_key"]:
-        raise ConfigError(f"live backend needs an API key; set {API_KEY_ENV}")
+    try:
+        LiveBackend(**options)  # the API key and each setting, --endpoint too, before any call
+    except (ValueError, MissingAPIKeyError) as exc:
+        raise ConfigError(str(exc)) from exc
     return lambda spec_or_name, seed: LiveBackend(**options)
 
 

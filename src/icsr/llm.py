@@ -3,14 +3,17 @@ deterministic replay client for tests and offline runs."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import time
+import urllib.parse
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional
 
-from .validate import integer, real
+from .validate import integer, of_type, real
 
 API_KEY_ENV = "ICSR_API_KEY"
 # Upper bounds on a config's backend timeout (seconds) and attempts, far
@@ -25,6 +28,38 @@ MAX_TOP_K = 1_000_000
 MAX_BEAMS = 1_000
 MAX_NEW_TOKENS = 10_000_000
 MAX_SCHEDULE_ITERATIONS = 10_000
+# The most body bytes LiveBackend's own transport reads of one reply: 64
+# MiB, 6.7 bytes for each of MAX_NEW_TOKENS tokens, whose text takes about
+# 4 bytes a token.  A longer body fails the call.
+MAX_REPLY_BYTES = 64 << 20
+
+
+def _endpoint(obj, key: str):
+    """obj.key must be an http or https URL with a host and a valid port,
+    in printable ASCII without spaces, as an HTTP request line takes it."""
+    of_type(obj, key, str, "a string")
+    url = getattr(obj, key)
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # a port that is not a number in [0, 65535] raises
+    except ValueError:
+        parts = None
+    if not (parts and parts.scheme in ("http", "https") and parts.hostname
+            and url.isascii() and url.isprintable() and " " not in url):
+        raise ValueError(f"{key} must be an http or https URL with a host, in printable "
+                         f"ASCII without spaces, got {url!r}")
+
+
+# LiveBackend's settings, each with its check; the CLI's backend section
+# checks the same keys with this table
+LIVE_SETTINGS = {
+    "endpoint": _endpoint,
+    "timeout": lambda o, k: real(o, k, lambda v: 0 < v <= MAX_TIMEOUT,
+                                 f"a number in (0, {MAX_TIMEOUT:g}]"),
+    "max_attempts": lambda o, k: integer(o, k, 1, MAX_ATTEMPTS),
+    "backoff": lambda o, k: real(o, k, lambda v: v >= 0, "a finite number >= 0"),
+    "include_sampling_extras": lambda o, k: of_type(o, k, bool, "true or false"),
+}
 
 
 class BackendError(RuntimeError):
@@ -129,7 +164,9 @@ class LiveBackend:
     is capped at timeout.  Anything else, or running out of attempts,
     raises BackendError.  top_k and num_beams are only put on the wire
     when include_sampling_extras is set, because strict servers reject
-    unknown fields.
+    unknown fields.  session is anything with requests.Session's post;
+    by default a _Transport, on which each attempt must end within
+    timeout.
     """
 
     def __init__(
@@ -140,25 +177,25 @@ class LiveBackend:
         max_attempts: int = 3,
         backoff: float = 1.0,
         include_sampling_extras: bool = False,
-        session: Optional[requests.Session] = None,
+        session=None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        self.endpoint = endpoint
+        self.timeout = timeout
+        self.max_attempts = max_attempts
+        self.backoff = backoff
+        self.include_sampling_extras = include_sampling_extras
+        for key, check in LIVE_SETTINGS.items():
+            check(self, key)
+        self.endpoint = endpoint.rstrip("/")
         if api_key is None:
             api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
             raise MissingAPIKeyError(
                 f"live backend needs an API key; set {API_KEY_ENV}"
             )
-        self.endpoint = endpoint.rstrip("/")
         self.api_key = api_key
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.include_sampling_extras = include_sampling_extras
-        if session is None:
-            import requests  # only the live backend pays for importing it
-            session = requests.Session()
-        self.session = session
+        self.session = _Transport() if session is None else session
         self.sleep = sleep
 
     def _body(self, request: CompletionRequest) -> dict:
@@ -176,7 +213,6 @@ class LiveBackend:
         return body
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        import requests
         url = f"{self.endpoint}/chat/completions"
         headers = {
             "Authorization": f"Bearer {self.api_key}",
@@ -193,7 +229,7 @@ class LiveBackend:
             start = time.monotonic()
             try:
                 resp = self.session.post(url, json=body, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+            except OSError as exc:  # requests.RequestException is one too
                 last_error = f"transport error: {exc}"
                 continue
             latency = time.monotonic() - start
@@ -229,3 +265,120 @@ def _retry_after(resp, cap: float) -> Optional[float]:
     except ValueError:
         return None
     return min(seconds, cap) if 0 <= seconds < math.inf else None
+
+
+class _Deadline(io.RawIOBase):
+    """A reply's socket file, as http.client reads it: every read ends by
+    one deadline, and got counts the bytes read.  It reads through a file
+    of sock, which keeps sock open if http.client closes the connection
+    before the body is read."""
+
+    def __init__(self, sock, deadline: float):
+        self.sock, self.file = sock, sock.makefile("rb", buffering=0)
+        self.deadline, self.got = deadline, 0
+
+    def makefile(self, mode):
+        return io.BufferedReader(self)
+
+    def readable(self):
+        return True
+
+    def close(self):
+        self.file.close()
+        super().close()
+
+    def readinto(self, buffer):
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError
+        self.sock.settimeout(left)
+        got = self.file.readinto(buffer)
+        self.got += got
+        return got
+
+
+class _Transport:
+    """LiveBackend's session when it is given none: one keep-alive
+    connection, closed after any error and reopened by the next request.
+    A reply must end within timeout of its request and have at most
+    MAX_REPLY_BYTES of body; a failed post raises OSError."""
+
+    conn = None
+    dumps, loads = staticmethod(json.dumps), staticmethod(json.loads)  # post's json hides json
+
+    def __del__(self):  # a backend that is dropped leaves no socket open
+        if self.conn is not None:
+            self.conn.close()
+
+    def _open(self, url: str, timeout: float):
+        """The connection to url's host, or to the proxy the environment
+        names for it, which gets absolute-form targets for http and a
+        CONNECT tunnel for https.  A user and password in the proxy URL go
+        to the proxy as Basic Proxy-Authorization, as requests sends them."""
+        import base64
+        import http.client
+        import ssl
+        import urllib.request
+        parts = urllib.parse.urlsplit(url)
+        tls = parts.scheme == "https"
+        host, port = parts.hostname, parts.port or (443 if tls else 80)
+        self.target, self.extra, tunnel = urllib.parse.urlunsplit(("", "", *parts[2:4], "")), {}, None
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(host):
+            p, auth = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy), {}
+            if p.username is not None:
+                pair = f"{urllib.parse.unquote(p.username)}:{urllib.parse.unquote(p.password or '')}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(pair.encode()).decode()
+            if tls:
+                tunnel = (host, port, auth)
+            else:
+                self.target, self.extra = url, auth
+            host, port = p.hostname, p.port or 80
+        if tls:
+            self.conn = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                                    context=ssl.create_default_context())
+        else:
+            self.conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        if tunnel:
+            self.conn.set_tunnel(*tunnel)
+
+    def post(self, url, json, headers, timeout):
+        import http.client
+        if self.conn is None:
+            self._open(url, timeout)
+        data = self.dumps(json, allow_nan=False).encode()
+        try:
+            for resend in (False, True):
+                reused = self.conn.sock is not None  # else request() connects anew
+                if reused:
+                    self.conn.sock.settimeout(timeout)  # the last reply's reader shortened it
+                deadline, readers = time.monotonic() + timeout, []
+
+                def reply(sock, method=None):  # a tunnel's CONNECT reply comes here too
+                    readers.append(_Deadline(sock, deadline))
+                    return http.client.HTTPResponse(readers[-1], method=method)
+
+                self.conn.response_class = reply
+                try:
+                    self.conn.request("POST", self.target, data, {**headers, **self.extra})
+                    resp = self.conn.getresponse()
+                except (BrokenPipeError, ConnectionResetError):
+                    if resend or not reused or any(r.got for r in readers):
+                        raise
+                    self.conn.close()  # a kept-alive connection closed unseen: once more on a new one
+                    continue
+                body = bytearray()
+                while chunk := resp.read(min(1 << 16, MAX_REPLY_BYTES + 1 - len(body))):
+                    body += chunk
+                    if len(body) > MAX_REPLY_BYTES:
+                        raise BackendError(f"reply body longer than {MAX_REPLY_BYTES} bytes")
+                return SimpleNamespace(status_code=resp.status, headers=resp.headers,
+                                       text=body.decode("utf-8", "replace"),
+                                       json=lambda: self.loads(body))
+        except BaseException as exc:
+            self.conn.close()
+            if isinstance(exc, TimeoutError):
+                raise TimeoutError(f"no complete reply within {timeout:g} s") from exc
+            if isinstance(exc, http.client.HTTPException) and not isinstance(exc, OSError):
+                raise OSError(f"malformed HTTP reply: {exc!r}") from exc
+            raise

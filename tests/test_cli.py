@@ -561,6 +561,22 @@ def test_run_bad_live_backend_option_exits_2_before_any_call(
         assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("endpoint", ["h/v1", "ftp://h/v1", "http://h:port/v1"])
+def test_run_bad_live_endpoint_exits_2_before_any_call(tmp_path, monkeypatch, capsys, endpoint):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a model call was made")
+
+    monkeypatch.setenv(API_KEY_ENV, "test-key")
+    monkeypatch.setattr("icsr.llm.LiveBackend.complete", no_call)
+    cfg = write_json(tmp_path / "c.json", {"backend": {"endpoint": endpoint}})
+    for given in (["--config", cfg], ["--endpoint", endpoint]):
+        code = main(["run", "--benchmark", "nguyen8", "--backend", "live", *given,
+                     "--ns", "1", "--iterations", "0", "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "endpoint must be an http or https URL" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_run_good_live_backend_options_reach_the_backend(tmp_path, monkeypatch):
     seen = []
 

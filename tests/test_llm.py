@@ -1,10 +1,19 @@
+import base64
+import http.server
 import json
+import os
+import socket
+import ssl
+import threading
+import time
 
 import pytest
 import requests
 
+from icsr import llm
 from icsr.llm import (
     API_KEY_ENV,
+    MAX_TIMEOUT,
     BackendError,
     CompletionRequest,
     CompletionResponse,
@@ -370,20 +379,341 @@ def test_live_non_string_content():
         backend.complete(_request())
 
 
-def test_only_the_live_backend_loads_requests(fresh_python, tmp_path):
+@pytest.mark.parametrize("key,value", [
+    ("timeout", 0), ("timeout", MAX_TIMEOUT * 2), ("timeout", "1"),
+    ("max_attempts", 0), ("max_attempts", 2.0), ("backoff", -1),
+    ("include_sampling_extras", 1),
+    ("endpoint", "h/v1"), ("endpoint", "ftp://h/v1"), ("endpoint", "http:///v1"),
+    ("endpoint", "http://h:99999/v1"), ("endpoint", "http://h/v 1"),
+    ("endpoint", "http://h/v1\n"), ("endpoint", 7),
+])
+def test_live_backend_checks_its_settings(key, value):
+    with pytest.raises(ValueError, match=key):
+        LiveBackend(**{"endpoint": "http://h/v1", "api_key": "k", key: value})
+
+
+# ---------------------------------------------------------------------------
+# Live backend on its own transport, against loopback servers
+# ---------------------------------------------------------------------------
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with its server's next reply, a function of the
+    handler, after noting the request's target, headers and body."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append((self.path, self.headers, body))
+        self.server.replies.pop(0)(self)
+
+    def do_CONNECT(self):  # a proxy's tunnel, which the reply relays
+        self.server.seen.append((self.path, self.headers, None))
+        self.server.replies.pop(0)(self)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """serve(*replies, context=None) -> (endpoint URL, server) for a new
+    server on 127.0.0.1, over TLS when given an SSL context; no proxy
+    from the environment applies unless the test sets one."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    servers = []
+
+    def start(*replies, context=None):
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+        server.replies, server.seen = list(replies), []
+        if context is not None:
+            server.socket = context.wrap_socket(server.socket, server_side=True)
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        servers.append(server)
+        scheme = "http" if context is None else "https"
+        return f"{scheme}://127.0.0.1:{server.server_port}/v1", server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _completion(text="f(x) = x", usage=None):
+    return {"choices": [{"message": {"content": text}}], "usage": usage or {"total_tokens": 7}}
+
+
+def _reply(status, doc=None, body=None, headers=(), close=False):
+    """A reply of status, headers and doc as JSON (or raw body bytes);
+    with close, the server then closes the connection without saying so."""
+    def send(handler):
+        data = json.dumps(doc).encode() if body is None else body
+        handler.send_response(status)
+        for name, value in headers:
+            handler.send_header(name, value)
+        handler.send_header("Content-Length", str(len(data)))
+        handler.end_headers()
+        handler.wfile.write(data)
+        handler.close_connection = close
+    return send
+
+
+def _relay(handler):
+    """Accepts a CONNECT and relays bytes both ways until both sides close."""
+    def pipe(src, dst):
+        try:
+            while data := src.recv(1 << 16):
+                dst.sendall(data)
+            dst.shutdown(socket.SHUT_WR)
+        except OSError:  # the other side is gone
+            pass
+
+    host, port = handler.path.rsplit(":", 1)
+    with socket.create_connection((host, int(port))) as upstream:
+        handler.send_response(200)
+        handler.end_headers()
+        back = threading.Thread(target=pipe, args=(upstream, handler.connection))
+        back.start()
+        pipe(handler.connection, upstream)
+        back.join()
+    handler.close_connection = True
+
+
+def test_own_transport_returns_text_and_usage(serve):
+    url, server = serve(_reply(200, _completion("f(x) = 2*x", {"total_tokens": 11})))
+    backend = LiveBackend(url + "/", api_key="k", sleep=lambda _: None)
+    resp = backend.complete(_request(model="m1"))
+    assert (resp.text, resp.usage) == ("f(x) = 2*x", {"total_tokens": 11})
+    [(path, headers, body)] = server.seen
+    assert path == "/v1/chat/completions"
+    assert headers["Authorization"] == "Bearer k"
+    assert headers["Content-Type"] == "application/json"
+    assert body["model"] == "m1" and body["max_tokens"] == 512
+
+
+def test_own_transport_waits_what_retry_after_asks(serve):
+    url, server = serve(_reply(503, body=b"busy", headers=[("Retry-After", "0")]),
+                        _reply(200, _completion("late")))
+    delays = []
+    backend = LiveBackend(url, api_key="k", sleep=delays.append)
+    assert backend.complete(_request()).text == "late"
+    assert delays == [0.0] and len(server.seen) == 2
+
+
+def test_own_transport_gives_up_after_max_attempts(serve):
+    url, server = serve(*[_reply(500, body=b"oops")] * 3)
+    backend = LiveBackend(url, api_key="k", max_attempts=3, sleep=lambda _: None)
+    with pytest.raises(BackendError, match=r"after 3 attempts \(HTTP 500\)"):
+        backend.complete(_request())
+    assert len(server.seen) == 3
+
+
+@pytest.mark.parametrize("status", [400, 302])
+def test_own_transport_fails_other_statuses_with_their_text(serve, status):
+    # a redirect is not followed
+    url, server = serve(_reply(status, body=b"no such model: m1",
+                               headers=[("Location", "http://127.0.0.1:9/v1")]))
+    backend = LiveBackend(url, api_key="k", sleep=lambda _: None)
+    with pytest.raises(BackendError, match=f"HTTP {status}: no such model: m1"):
+        backend.complete(_request())
+    assert len(server.seen) == 1
+
+
+@pytest.mark.parametrize("body", [json.dumps({"choices": []}).encode(), b"<html>",
+                                  b"\xff\xfe{"], ids=["no_choices", "not_json", "not_utf8"])
+def test_own_transport_malformed_payload(serve, body):
+    url, _ = serve(_reply(200, body=body))
+    backend = LiveBackend(url, api_key="k", sleep=lambda _: None)
+    with pytest.raises(BackendError, match="malformed completion payload"):
+        backend.complete(_request())
+
+
+def test_own_transport_resends_on_a_kept_alive_connection_the_server_closed(serve):
+    url, server = serve(_reply(200, _completion("one"), close=True),
+                        _reply(200, _completion("two"), close=True))
+    delays = []
+    backend = LiveBackend(url, api_key="k", sleep=delays.append)
+    assert backend.complete(_request()).text == "one"
+    time.sleep(0.05)  # the server's close arrives
+    assert backend.complete(_request()).text == "two"
+    assert delays == [] and len(server.seen) == 2
+
+
+def test_own_transport_reads_a_body_sent_after_a_closing_header(serve):
+    # "Connection: close" makes http.client close the connection, and hand
+    # its socket to the reply, before the body arrives
+    def send(handler):
+        body = json.dumps(_completion("closing")).encode()
+        handler.send_response(200)
+        handler.send_header("Connection", "close")
+        handler.send_header("Content-Length", str(len(body)))
+        handler.end_headers()
+        time.sleep(0.05)
+        handler.wfile.write(body)
+        handler.close_connection = True
+
+    url, _ = serve(send)
+    assert LiveBackend(url, api_key="k", max_attempts=1).complete(_request()).text == "closing"
+
+
+def test_own_transport_goes_through_the_environment_proxy(serve, monkeypatch):
+    url, origin = serve(_reply(200, _completion("direct")))
+    proxy_url, proxy = serve(_reply(200, _completion("proxied")))
+    monkeypatch.setenv("HTTP_PROXY", proxy_url.replace("//", "//us%65r:p%40ss@")[:-len("/v1")])
+    assert LiveBackend(url, api_key="k").complete(_request()).text == "proxied"
+    [(target, headers, _)] = proxy.seen
+    assert target == url + "/chat/completions"  # the absolute form
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+    monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+    assert LiveBackend(url, api_key="k").complete(_request()).text == "direct"
+    [(target, headers, _)] = origin.seen
+    assert target == "/v1/chat/completions" and "Proxy-Authorization" not in headers
+    assert len(proxy.seen) == 1
+
+
+def _self_signed(tmp_path):
+    """PEM files of a throwaway certificate for 127.0.0.1 and its key."""
+    pytest.importorskip("cryptography")
+    import datetime
+    import ipaddress
+
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (x509.CertificateBuilder().subject_name(name).issuer_name(name)
+            .public_key(key.public_key()).serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(days=1))
+            .not_valid_after(now + datetime.timedelta(days=1))
+            .add_extension(x509.SubjectAlternativeName(
+                [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+            .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+            # digital_signature and key_cert_sign, of KeyUsage's nine flags
+            .add_extension(x509.KeyUsage(True, False, False, False, False, True, False, False,
+                                         False), critical=True)
+            .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()),
+                           critical=False)
+            .sign(key, hashes.SHA256()))
+    cert_path, key_path = tmp_path / "cert.pem", tmp_path / "key.pem"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(key.private_bytes(serialization.Encoding.PEM,
+                                           serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    return cert_path, key_path
+
+
+def test_own_transport_verifies_tls_against_the_default_trust_store(serve, tmp_path, monkeypatch):
+    cert, key = _self_signed(tmp_path)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    url, server = serve(_reply(200, _completion("secure")), _reply(200, _completion("tunnelled")),
+                        context=context)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    with pytest.raises(BackendError, match="CERTIFICATE_VERIFY_FAILED"):
+        LiveBackend(url, api_key="k", max_attempts=1).complete(_request())
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    assert LiveBackend(url, api_key="k").complete(_request()).text == "secure"
+    # through a CONNECT tunnel, whose credentials go to the proxy only
+    proxy_url, proxy = serve(_relay)
+    monkeypatch.setenv("HTTPS_PROXY", proxy_url.replace("//", "//user:pw@")[:-len("/v1")])
+    assert LiveBackend(url, api_key="k").complete(_request()).text == "tunnelled"
+    [(target, headers, _)] = proxy.seen
+    assert target == url.split("//")[1][:-len("/v1")]
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+    assert [path for path, _, _ in server.seen] == ["/v1/chat/completions"] * 2
+    assert "Proxy-Authorization" not in server.seen[1][1]
+
+
+def _drip(where, pause):
+    """A 200 reply whose headers or body come one byte per pause seconds,
+    for 8 bytes, and then the rest at once, while the client still listens."""
+    def send(handler):
+        body = json.dumps(_completion("late")).encode()
+        status = b"HTTP/1.1 200 OK\r\n"
+        head = status + f"Content-Length: {len(body)}\r\n\r\n".encode()
+        data, start = head + body, len(status if where == "headers" else head)
+        try:
+            handler.wfile.write(data[:start])
+            for i in range(start, start + 8):
+                time.sleep(pause)
+                handler.wfile.write(data[i:i + 1])
+            handler.wfile.write(data[start + 8:])
+        except OSError:  # the client hung up
+            handler.close_connection = True
+    return send
+
+
+# at 0.8 s a byte, a read that waited a whole timeout would end at 1.6 s
+@pytest.mark.parametrize("where,pause", [("headers", 0.5), ("body", 0.5), ("body", 0.8)])
+def test_own_transport_ends_a_dripped_reply_at_the_deadline(serve, where, pause):
+    url, _ = serve(_drip(where, pause))
+    backend = LiveBackend(url, api_key="k", timeout=1.0, max_attempts=1)
+    start = time.monotonic()
+    with pytest.raises(BackendError, match="no complete reply within 1 s"):
+        backend.complete(_request())
+    assert time.monotonic() - start < 1.5
+
+
+def test_own_transport_reads_no_body_past_its_cap(serve, monkeypatch):
+    # the server stalls after one byte past the cap: a client that read on
+    # would wait out its 2 s deadline
+    monkeypatch.setattr(llm, "MAX_REPLY_BYTES", 1000, raising=False)
+    stall = threading.Event()
+
+    def send(handler):
+        handler.send_response(200)
+        handler.send_header("Content-Length", "2000")
+        handler.end_headers()
+        handler.wfile.write(b" " * 1001)
+        stall.wait(5)
+        handler.close_connection = True
+
+    url, _ = serve(send)
+    backend = LiveBackend(url, api_key="k", timeout=2.0, max_attempts=1)
+    start = time.monotonic()
+    try:
+        with pytest.raises(BackendError, match="reply body longer than 1000 bytes"):
+            backend.complete(_request())
+        assert time.monotonic() - start < 1.0
+    finally:
+        stall.set()
+
+
+def test_no_backend_loads_requests(fresh_python, tmp_path):
     # a fresh interpreter: this module imports requests itself
     replay = tmp_path / "replay.json"
     replay.write_text('["f1(x) = c*x^3 + c*x"]', encoding="utf-8")
     argv = ["run", "--benchmark", "nguyen1", "--replay-file", str(replay),
             "--ns", "1", "--iterations", "0", "--out", str(tmp_path / "out")]
     out = fresh_python(
-        "import contextlib, io\n"
+        "import contextlib, io, json, os, threading\n"
+        "from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer\n"
         "from icsr.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
         "print(code, heavy())\n"
-        "from icsr.llm import LiveBackend\n"
-        "LiveBackend('http://127.0.0.1:9/v1', api_key='k')\n"
-        "print(heavy())\n"
+        "class Handler(BaseHTTPRequestHandler):\n"
+        "    def do_POST(self):\n"
+        "        self.rfile.read(int(self.headers['Content-Length']))\n"
+        "        body = json.dumps({'choices': [{'message': {'content': 'f(x) = x'}}]}).encode()\n"
+        "        self.send_response(200)\n"
+        "        self.send_header('Content-Length', str(len(body)))\n"
+        "        self.end_headers()\n"
+        "        self.wfile.write(body)\n"
+        "server = ThreadingHTTPServer(('127.0.0.1', 0), Handler)\n"
+        "threading.Thread(target=server.serve_forever, daemon=True).start()\n"
+        "for name in [n for n in os.environ if n.lower().endswith('_proxy')]:\n"
+        "    del os.environ[name]\n"
+        "from icsr.llm import CompletionRequest, LiveBackend, SamplingParams\n"
+        "backend = LiveBackend(f'http://127.0.0.1:{server.server_port}/v1', api_key='k')\n"
+        "print(backend.complete(CompletionRequest('m', (), SamplingParams())).text)\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'requests', 'urllib3'}))\n"
     )
-    assert out.splitlines() == ["0 []", "['requests']"]
+    assert out.splitlines() == ["0 []", "f(x) = x", "[]"]
