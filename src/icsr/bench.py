@@ -160,28 +160,20 @@ def sample(spec: BenchmarkSpec, split: str) -> Dataset:
         raise ValueError("split must be 'train' or 'test'")
     sampler = spec.train if split == "train" else spec.test
     gt = spec.ground_truth()
-    low = np.asarray(sampler.low)
-    high = np.asarray(sampler.high)
-
     if sampler.kind == "equispaced":
         X = equispaced_grid(sampler.low, sampler.high, sampler.num, spec.dim)
-        y = evaluate_batch(gt, np.empty(0), X)
-        if np.isnan(y).any():
-            raise SamplingError(
-                f"{spec.name}/{split}: ground truth undefined on equispaced grid"
-            )
     else:
         rng = np.random.default_rng(dataset_seed(spec.name, split))
-        X = rng.uniform(low, high, size=(sampler.num, spec.dim))
-        y = evaluate_batch(gt, np.empty(0), X)
-        rounds = 0
-        while np.isnan(y).any():
-            rounds += 1
-            if rounds > _MAX_RESAMPLE_ROUNDS:
-                raise SamplingError(f"{spec.name}/{split}: resampling did not converge")
-            bad = np.isnan(y)
-            X[bad] = rng.uniform(low, high, size=(int(bad.sum()), spec.dim))
-            y = evaluate_batch(gt, np.empty(0), X)
+        X = rng.uniform(sampler.low, sampler.high, size=(sampler.num, spec.dim))
+    rounds = 0
+    while np.isnan(y := evaluate_batch(gt, np.empty(0), X)).any():
+        if sampler.kind == "equispaced":
+            raise SamplingError(f"{spec.name}/{split}: ground truth undefined on equispaced grid")
+        rounds += 1
+        if rounds > _MAX_RESAMPLE_ROUNDS:
+            raise SamplingError(f"{spec.name}/{split}: resampling did not converge")
+        bad = np.isnan(y)
+        X[bad] = rng.uniform(sampler.low, sampler.high, size=(int(bad.sum()), spec.dim))
     return Dataset(X=X, y=y, name=spec.name, split=split)
 
 

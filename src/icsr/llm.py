@@ -34,18 +34,24 @@ MAX_SCHEDULE_ITERATIONS = 10_000
 MAX_REPLY_BYTES = 64 << 20
 
 
-def _endpoint(obj, key: str):
-    """obj.key must be an http or https URL with a host and a valid port,
-    in printable ASCII without spaces, as an HTTP request line takes it."""
-    of_type(obj, key, str, "a string")
-    url = getattr(obj, key)
+def _split_url(url: str, schemes):
+    """url's parts if it is a URL of one of schemes with a host and a valid
+    port, in printable ASCII without spaces, as an HTTP request line takes
+    it; else None."""
     try:
         parts = urllib.parse.urlsplit(url)
         parts.port  # a port that is not a number in [0, 65535] raises
     except ValueError:
-        parts = None
-    if not (parts and parts.scheme in ("http", "https") and parts.hostname
-            and url.isascii() and url.isprintable() and " " not in url):
+        return None
+    if (parts.scheme in schemes and parts.hostname and url.isascii() and url.isprintable()
+            and " " not in url):
+        return parts
+
+
+def _endpoint(obj, key: str):
+    of_type(obj, key, str, "a string")
+    url = getattr(obj, key)
+    if not _split_url(url, ("http", "https")):
         raise ValueError(f"{key} must be an http or https URL with a host, in printable "
                          f"ASCII without spaces, got {url!r}")
 
@@ -166,7 +172,7 @@ class LiveBackend:
     when include_sampling_extras is set, because strict servers reject
     unknown fields.  session is anything with requests.Session's post;
     by default a _Transport, on which each attempt must end within
-    timeout.
+    timeout.  The key, the settings and any proxy are checked here.
     """
 
     def __init__(
@@ -187,15 +193,17 @@ class LiveBackend:
         self.include_sampling_extras = include_sampling_extras
         for key, check in LIVE_SETTINGS.items():
             check(self, key)
-        self.endpoint = endpoint.rstrip("/")
         if api_key is None:
             api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
             raise MissingAPIKeyError(
                 f"live backend needs an API key; set {API_KEY_ENV}"
             )
-        self.api_key = api_key
-        self.session = _Transport() if session is None else session
+        if not (api_key.isascii() and api_key.isprintable()):  # a header value; never echoed
+            raise ValueError(f"api_key ({API_KEY_ENV}) must be printable ASCII")
+        self.url = endpoint.rstrip("/") + "/chat/completions"
+        self.headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        self.session = _Transport(self.url, timeout) if session is None else session
         self.sleep = sleep
 
     def _body(self, request: CompletionRequest) -> dict:
@@ -213,11 +221,6 @@ class LiveBackend:
         return body
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        url = f"{self.endpoint}/chat/completions"
-        headers = {
-            "Authorization": f"Bearer {self.api_key}",
-            "Content-Type": "application/json",
-        }
         body = self._body(request)
         delay = self.backoff
         last_error = "no attempt made"
@@ -228,7 +231,7 @@ class LiveBackend:
             wait = None  # the server's Retry-After, if this attempt gets one
             start = time.monotonic()
             try:
-                resp = self.session.post(url, json=body, headers=headers, timeout=self.timeout)
+                resp = self.session.post(self.url, json=body, headers=self.headers, timeout=self.timeout)
             except OSError as exc:  # requests.RequestException is one too
                 last_error = f"transport error: {exc}"
                 continue
@@ -247,7 +250,7 @@ class LiveBackend:
                 if not isinstance(usage, dict):
                     raise TypeError("usage is not a JSON object")
                 json.dumps(usage, allow_nan=False)  # the run log is strict JSON
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
+            except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
                 raise BackendError(f"malformed completion payload: {exc}") from exc
             if not isinstance(text, str):
                 raise BackendError("completion content is not a string")
@@ -299,22 +302,18 @@ class _Deadline(io.RawIOBase):
 
 class _Transport:
     """LiveBackend's session when it is given none: one keep-alive
-    connection, closed after any error and reopened by the next request.
+    connection for POSTs to url, closed after any error and reopened by
+    the next request.  It goes to url's host, or to the proxy the
+    environment names for it, which gets absolute-form targets for http
+    and a CONNECT tunnel for https.  A user and password in the proxy URL
+    go to the proxy as Basic Proxy-Authorization, as requests sends them.
     A reply must end within timeout of its request and have at most
     MAX_REPLY_BYTES of body; a failed post raises OSError."""
 
-    conn = None
+    conn = None  # __del__ runs even when __init__ raises
     dumps, loads = staticmethod(json.dumps), staticmethod(json.loads)  # post's json hides json
 
-    def __del__(self):  # a backend that is dropped leaves no socket open
-        if self.conn is not None:
-            self.conn.close()
-
-    def _open(self, url: str, timeout: float):
-        """The connection to url's host, or to the proxy the environment
-        names for it, which gets absolute-form targets for http and a
-        CONNECT tunnel for https.  A user and password in the proxy URL go
-        to the proxy as Basic Proxy-Authorization, as requests sends them."""
+    def __init__(self, url: str, timeout: float):
         import base64
         import http.client
         import ssl
@@ -325,7 +324,10 @@ class _Transport:
         self.target, self.extra, tunnel = urllib.parse.urlunsplit(("", "", *parts[2:4], "")), {}, None
         proxy = urllib.request.getproxies().get(parts.scheme)
         if proxy and not urllib.request.proxy_bypass(host):
-            p, auth = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy), {}
+            p, auth = _split_url(proxy if "://" in proxy else "http://" + proxy, ("http",)), {}
+            if p is None:  # the URL is not echoed: it may hold a password
+                raise ValueError(f"the environment's {parts.scheme} proxy must be an http URL "
+                                 "with a host and a valid port, in printable ASCII without spaces")
             if p.username is not None:
                 pair = f"{urllib.parse.unquote(p.username)}:{urllib.parse.unquote(p.password or '')}"
                 auth["Proxy-Authorization"] = "Basic " + base64.b64encode(pair.encode()).decode()
@@ -342,10 +344,12 @@ class _Transport:
         if tunnel:
             self.conn.set_tunnel(*tunnel)
 
+    def __del__(self):  # a backend that is dropped leaves no socket open
+        if self.conn is not None:
+            self.conn.close()
+
     def post(self, url, json, headers, timeout):
         import http.client
-        if self.conn is None:
-            self._open(url, timeout)
         data = self.dumps(json, allow_nan=False).encode()
         try:
             for resend in (False, True):

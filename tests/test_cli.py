@@ -27,7 +27,7 @@ from icsr.expr import parse
 from icsr.fit import FitConfig
 from icsr.llm import (API_KEY_ENV, MAX_ATTEMPTS, MAX_BEAMS, MAX_NEW_TOKENS,
                       MAX_SCHEDULE_ITERATIONS, MAX_TIMEOUT, MAX_TOP_K, BackendError,
-                      CompletionResponse, SamplingParams, TemperatureSchedule)
+                      CompletionResponse, LiveBackend, SamplingParams, TemperatureSchedule)
 from icsr.score import ScoreConfig
 
 
@@ -575,6 +575,50 @@ def test_run_bad_live_endpoint_exits_2_before_any_call(tmp_path, monkeypatch, ca
         assert code == EXIT_CONFIG
         assert "endpoint must be an http or https URL" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _no_env_proxy(monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+# a port out of range, a broken IPv6 host, no host, an https proxy, and a
+# password that must not reach stderr
+@pytest.mark.parametrize("proxy", ["http://proxy:99999", "http://[::1", "http://:8080",
+                                   "http://user@", "https://proxy:3128",
+                                   "http://user:secret@:8080"])
+def test_an_unusable_proxy_exits_2_before_any_call(tmp_path, monkeypatch, capsys, proxy):
+    _no_env_proxy(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    with pytest.raises(ValueError, match="the environment's http proxy") as caught:
+        LiveBackend("http://127.0.0.1:9/v1", api_key="k")
+    assert "secret" not in str(caught.value)
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    code = main(["run", "--benchmark", "nguyen1", "--backend", "live",
+                 "--endpoint", "http://127.0.0.1:9/v1", "--ns", "1", "--iterations", "0",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "the environment's http proxy" in err and "secret" not in err
+    assert not (tmp_path / "out").exists()
+    # a proxy that NO_PROXY bypasses for the endpoint is not read
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    LiveBackend("http://127.0.0.1:9/v1", api_key="k")
+
+
+@pytest.mark.parametrize("key", ["k\nX-Evil: 1", "k\rX-Evil: 1", "k\x1bX-Evil", "kéX-Evil"])
+def test_an_api_key_that_cannot_be_a_header_value_exits_2_unechoed(
+        tmp_path, monkeypatch, capsys, key):
+    _no_env_proxy(monkeypatch)
+    monkeypatch.setenv(API_KEY_ENV, key)
+    code = main(["run", "--benchmark", "nguyen1", "--backend", "live",
+                 "--endpoint", "http://127.0.0.1:9/v1", "--ns", "1", "--iterations", "0",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert API_KEY_ENV in err and "X-Evil" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_good_live_backend_options_reach_the_backend(tmp_path, monkeypatch):

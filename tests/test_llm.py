@@ -11,6 +11,7 @@ import pytest
 import requests
 
 from icsr import llm
+from icsr.cli import EXIT_NO_SEEDS, main
 from icsr.llm import (
     API_KEY_ENV,
     MAX_TIMEOUT,
@@ -195,6 +196,15 @@ def test_live_reads_key_from_environment(monkeypatch):
     assert headers["Authorization"] == "Bearer sekrit"
 
 
+@pytest.mark.parametrize("session", [None, requests.Session()], ids=["own", "requests"])
+def test_live_refuses_a_key_that_cannot_be_a_header_value(session):
+    # requests would raise InvalidHeader, retried as a transport error, and
+    # http.client a ValueError that holds the key
+    with pytest.raises(ValueError, match=f"api_key \\({API_KEY_ENV}\\)") as caught:
+        LiveBackend("http://host/v1", api_key="k\nX-Evil: 1", session=session)
+    assert "X-Evil" not in str(caught.value)
+
+
 def test_live_posts_expected_body():
     session = FakeSession([_ok("f(x) = 2*x", usage={"total_tokens": 11})])
     backend = LiveBackend(
@@ -368,6 +378,20 @@ def test_live_usage_with_a_non_finite_number_is_a_malformed_payload(usage):
         backend.complete(_request())
 
 
+def test_live_reply_nested_too_deep_is_a_malformed_payload():
+    class Deep(FakeResponse):
+        def json(self):
+            raise RecursionError("maximum recursion depth exceeded")
+
+    session = FakeSession([Deep(200)])
+    backend = LiveBackend(
+        "http://host", api_key="k", session=session, sleep=lambda _: None
+    )
+    with pytest.raises(BackendError, match="malformed completion payload: maximum recursion"):
+        backend.complete(_request())
+    assert len(session.requests) == 1
+
+
 def test_live_non_string_content():
     session = FakeSession([
         FakeResponse(200, {"choices": [{"message": {"content": 5}}]})
@@ -521,13 +545,68 @@ def test_own_transport_fails_other_statuses_with_their_text(serve, status):
     assert len(server.seen) == 1
 
 
+_DEEP = b'{"choices": ' + b"[" * 100_000
+
+
 @pytest.mark.parametrize("body", [json.dumps({"choices": []}).encode(), b"<html>",
-                                  b"\xff\xfe{"], ids=["no_choices", "not_json", "not_utf8"])
+                                  b"\xff\xfe{", _DEEP],
+                         ids=["no_choices", "not_json", "not_utf8", "too_deep"])
 def test_own_transport_malformed_payload(serve, body):
     url, _ = serve(_reply(200, body=body))
     backend = LiveBackend(url, api_key="k", sleep=lambda _: None)
     with pytest.raises(BackendError, match="malformed completion payload"):
         backend.complete(_request())
+
+
+def test_run_on_a_reply_nested_too_deep_fails_its_call(serve, tmp_path, monkeypatch):
+    url, server = serve(_reply(200, body=_DEEP))
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    code = main(["run", "--benchmark", "nguyen1", "--backend", "live", "--endpoint", url,
+                 "--ns", "1", "--iterations", "0", "--out", str(tmp_path / "out")])
+    assert code == EXIT_NO_SEEDS
+    assert len(server.seen) == 1
+    assert "malformed completion payload" in (tmp_path / "out" / "runlog.jsonl").read_text()
+
+
+def _raw(data):
+    """A reply of raw bytes, after which the server closes the connection."""
+    def send(handler):
+        handler.wfile.write(data)
+        handler.close_connection = True
+    return send
+
+
+@pytest.mark.parametrize("data", [
+    b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) + b"\r\n",
+], ids=["status", "headers"])
+def test_own_transport_names_a_malformed_http_reply(serve, data):
+    url, _ = serve(_raw(data))
+    backend = LiveBackend(url, api_key="k", max_attempts=1)
+    with pytest.raises(BackendError, match=r"\(transport error: malformed HTTP reply"):
+        backend.complete(_request())
+
+
+def test_own_transport_does_not_resend_on_a_fresh_connection(serve):
+    # the server closes each connection unanswered; each was fresh, so
+    # each attempt sends once and the backoff runs between them
+    url, server = serve(*[_raw(b"")] * 3)
+    delays = []
+    backend = LiveBackend(url, api_key="k", max_attempts=3, backoff=0.5, sleep=delays.append)
+    with pytest.raises(BackendError, match="after 3 attempts"):
+        backend.complete(_request())
+    assert len(server.seen) == 3 and delays == [0.5, 1.0]
+
+
+def test_a_read_that_starts_past_its_deadline_fails_unread():
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(b"x")
+        reader = llm._Deadline(ours, time.monotonic() - 1)
+        with pytest.raises(TimeoutError):
+            reader.readinto(bytearray(1))
+        assert reader.got == 0 and ours.recv(1) == b"x"
+        reader.close()
 
 
 def test_own_transport_resends_on_a_kept_alive_connection_the_server_closed(serve):
